@@ -102,6 +102,14 @@ impl GfTables {
         self.alog[(e % self.n as u64) as usize]
     }
 
+    /// α^e for `e < 2·order()`: a direct read of the doubled antilog
+    /// table, with no modulo, for loops that keep their exponents reduced
+    /// incrementally.
+    #[inline]
+    pub(crate) fn alog(&self, e: usize) -> u32 {
+        self.alog[e]
+    }
+
     /// Discrete log of a nonzero element.
     #[inline]
     pub fn log(&self, a: u32) -> u32 {

@@ -6,9 +6,14 @@
 //! * [`gf`] — GF(2^m) arithmetic (log/antilog tables, m = 3..=13).
 //! * [`poly`] — polynomials over GF(2^m) and GF(2).
 //! * [`bch`] — shortened systematic binary BCH codes with full
-//!   hard-decision decoding (syndromes, Berlekamp–Massey, Chien search).
-//!   BCH-10 protects the 4LC block (§6.6); BCH-1 protects the 3LC 3-ON-2
-//!   codeword (§6.3).
+//!   hard-decision decoding, remainder first: a byte-wise table-driven
+//!   LFSR computes `c(x) mod g(x)`, whose zero is exactly the
+//!   all-zero-syndrome condition (g is the LCM of the minimal
+//!   polynomials of α¹…α^(2t)), so a clean word costs one LFSR pass.
+//!   Only a dirty word pays for syndromes — taken from the remainder,
+//!   since `g(α^j) = 0` gives `S_j = r(α^j)` — Berlekamp–Massey and an
+//!   early-stopping Chien search. BCH-10 protects the 4LC block (§6.6);
+//!   BCH-1 protects the 3LC 3-ON-2 codeword (§6.3).
 //! * [`sliced`] — bit-sliced (64-lane) batch kernels behind
 //!   [`Bch::decode_batch`](bch::Bch::decode_batch): position-major planes,
 //!   constant-matrix Chien stepping, Frobenius syndrome folding.

@@ -5,9 +5,9 @@
 //! * [`GfPoly`] — dense polynomials with coefficients in GF(2^m), used to
 //!   build minimal polynomials `Π (x − α^j)` over a cyclotomic coset and to
 //!   run the decoder's error-locator algebra.
-//! * [`BinPoly`] — polynomials over GF(2) packed into `u64` words, used for
-//!   the code's generator polynomial and the systematic encoder's long
-//!   division (degree ≈ m·t ≈ 130 for the strongest codes here).
+//! * [`BinPoly`] — polynomials over GF(2) packed into `u64` words, used to
+//!   build the code's generator polynomial and the rows of its LFSR
+//!   remainder table (degree ≈ m·t ≈ 130 for the strongest codes here).
 
 use crate::gf::GfTables;
 

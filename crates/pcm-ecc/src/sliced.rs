@@ -19,8 +19,9 @@
 //!   even syndromes from the odd ones) is likewise linear. Both matrices
 //!   are precomputed per code in the [`Bch`](crate::bch::Bch) registry.
 //!
-//! The scalar path stays as the oracle: `Bch::decode_batch` is tested to
-//! agree with `Bch::decode` bit-for-bit on every lane.
+//! The scalar whole-word decoder stays as the oracle: `Bch::decode_batch`
+//! is tested to agree with `Bch::decode_reference` (and the
+//! remainder-first `Bch::decode`) bit-for-bit on every lane.
 
 use crate::bitvec::BitVec;
 use crate::gf::GfTables;

@@ -15,6 +15,77 @@ fn bitvec_strategy(len: usize) -> impl Strategy<Value = BitVec> {
     vec(any::<bool>(), len).prop_map(|bools| BitVec::from_bools(&bools))
 }
 
+/// One noisy lane per `(weight, shortened)` pair for the code `(m, t)`
+/// over `data_bits`: `weight` distinct flips in the used positions plus
+/// `shortened` distinct error positions past them, folded into the
+/// parity as their remainders `x^e mod g` so the received word carries
+/// their syndromes (σ then has roots in the shortened region). Decodes
+/// every lane through `decode`, `decode_reference` and one
+/// `decode_batch` call, and requires identical results and bits.
+fn assert_decoders_agree(m: u32, t: usize, data_bits: usize, seed: u64, lanes: &[(usize, usize)]) {
+    let bch = Bch::new(m, t);
+    let pb = bch.parity_bits();
+    let used = pb + data_bits;
+    let n = bch.n();
+    let mut x = seed | 1;
+    let mut next = |bound: usize| {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        (x % bound as u64) as usize
+    };
+    let mut noisy_d = Vec::new();
+    let mut noisy_p = Vec::new();
+    for &(weight, shortened) in lanes {
+        let bits: Vec<bool> = (0..data_bits).map(|_| next(2) == 1).collect();
+        let mut d = BitVec::from_bools(&bits);
+        let mut p = bch.encode(&d);
+        let mut flips = std::collections::BTreeSet::new();
+        while flips.len() < weight.min(used) {
+            flips.insert(next(used));
+        }
+        for &e in &flips {
+            if e < pb {
+                p.toggle(e);
+            } else {
+                d.toggle(e - pb);
+            }
+        }
+        let mut outside = std::collections::BTreeSet::new();
+        while outside.len() < shortened.min(n - used) {
+            outside.insert(used + next(n - used));
+        }
+        for &e in &outside {
+            let mut unit = BitVec::zeros(e - pb + 1);
+            unit.set(e - pb, true);
+            p.xor_assign(&bch.encode(&unit));
+        }
+        noisy_d.push(d);
+        noisy_p.push(p);
+    }
+    let (mut ref_d, mut ref_p) = (noisy_d.clone(), noisy_p.clone());
+    let want: Vec<_> = ref_d
+        .iter_mut()
+        .zip(ref_p.iter_mut())
+        .map(|(d, p)| bch.decode_reference(d, p))
+        .collect();
+    let (mut dec_d, mut dec_p) = (noisy_d.clone(), noisy_p.clone());
+    let got: Vec<_> = dec_d
+        .iter_mut()
+        .zip(dec_p.iter_mut())
+        .map(|(d, p)| bch.decode(d, p))
+        .collect();
+    let tag = format!("({m},{t})/{data_bits} lanes {lanes:?}");
+    assert_eq!(got, want, "decode results, {tag}");
+    assert_eq!(dec_d, ref_d, "decode data, {tag}");
+    assert_eq!(dec_p, ref_p, "decode parity, {tag}");
+    let (mut bat_d, mut bat_p) = (noisy_d, noisy_p);
+    let batch = bch.decode_batch(&mut bat_d, &mut bat_p);
+    assert_eq!(batch, want, "decode_batch results, {tag}");
+    assert_eq!(bat_d, ref_d, "decode_batch data, {tag}");
+    assert_eq!(bat_p, ref_p, "decode_batch parity, {tag}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -124,6 +195,27 @@ proptest! {
             for e in 0..lane.len() {
                 prop_assert_eq!(batch.planes()[e] >> l & 1 == 1, lane.get(e));
             }
+        }
+    }
+
+    #[test]
+    fn bch_decode_matches_reference_and_batch(
+        seed in any::<u64>(),
+        weights in vec(0usize..=23, 6),
+        shortened in vec(0usize..=3, 6),
+    ) {
+        // decode ≡ decode_reference ≡ decode_batch, results and corrected
+        // bits, on the paper's codes (BCH-1 over the 708-bit 3LC word,
+        // BCH-10 over the 512-bit 4LC block), a (10,4)/128 code and the
+        // unshortened (5,2)/21 code. Weights run 0..=2t+3, and some lanes
+        // put error positions in the shortened region.
+        for (m, t, bits) in [(10u32, 1usize, 708usize), (10, 10, 512), (10, 4, 128), (5, 2, 21)] {
+            let lanes: Vec<(usize, usize)> = weights
+                .iter()
+                .zip(&shortened)
+                .map(|(&w, &s)| (w % (2 * t + 4), s))
+                .collect();
+            assert_decoders_agree(m, t, bits, seed ^ (m as u64) << 32 ^ t as u64, &lanes);
         }
     }
 
