@@ -8,59 +8,132 @@
 
 use pcm_ecc::bitvec::BitVec;
 
-/// Gray code for state index 0..=3 as `(low_bit, high_bit)`.
-const GRAY: [(bool, bool); 4] = [(false, false), (true, false), (true, true), (false, true)];
+/// Gray code of each state index as a 2-bit value (low bit first).
+const STATE_CODE: [u64; 4] = [0b00, 0b01, 0b11, 0b10];
+
+/// State index of each 2-bit Gray code (the inverse of `STATE_CODE`).
+const CODE_STATE: [u8; 4] = [0, 1, 3, 2];
 
 /// Encode two bits into a 4LC state index.
 #[inline]
 pub fn encode_2bits(low: bool, high: bool) -> usize {
-    match (low, high) {
-        (false, false) => 0,
-        (true, false) => 1,
-        (true, true) => 2,
-        (false, true) => 3,
-    }
+    usize::from(CODE_STATE[usize::from(low) | usize::from(high) << 1])
 }
 
 /// Decode a 4LC state index into two bits `(low, high)`.
 #[inline]
 pub fn decode_state(state: usize) -> (bool, bool) {
-    GRAY[state]
+    (STATE_CODE[state] & 1 == 1, STATE_CODE[state] & 2 == 2)
 }
 
 /// Encode a bit block into 4LC state indices, two bits per cell
 /// (LSB-first); odd tails are zero-padded.
 pub fn encode_block(data: &BitVec) -> Vec<usize> {
-    let cells = data.len().div_ceil(2);
-    (0..cells)
-        .map(|c| {
-            let low = data.get(2 * c);
-            let high = 2 * c + 1 < data.len() && data.get(2 * c + 1);
-            encode_2bits(low, high)
-        })
-        .collect()
+    let mut out = vec![0; data.len().div_ceil(2)];
+    encode_into(data, &mut out);
+    out
 }
 
-/// Decode 4LC state indices back into `len_bits` of data.
-pub fn decode_block(states: &[usize], len_bits: usize) -> BitVec {
-    // pcm-lint: allow(no-panic-lib) — decode contract: callers size `states` from the block geometry; a mismatch is a wiring bug
-    assert!(states.len() * 2 >= len_bits);
-    let mut out = BitVec::zeros(len_bits);
-    for (c, &s) in states.iter().enumerate() {
-        let (low, high) = decode_state(s);
-        if 2 * c < len_bits && low {
-            out.set(2 * c, true);
-        }
-        if 2 * c + 1 < len_bits && high {
-            out.set(2 * c + 1, true);
+/// [`encode_block`] into a caller buffer of `data.len().div_ceil(2)`
+/// states, read straight off the packed words.
+pub fn encode_into<S: From<u8>>(data: &BitVec, out: &mut [S]) {
+    assert_eq!(out.len(), data.len().div_ceil(2), "one state per bit pair");
+    for (cells, &w) in out.chunks_mut(32).zip(data.as_words()) {
+        for (k, s) in cells.iter_mut().enumerate() {
+            *s = S::from(CODE_STATE[(w >> (2 * k) & 0b11) as usize]);
         }
     }
-    out
+}
+
+/// Decode 4LC state indices back into `len_bits` of data, 32 cells per
+/// word.
+pub fn decode_block<S: Copy + Into<usize>>(states: &[S], len_bits: usize) -> BitVec {
+    // pcm-lint: allow(no-panic-lib) — decode contract: callers size `states` from the block geometry; a mismatch is a wiring bug
+    assert!(states.len() * 2 >= len_bits);
+    let words = states
+        .chunks(32)
+        .map(|c| {
+            c.iter()
+                .rev()
+                .fold(0u64, |w, &s| w << 2 | STATE_CODE[s.into()])
+        })
+        .collect();
+    BitVec::from_words(words, len_bits)
+}
+
+/// The bit-at-a-time originals, kept as oracles for the word-level
+/// versions above.
+#[cfg(test)]
+mod per_bit {
+    use super::*;
+
+    pub fn encode_block(data: &BitVec) -> Vec<usize> {
+        let cells = data.len().div_ceil(2);
+        (0..cells)
+            .map(|c| {
+                let low = data.get(2 * c);
+                let high = 2 * c + 1 < data.len() && data.get(2 * c + 1);
+                encode_2bits(low, high)
+            })
+            .collect()
+    }
+
+    pub fn decode_block(states: &[usize], len_bits: usize) -> BitVec {
+        assert!(states.len() * 2 >= len_bits);
+        let mut out = BitVec::zeros(len_bits);
+        for (c, &s) in states.iter().enumerate() {
+            let (low, high) = decode_state(s);
+            if 2 * c < len_bits && low {
+                out.set(2 * c, true);
+            }
+            if 2 * c + 1 < len_bits && high {
+                out.set(2 * c + 1, true);
+            }
+        }
+        out
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Lengths around word boundaries and the block sizes in use.
+    const ORACLE_LENS: [usize; 9] = [0, 1, 63, 64, 65, 100, 512, 708, 1000];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn word_level_matches_per_bit(li in 0usize..9, seed in any::<u64>(), cut in 0usize..3) {
+            let len = ORACLE_LENS[li];
+            let data = BitVec::from_words(
+                (0..len.div_ceil(64)).map(|k| seed.rotate_left(k as u32 * 11) ^ k as u64).collect(),
+                len,
+            );
+            let states = encode_block(&data);
+            prop_assert_eq!(&states, &per_bit::encode_block(&data));
+            let mut small = vec![0u8; states.len()];
+            encode_into(&data, &mut small);
+            prop_assert!(small.iter().zip(&states).all(|(&a, &b)| usize::from(a) == b));
+            // Decoding to shorter lengths drops the tail bits.
+            let len_bits = len.saturating_sub(cut);
+            let want = per_bit::decode_block(&states, len_bits);
+            prop_assert_eq!(&decode_block(&states, len_bits), &want);
+            prop_assert_eq!(&decode_block(&small, len_bits), &want);
+        }
+    }
+
+    #[test]
+    fn state_order_is_the_documented_gray_code() {
+        // S1 → 00, S2 → 01, S3 → 11, S4 → 10, as (low, high).
+        let want = [(false, false), (true, false), (true, true), (false, true)];
+        for (s, &(low, high)) in want.iter().enumerate() {
+            assert_eq!(decode_state(s), (low, high));
+            assert_eq!(encode_2bits(low, high), s);
+        }
+    }
 
     #[test]
     fn roundtrip_all_symbols() {

@@ -56,10 +56,10 @@ fn state_cost(state: usize) -> u32 {
 
 /// Pick the cost-minimizing transform for a block of 4LC states and apply
 /// it in place. Returns the 3-bit tag that [`decode_block`] needs.
-pub fn encode_block(states: &mut [usize]) -> u8 {
+pub fn encode_block<S: Copy + Into<usize> + From<u8>>(states: &mut [S]) -> u8 {
     let mut counts = [0u32; 4];
     for &s in states.iter() {
-        counts[s] += 1;
+        counts[s.into()] += 1;
     }
     let (best_tag, _) = (0..TRANSFORMS as u8)
         .map(|tag| {
@@ -69,16 +69,18 @@ pub fn encode_block(states: &mut [usize]) -> u8 {
         .min_by_key(|&(tag, cost)| (cost, tag))
         // pcm-lint: allow(no-panic-lib) — infallible: the iterator over TRANSFORMS = 8 candidate tags is never empty
         .expect("at least one transform");
+    let map: [u8; 4] = std::array::from_fn(|s| apply(best_tag, s) as u8);
     for s in states.iter_mut() {
-        *s = apply(best_tag, *s);
+        *s = S::from(map[(*s).into()]);
     }
     best_tag
 }
 
 /// Undo [`encode_block`] given its tag.
-pub fn decode_block(states: &mut [usize], tag: u8) {
+pub fn decode_block<S: Copy + Into<usize> + From<u8>>(states: &mut [S], tag: u8) {
+    let map: [u8; 4] = std::array::from_fn(|s| unapply(tag, s) as u8);
     for s in states.iter_mut() {
-        *s = unapply(tag, *s);
+        *s = S::from(map[(*s).into()]);
     }
 }
 
@@ -101,6 +103,50 @@ pub fn occupancy(states: &[usize]) -> [f64; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn table_driven_block_matches_per_state_transforms() {
+        // The per-state originals: `apply`/`unapply` on every cell.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for len in [0usize, 1, 63, 64, 65, 100, 256, 512, 1000] {
+            for bias in 0..4 {
+                let original: Vec<usize> = (0..len)
+                    .map(|_| {
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        if x.is_multiple_of(3) {
+                            bias
+                        } else {
+                            (x >> 8) as usize % 4
+                        }
+                    })
+                    .collect();
+                let mut states = original.clone();
+                let tag = encode_block(&mut states);
+                let mut counts = [0u32; 4];
+                original.iter().for_each(|&s| counts[s] += 1);
+                let cost = |t: u8| {
+                    (0..4)
+                        .map(|s| counts[s] * state_cost(apply(t, s)))
+                        .sum::<u32>()
+                };
+                let best = (0..TRANSFORMS as u8).min_by_key(|&t| (cost(t), t)).unwrap();
+                assert_eq!(tag, best);
+                let want: Vec<usize> = original.iter().map(|&s| apply(tag, s)).collect();
+                assert_eq!(states, want);
+                let mut narrow: Vec<u8> = original.iter().map(|&s| s as u8).collect();
+                assert_eq!(encode_block(&mut narrow), tag);
+                assert!(narrow.iter().zip(&want).all(|(&a, &b)| usize::from(a) == b));
+                for t in 0..TRANSFORMS as u8 {
+                    let mut back = want.clone();
+                    decode_block(&mut back, t);
+                    let per_state: Vec<usize> = want.iter().map(|&s| unapply(t, s)).collect();
+                    assert_eq!(back, per_state, "tag {t}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn transforms_are_bijections() {

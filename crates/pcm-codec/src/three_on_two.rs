@@ -66,25 +66,27 @@ pub fn decode_pair(first: Trit, second: Trit) -> PairValue {
     }
 }
 
+/// TEC image (see [`crate::tec`]) of each pair value: 4 bits, first
+/// cell in the low two (S1 → `00`, S2 → `01`, S4 → `11`). Index 8 is INV.
+pub const PAIR_TEC: [u64; 9] = [
+    0b0000, 0b0100, 0b1100, 0b0001, 0b0101, 0b1101, 0b0011, 0b0111, 0b1111,
+];
+
+/// Pair value (0..=7 data, 8 = INV) of each 4-bit TEC pair code, the
+/// inverse of [`PAIR_TEC`]. A cell holding the `01` pattern (code `0b10`)
+/// reads as S2, as in [`crate::tec::bits_to_trits`].
+pub const TEC_PAIR: [u8; 16] = [0, 3, 3, 6, 1, 4, 4, 7, 1, 4, 4, 7, 2, 5, 5, 8];
+
 /// Encode a bit block into trits: bits are consumed three at a time
 /// (LSB-first); the tail is zero-padded to a full pair. 512 bits become
 /// exactly [`BLOCK_DATA_CELLS`] trits.
 pub fn encode_block(data: &BitVec) -> Vec<Trit> {
-    let pairs = data.len().div_ceil(3);
-    let mut out = Vec::with_capacity(pairs * 2);
-    for p in 0..pairs {
-        let mut v = 0u8;
-        for b in 0..3 {
-            let idx = p * 3 + b;
-            if idx < data.len() && data.get(idx) {
-                v |= 1 << b;
-            }
-        }
-        let (a, b) = encode_pair(v);
-        out.push(a);
-        out.push(b);
-    }
-    out
+    (0..data.len().div_ceil(3))
+        .flat_map(|p| {
+            let (a, b) = encode_pair(data.get_bits(3 * p, 3) as u8);
+            [a, b]
+        })
+        .collect()
 }
 
 /// Decode trits back into `len_bits` of data. Pairs decoding to INV are
@@ -97,28 +99,69 @@ pub fn decode_block(trits: &[Trit], len_bits: usize) -> (BitVec, Vec<bool>) {
         trits.len().is_multiple_of(2),
         "trit stream must be whole pairs"
     );
-    let pairs = trits.len() / 2;
     // pcm-lint: allow(no-panic-lib) — decode contract: callers request at most the bits the pairs can carry
     assert!(
-        pairs * 3 >= len_bits,
+        trits.len() / 2 * 3 >= len_bits,
         "not enough pairs for {len_bits} bits"
     );
     let mut data = BitVec::zeros(len_bits);
-    let mut inv = vec![false; pairs];
-    for p in 0..pairs {
-        match decode_pair(trits[2 * p], trits[2 * p + 1]) {
-            PairValue::Inv => inv[p] = true,
+    let inv = trits
+        .chunks_exact(2)
+        .enumerate()
+        .map(|(p, pair)| match decode_pair(pair[0], pair[1]) {
+            PairValue::Inv => true,
             PairValue::Data(v) => {
-                for b in 0..3 {
-                    let idx = p * 3 + b;
-                    if idx < len_bits && v >> b & 1 == 1 {
-                        data.set(idx, true);
+                data.or_bits(3 * p, 3, u64::from(v));
+                false
+            }
+        })
+        .collect();
+    (data, inv)
+}
+
+/// The bit-at-a-time originals, kept as oracles for the word-level
+/// versions above.
+#[cfg(test)]
+mod per_bit {
+    use super::*;
+
+    pub fn encode_block(data: &BitVec) -> Vec<Trit> {
+        let pairs = data.len().div_ceil(3);
+        let mut out = Vec::with_capacity(pairs * 2);
+        for p in 0..pairs {
+            let mut v = 0u8;
+            for b in 0..3 {
+                let idx = p * 3 + b;
+                if idx < data.len() && data.get(idx) {
+                    v |= 1 << b;
+                }
+            }
+            let (a, b) = encode_pair(v);
+            out.push(a);
+            out.push(b);
+        }
+        out
+    }
+
+    pub fn decode_block(trits: &[Trit], len_bits: usize) -> (BitVec, Vec<bool>) {
+        let pairs = trits.len() / 2;
+        let mut data = BitVec::zeros(len_bits);
+        let mut inv = vec![false; pairs];
+        for p in 0..pairs {
+            match decode_pair(trits[2 * p], trits[2 * p + 1]) {
+                PairValue::Inv => inv[p] = true,
+                PairValue::Data(v) => {
+                    for b in 0..3 {
+                        let idx = p * 3 + b;
+                        if idx < len_bits && v >> b & 1 == 1 {
+                            data.set(idx, true);
+                        }
                     }
                 }
             }
         }
+        (data, inv)
     }
-    (data, inv)
 }
 
 /// Information density of 3-ON-2 in bits per cell (1.5; §6.2 quotes the
@@ -130,6 +173,54 @@ pub fn bits_per_cell() -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Lengths around word boundaries and the block sizes in use.
+    const ORACLE_LENS: [usize; 9] = [0, 1, 63, 64, 65, 100, 512, 708, 1000];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn word_level_matches_per_bit(li in 0usize..9, seed in any::<u64>(), invs in 0usize..4) {
+            let len = ORACLE_LENS[li];
+            let data = BitVec::from_words(
+                (0..len.div_ceil(64)).map(|k| seed.rotate_left(k as u32 * 13) ^ k as u64).collect(),
+                len,
+            );
+            let mut trits = encode_block(&data);
+            prop_assert_eq!(&trits, &per_bit::encode_block(&data));
+            // INV pairs anywhere, and shorter decode lengths.
+            let pairs = trits.len() / 2;
+            for k in 0..invs.min(pairs) {
+                let p = (seed as usize >> (8 * k)) % pairs;
+                trits[2 * p] = Trit::S4;
+                trits[2 * p + 1] = Trit::S4;
+            }
+            for len_bits in [len, len.saturating_sub(1), len / 2] {
+                prop_assert_eq!(decode_block(&trits, len_bits), per_bit::decode_block(&trits, len_bits));
+            }
+        }
+    }
+
+    #[test]
+    fn pair_tec_tables_follow_table2_and_the_tec_mapping() {
+        for v in 0..9u8 {
+            let (a, b) = if v == 8 { inv_pair() } else { encode_pair(v) };
+            let tec = crate::tec::per_bit::trits_to_bits(&[a, b]);
+            assert_eq!(PAIR_TEC[v as usize], tec.get_bits(0, 4), "value {v}");
+            assert_eq!(TEC_PAIR[PAIR_TEC[v as usize] as usize], v);
+        }
+        // Every code, `01` cells included, decodes as `bits_to_trits` would.
+        for c in 0..16u64 {
+            let (t, _) = crate::tec::per_bit::bits_to_trits(&BitVec::from_words(vec![c], 4));
+            let want = match decode_pair(t[0], t[1]) {
+                PairValue::Inv => 8,
+                PairValue::Data(v) => v,
+            };
+            assert_eq!(TEC_PAIR[c as usize], want, "code {c:04b}");
+        }
+    }
 
     #[test]
     fn table2_exact_mapping() {

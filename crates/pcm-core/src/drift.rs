@@ -13,9 +13,17 @@
 use crate::params::DRIFT_T0_SECS;
 
 /// Convert absolute time in seconds to the drift law's log-time coordinate
-/// `L = log10(t / t0)`. Times at or before `t0` have not drifted yet.
+/// `L = log10(t / t0)`. Times at or before `t0` (and NaN) have not drifted
+/// yet; they return `0.0` without evaluating `log10`, which for the common
+/// `t = 0` of a frozen clock is the slow divide-by-zero path. The result is
+/// bit-identical to `(t / t0).log10().max(0.0)` for every input.
+#[inline]
 pub fn log_time(t_secs: f64) -> f64 {
-    (t_secs / DRIFT_T0_SECS).log10().max(0.0)
+    if t_secs > DRIFT_T0_SECS {
+        (t_secs / DRIFT_T0_SECS).log10().max(0.0)
+    } else {
+        0.0
+    }
 }
 
 /// Plain (single-regime) drift: log-resistance after `t_secs`.
@@ -189,6 +197,27 @@ impl PreparedTrajectory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn log_time_pre_t0_shortcut_is_bit_identical() {
+        let old = |t: f64| (t / DRIFT_T0_SECS).log10().max(0.0);
+        let inputs = [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::from_bits(1), // smallest subnormal
+            1.0,
+            f64::from_bits(1.0f64.to_bits() + 1), // next_up(1.0)
+            1024.0,
+            1e300,
+            f64::NAN,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+        ];
+        for t in inputs {
+            assert_eq!(log_time(t).to_bits(), old(t).to_bits(), "t = {t:e}");
+        }
+    }
 
     #[test]
     fn no_drift_before_t0() {

@@ -7,8 +7,15 @@
 //! Monte Carlo uses. Wearout is charged per program-and-verify iteration;
 //! a worn cell becomes stuck (stuck-reset at the top state, stuck-set at
 //! the bottom unless revived, §6.4).
+//!
+//! A cell keeps its trajectory as a [`PreparedTrajectory`], whose
+//! evaluation is bit-identical to the sampled [`DriftTrajectory`]
+//! (pcm-core's contract), and its known fault lives only in its
+//! [`WearState`]: a stuck cell's resistance is a function of the fault.
+//!
+//! [`DriftTrajectory`]: pcm_core::drift::DriftTrajectory
 
-use pcm_core::drift::DriftTrajectory;
+use pcm_core::drift::{log_time, PreparedTrajectory};
 use pcm_core::level::LevelDesign;
 use pcm_core::rng::Xoshiro256pp;
 use pcm_wearout::fault::{EnduranceModel, FaultKind, WearState};
@@ -16,11 +23,31 @@ use pcm_wearout::fault::{EnduranceModel, FaultKind, WearState};
 /// One physical cell.
 #[derive(Debug, Clone)]
 pub struct PhysicalCell {
-    trajectory: DriftTrajectory,
+    trajectory: PreparedTrajectory,
     write_time: f64,
     wear: WearState,
-    stuck_logr: Option<f64>,
-    fault: Option<FaultKind>,
+}
+
+/// §6.4 failure semantics: stuck-reset pins the cell at the amorphous
+/// extreme; stuck-set pins it crystalline unless the reverse-current
+/// revival can force it to S4.
+fn stuck_logr(fault: FaultKind) -> f64 {
+    if fault.can_force_s4() {
+        6.0
+    } else {
+        3.0
+    }
+}
+
+impl PhysicalCell {
+    /// Log-resistance at drift log-time `l` (pinned if the cell is stuck).
+    #[inline]
+    fn logr_at_log_time(&self, l: f64) -> f64 {
+        match self.wear.fault {
+            Some(fault) => stuck_logr(fault),
+            None => self.trajectory.logr_at_log_time(l),
+        }
+    }
 }
 
 /// Outcome of programming one cell.
@@ -53,11 +80,9 @@ impl CellArray {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let cells = (0..n)
             .map(|_| PhysicalCell {
-                trajectory: DriftTrajectory::simple(3.0, 0.0),
+                trajectory: pcm_core::drift::DriftTrajectory::simple(3.0, 0.0).prepare(),
                 write_time: 0.0,
                 wear: WearState::new(&endurance, &mut rng),
-                stuck_logr: None,
-                fault: None,
             })
             .collect();
         Self {
@@ -88,11 +113,15 @@ impl CellArray {
         let endurance = self.endurance;
         let cell = &mut self.cells[idx];
 
-        if let Some(stuck) = cell.stuck_logr {
+        if let Some(fault) = cell.wear.fault {
             // Already-known-stuck cells take the pulse (and the wear) but
             // verify only if the stuck level happens to sense as `state`.
+            // A renewed lifetime (`set_lifetime`) can wear the cell out
+            // again: that draws a new fault from the stream, but the cell
+            // stays pinned where its first fault put it.
             cell.wear.wear(1, &endurance, &mut self.rng);
-            let sensed = design.sense(stuck);
+            cell.wear.fault = Some(fault);
+            let sensed = design.sense(stuck_logr(fault));
             return ProgramOutcome {
                 attempts: 1,
                 new_fault: None,
@@ -105,17 +134,7 @@ impl CellArray {
             .wear
             .wear(written.write_attempts as u64, &endurance, &mut self.rng);
         if let Some(fault) = new_fault {
-            cell.fault = Some(fault);
-            // §6.4 failure semantics: stuck-reset pins the cell at the
-            // amorphous extreme; stuck-set pins it crystalline unless the
-            // reverse-current revival can force it to S4.
-            let stuck = match fault {
-                FaultKind::StuckReset => 6.0,
-                FaultKind::StuckSet { revivable: true } => 6.0,
-                FaultKind::StuckSet { revivable: false } => 3.0,
-            };
-            cell.stuck_logr = Some(stuck);
-            let sensed = design.sense(stuck);
+            let sensed = design.sense(stuck_logr(fault));
             return ProgramOutcome {
                 attempts: written.write_attempts,
                 new_fault,
@@ -123,7 +142,7 @@ impl CellArray {
             };
         }
 
-        cell.trajectory = written.trajectory;
+        cell.trajectory = written.trajectory.prepare();
         cell.write_time = now;
         ProgramOutcome {
             attempts: written.write_attempts,
@@ -137,19 +156,34 @@ impl CellArray {
         design.sense(self.logr(idx, now))
     }
 
+    /// Sense the cells `[base, base + out.len())` at absolute time `now`
+    /// under `design`, writing each state index into `out`. Identical to
+    /// calling [`Self::sense`] per cell, but the drift log-time is
+    /// computed once per distinct write time (a block's cells share one),
+    /// not once per cell.
+    pub fn sense_range(&self, base: usize, design: &LevelDesign, now: f64, out: &mut [u8]) {
+        debug_assert!(design.n_levels() <= 256, "state indices must fit in u8");
+        // (write-time bits, log-time). A NaN write time has log-time 0 at
+        // any `now`, so seeding the memo with one is never wrong.
+        let mut memo = (f64::NAN.to_bits(), 0.0);
+        for (cell, state) in self.cells[base..base + out.len()].iter().zip(out) {
+            if cell.write_time.to_bits() != memo.0 {
+                let l = log_time((now - cell.write_time).max(0.0));
+                memo = (cell.write_time.to_bits(), l);
+            }
+            *state = design.sense(cell.logr_at_log_time(memo.1)) as u8;
+        }
+    }
+
     /// Raw analog log-resistance of cell `idx` at time `now`.
     pub fn logr(&self, idx: usize, now: f64) -> f64 {
         let cell = &self.cells[idx];
-        if let Some(stuck) = cell.stuck_logr {
-            return stuck;
-        }
-        let elapsed = (now - cell.write_time).max(0.0);
-        cell.trajectory.logr_at(elapsed)
+        cell.logr_at_log_time(log_time((now - cell.write_time).max(0.0)))
     }
 
     /// The cell's known fault, if any.
     pub fn fault(&self, idx: usize) -> Option<FaultKind> {
-        self.cells[idx].fault
+        self.cells[idx].wear.fault
     }
 
     /// Force a cell's remaining lifetime (test/fault-injection hook).
@@ -171,6 +205,13 @@ mod tests {
 
     fn array(n: usize) -> CellArray {
         CellArray::new(n, EnduranceModel::mlc(), 42)
+    }
+
+    #[test]
+    fn physical_cell_is_72_bytes() {
+        // Prepared trajectory (40) + write time (8) + wear state (24): the
+        // fault is stored once and the stuck level derived from it.
+        assert_eq!(std::mem::size_of::<PhysicalCell>(), 72);
     }
 
     #[test]
@@ -254,6 +295,37 @@ mod tests {
             }
         }
         assert!(saw_reset && saw_dead_set, "both modes exercised");
+    }
+
+    #[test]
+    fn sense_range_matches_sense_on_every_stuck_kind() {
+        // Four levels: drift moves states within hours, so a wrong
+        // log-time for any write time shows up as a different state.
+        let d = LevelDesign::four_level_naive();
+        let mut a = array(300);
+        let mut kinds = std::collections::HashSet::new();
+        for i in 0..300 {
+            if i % 2 == 0 {
+                a.set_lifetime(i, 1);
+            }
+            // Write times 0, 1000 and 2e9: mixed within every range, and
+            // later than the 1024 s sense time for a third of the cells.
+            let out = a.program(i, &d, i % 4, [0.0, 1000.0, 2e9][i % 3]);
+            kinds.extend(out.new_fault);
+        }
+        assert_eq!(kinds.len(), 3, "all three stuck kinds: {kinds:?}");
+        for now in [0.0, 1024.0, pcm_core::params::TEN_YEARS_SECS] {
+            let mut out = vec![0u8; 290];
+            a.sense_range(10, &d, now, &mut out);
+            for (k, &s) in out.iter().enumerate() {
+                assert_eq!(
+                    usize::from(s),
+                    a.sense(10 + k, &d, now),
+                    "cell {} at {now}",
+                    10 + k
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,10 +20,9 @@
 //!   DESIGN.md).
 
 use crate::array::CellArray;
+use pcm_codec::gray;
 use pcm_codec::smart;
-use pcm_codec::tec::TecCodec;
-use pcm_codec::ternary::Trit;
-use pcm_codec::{gray, three_on_two};
+use pcm_codec::tec::{self, TecCodec, CODE_STATE};
 use pcm_core::level::LevelDesign;
 use pcm_ecc::bch::Bch;
 use pcm_ecc::bitvec::BitVec;
@@ -134,15 +133,16 @@ impl ThreeLevelBlock {
 
         // Re-encode around newly discovered failures until a clean pass.
         for _round in 0..=pcm_wearout::mark_spare::SPARE_PAIRS + 1 {
-            let trits = self
+            let tec_bits = self
                 .codec
-                .encode_block(&bits, &self.failed_pairs)
+                .encode_tec(&bits, &self.failed_pairs)
                 .map_err(|_| BlockError::WearoutExhausted)?;
-            let check = self.tec.encode(&trits);
+            let check = self.tec.encode_bits(&tec_bits);
 
             let mut discovered = Vec::new();
-            for (i, t) in trits.iter().enumerate() {
-                let out = array.program(self.base + i, &self.design, t.index(), now);
+            for i in 0..self.codec.total_cells() {
+                let state = CODE_STATE[tec_bits.get_bits(2 * i, 2) as usize];
+                let out = array.program(self.base + i, &self.design, usize::from(state), now);
                 attempts += out.attempts as u64;
                 if let Some(fault) = out.new_fault {
                     new_faults += 1;
@@ -156,7 +156,7 @@ impl ThreeLevelBlock {
             }
             for (j, b) in (0..check.len()).map(|j| (j, check.get(j))) {
                 let out = array.program(
-                    self.base + three_on_two::BLOCK_DATA_CELLS + 12 + j,
+                    self.base + self.codec.total_cells() + j,
                     &self.slc,
                     usize::from(b),
                     now,
@@ -184,32 +184,30 @@ impl ThreeLevelBlock {
 
     /// Read 64 bytes through the full Figure-9 decode path.
     pub fn read(&self, array: &CellArray, now: f64) -> Result<ReadReport, BlockError> {
-        // 1. PCM array read.
-        let sensed: Vec<Trit> = (0..self.codec.total_cells())
-            .map(|i| Trit::from_index(array.sense(self.base + i, &self.design, now)))
-            .collect();
-        let mut check = BitVec::zeros(self.tec.check_bits());
-        for j in 0..check.len() {
-            let b = array.sense(
-                self.base + three_on_two::BLOCK_DATA_CELLS + 12 + j,
-                &self.slc,
-                now,
-            );
+        // 1. PCM array read, packed straight into the TEC bit image.
+        let mlc = self.codec.total_cells();
+        let mut states = [0u8; THREE_LEVEL_BLOCK_CELLS];
+        let (data_states, check_states) = states.split_at_mut(mlc);
+        array.sense_range(self.base, &self.design, now, data_states);
+        array.sense_range(self.base + mlc, &self.slc, now, check_states);
+        let mut bits = tec::states_to_bits(data_states);
+        let mut check = BitVec::zeros(check_states.len());
+        for (j, &b) in check_states.iter().enumerate() {
             check.set(j, b == 1);
         }
         // 2. Transient error correction (TEC).
-        let outcome = self
+        let corrected_bits = self
             .tec
-            .decode(&sensed, &check)
+            .decode_bits(&mut bits, &mut check)
             .map_err(|_| BlockError::Uncorrectable)?;
         // 3. Hard error correction (mark-and-spare) + 4. symbol decoding.
         let data = self
             .codec
-            .decode_block(&outcome.trits, DATA_BITS)
+            .decode_tec(&bits, DATA_BITS)
             .map_err(|_| BlockError::WearoutExhausted)?;
         Ok(ReadReport {
             data: data.to_bytes(),
-            corrected_bits: outcome.corrected_bits,
+            corrected_bits,
             repaired_cells: self.failed_pairs.len() * 2,
         })
     }
@@ -236,7 +234,6 @@ pub const FOUR_LEVEL_BLOCK_CELLS: usize = 306;
 
 const DATA_CELLS_4LC: usize = 256;
 const PARITY_BITS_4LC: usize = 100;
-const PARITY_CELLS_4LC: usize = 50;
 
 impl FourLevelBlock {
     /// Create a block over cells `[base, base + 306)`; `use_smart` enables
@@ -272,41 +269,37 @@ impl FourLevelBlock {
     ) -> Result<WriteReport, BlockError> {
         assert_eq!(data.len(), BLOCK_BYTES);
         let bits = BitVec::from_bytes(data, DATA_BITS);
-        let mut states = gray::encode_block(&bits);
-        debug_assert_eq!(states.len(), DATA_CELLS_4LC);
+        let mut states = [0u8; FOUR_LEVEL_BLOCK_CELLS];
+        let (data_states, parity_states) = states.split_at_mut(DATA_CELLS_4LC);
+        gray::encode_into(&bits, data_states);
         self.smart_tag = if self.use_smart {
-            smart::encode_block(&mut states)
+            smart::encode_block(data_states)
         } else {
             0
         };
         // BCH protects the *stored* (transformed) bits so the read path
         // can correct before un-transforming (§6.6 ordering).
-        let stored_bits = gray::decode_block(&states, DATA_BITS);
+        let stored_bits = gray::decode_block(data_states, DATA_BITS);
         let parity = self.bch.encode(&stored_bits);
-        debug_assert_eq!(parity.len(), PARITY_BITS_4LC);
-        let parity_states = gray::encode_block(&parity);
+        gray::encode_into(&parity, parity_states);
 
         let mut new_faults = 0usize;
         let mut attempts = 0u64;
         for (i, &s) in states.iter().enumerate() {
-            let out = array.program(self.base + i, &self.design, s, now);
+            let out = array.program(self.base + i, &self.design, usize::from(s), now);
             attempts += out.attempts as u64;
             if out.new_fault.is_some() {
                 new_faults += 1;
-                self.ecp
-                    .mark(i, s)
-                    .map_err(|_| BlockError::WearoutExhausted)?;
-            }
-        }
-        for (j, &s) in parity_states.iter().enumerate() {
-            let out = array.program(self.base + DATA_CELLS_4LC + j, &self.design, s, now);
-            attempts += out.attempts as u64;
-            if out.new_fault.is_some() {
-                new_faults += 1; // parity-cell faults land on BCH's budget
+                // Parity-cell faults land on BCH's budget.
+                if i < DATA_CELLS_4LC {
+                    self.ecp
+                        .mark(i, usize::from(s))
+                        .map_err(|_| BlockError::WearoutExhausted)?;
+                }
             }
         }
         // Keep replacement symbols in sync with the data just written.
-        self.ecp.update_for_write(&states);
+        self.ecp.update_for_write(&states[..DATA_CELLS_4LC]);
         Ok(WriteReport {
             new_faults,
             attempts,
@@ -316,26 +309,26 @@ impl FourLevelBlock {
     /// Read 64 bytes: array read (with the ECP MUX of Figure 14) →
     /// BCH-10 → smart-encoding symbol decode.
     pub fn read(&self, array: &CellArray, now: f64) -> Result<ReadReport, BlockError> {
-        let mut states: Vec<usize> = (0..DATA_CELLS_4LC)
-            .map(|i| array.sense(self.base + i, &self.design, now))
-            .collect();
-        self.ecp.apply(&mut states);
-        let parity_states: Vec<usize> = (0..PARITY_CELLS_4LC)
-            .map(|j| array.sense(self.base + DATA_CELLS_4LC + j, &self.design, now))
-            .collect();
+        let mut states = [0u8; FOUR_LEVEL_BLOCK_CELLS];
+        array.sense_range(self.base, &self.design, now, &mut states);
+        let (data_states, parity_states) = states.split_at_mut(DATA_CELLS_4LC);
+        self.ecp.apply(data_states);
 
-        let mut stored_bits = gray::decode_block(&states, DATA_BITS);
-        let mut parity = gray::decode_block(&parity_states, PARITY_BITS_4LC);
+        let mut stored_bits = gray::decode_block(data_states, DATA_BITS);
+        let mut parity = gray::decode_block(parity_states, PARITY_BITS_4LC);
         let corrected = self
             .bch
             .decode(&mut stored_bits, &mut parity)
             .map_err(|_| BlockError::Uncorrectable)?;
 
-        let mut corrected_states = gray::encode_block(&stored_bits);
-        if self.use_smart {
-            smart::decode_block(&mut corrected_states, self.smart_tag);
-        }
-        let data = gray::decode_block(&corrected_states, DATA_BITS);
+        // Without smart encoding the stored bits are the data bits.
+        let data = if self.use_smart {
+            gray::encode_into(&stored_bits, data_states);
+            smart::decode_block(data_states, self.smart_tag);
+            gray::decode_block(data_states, DATA_BITS)
+        } else {
+            stored_bits
+        };
         Ok(ReadReport {
             data: data.to_bytes(),
             corrected_bits: corrected,

@@ -173,38 +173,28 @@ impl GenericBlock {
         Ok(out)
     }
 
-    /// TEC bit image of a symbol stream.
+    /// TEC bit image of a symbol stream, one Gray-coded field per cell.
     fn tec_bits(&self, symbols: &[u8]) -> BitVec {
-        let mut v = BitVec::zeros(symbols.len() * self.bits_per_cell_tec);
+        let w = self.bits_per_cell_tec;
+        let mut v = BitVec::zeros(symbols.len() * w);
         for (i, &s) in symbols.iter().enumerate() {
-            let g = gray(s as usize);
-            for b in 0..self.bits_per_cell_tec {
-                if g >> b & 1 == 1 {
-                    v.set(i * self.bits_per_cell_tec + b, true);
-                }
-            }
+            v.or_bits(i * w, w, gray(s as usize) as u64);
         }
         v
     }
 
     /// Inverse of [`Self::tec_bits`]; out-of-alphabet patterns fail.
     fn symbols_from_tec(&self, bits: &BitVec) -> Result<Vec<u8>, BlockError> {
-        let n = bits.len() / self.bits_per_cell_tec;
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut g = 0usize;
-            for b in 0..self.bits_per_cell_tec {
-                if bits.get(i * self.bits_per_cell_tec + b) {
-                    g |= 1 << b;
+        let w = self.bits_per_cell_tec;
+        (0..bits.len() / w)
+            .map(|i| {
+                let s = gray_inverse(bits.get_bits(i * w, w) as usize);
+                if s >= self.design.n_levels() {
+                    return Err(BlockError::Uncorrectable);
                 }
-            }
-            let s = gray_inverse(g);
-            if s >= self.design.n_levels() {
-                return Err(BlockError::Uncorrectable);
-            }
-            out.push(s as u8);
-        }
-        Ok(out)
+                Ok(s as u8)
+            })
+            .collect()
     }
 
     /// Write 64 bytes through the generalized path.
@@ -261,13 +251,13 @@ impl GenericBlock {
     /// enumerative decode.
     pub fn read(&self, array: &CellArray, now: f64) -> Result<ReadReport, BlockError> {
         let per = self.code.symbols_per_group();
-        let sensed: Vec<u8> = (0..self.mlc_cells())
-            .map(|i| array.sense(self.base_cell + i, &self.design, now) as u8)
-            .collect();
-        let mut bits = self.tec_bits(&sensed);
-        let mut check = BitVec::zeros(self.bch.parity_bits());
-        for j in 0..check.len() {
-            let b = array.sense(self.base_cell + self.mlc_cells() + j, &self.slc, now);
+        let mut sensed = vec![0u8; self.cells()];
+        let (mlc, check_states) = sensed.split_at_mut(self.mlc_cells());
+        array.sense_range(self.base_cell, &self.design, now, mlc);
+        array.sense_range(self.base_cell + mlc.len(), &self.slc, now, check_states);
+        let mut bits = self.tec_bits(mlc);
+        let mut check = BitVec::zeros(check_states.len());
+        for (j, &b) in check_states.iter().enumerate() {
             check.set(j, b == 1);
         }
         let corrected = self
@@ -348,6 +338,58 @@ mod tests {
         let blk = GenericBlock::new(five_level_design(), code, 0, 4, 2);
         let arr = CellArray::new(blk.cells(), EnduranceModel::mlc(), 33);
         (arr, blk)
+    }
+
+    #[test]
+    fn tec_fields_match_per_bit_originals() {
+        // The bit-at-a-time originals of `tec_bits` / `symbols_from_tec`.
+        fn tec_bits_per_bit(w: usize, symbols: &[u8]) -> BitVec {
+            let mut v = BitVec::zeros(symbols.len() * w);
+            for (i, &s) in symbols.iter().enumerate() {
+                let g = gray(s as usize);
+                for b in 0..w {
+                    if g >> b & 1 == 1 {
+                        v.set(i * w + b, true);
+                    }
+                }
+            }
+            v
+        }
+        fn symbols_per_bit(w: usize, levels: usize, bits: &BitVec) -> Option<Vec<u8>> {
+            (0..bits.len() / w)
+                .map(|i| {
+                    let g = (0..w)
+                        .filter(|&b| bits.get(i * w + b))
+                        .fold(0usize, |g, b| g | 1 << b);
+                    let s = gray_inverse(g);
+                    (s < levels).then_some(s as u8)
+                })
+                .collect()
+        }
+        let (_, blk) = block();
+        let w = blk.bits_per_cell_tec;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for len in [0usize, 1, 21, 22, 64, 65, 270] {
+            let symbols: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    (x % 5) as u8
+                })
+                .collect();
+            let bits = blk.tec_bits(&symbols);
+            assert_eq!(bits, tec_bits_per_bit(w, &symbols), "len {len}");
+            assert_eq!(blk.symbols_from_tec(&bits).ok(), Some(symbols.clone()));
+            // Arbitrary words, out-of-alphabet fields included.
+            let raw = BitVec::from_words(
+                (0..(len * w).div_ceil(64))
+                    .map(|k| x.rotate_left(k as u32))
+                    .collect(),
+                len * w,
+            );
+            assert_eq!(blk.symbols_from_tec(&raw).ok(), symbols_per_bit(w, 5, &raw));
+        }
     }
 
     #[test]

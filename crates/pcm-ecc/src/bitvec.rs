@@ -33,7 +33,7 @@ impl BitVec {
     }
 
     /// Build from bytes, LSB-first within each byte, taking exactly `len`
-    /// bits (`len <= bytes.len() * 8`).
+    /// bits (`len <= bytes.len() * 8`). Eight bytes make one word.
     pub fn from_bytes(bytes: &[u8], len: usize) -> Self {
         // pcm-lint: allow(no-panic-lib) — contract: the requested length must fit the supplied bytes
         assert!(
@@ -41,25 +41,26 @@ impl BitVec {
             "len {len} > {} bits",
             bytes.len() * 8
         );
-        let mut v = Self::zeros(len);
-        for i in 0..len {
-            if bytes[i / 8] >> (i % 8) & 1 == 1 {
-                v.set(i, true);
-            }
-        }
-        v
+        let words = bytes
+            .chunks(8)
+            .take(len.div_ceil(64))
+            .map(|chunk| {
+                let mut le = [0u8; 8];
+                le[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(le)
+            })
+            .collect();
+        Self::from_words(words, len)
     }
 
     /// Serialize to bytes, LSB-first within each byte; the final partial
-    /// byte is zero-padded.
+    /// byte is zero-padded (the tail bits past `len` are zero).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len.div_ceil(8)];
-        for i in 0..self.len {
-            if self.get(i) {
-                out[i / 8] |= 1 << (i % 8);
-            }
-        }
-        out
+        self.words
+            .iter()
+            .flat_map(|w| w.to_le_bytes())
+            .take(self.len.div_ceil(8))
+            .collect()
     }
 
     /// Number of bits.
@@ -156,6 +157,29 @@ impl BitVec {
         Self { len, words }
     }
 
+    /// Read the `n <= 64` bits `[start, start + n)` as an integer, bit
+    /// `start` lowest; bits at or past `len` read as zero.
+    #[inline]
+    pub fn get_bits(&self, start: usize, n: usize) -> u64 {
+        self.read_word(start) & !u64::MAX.checked_shl(n as u32).unwrap_or(0)
+    }
+
+    /// OR the low `n <= 64` bits of `value` into positions
+    /// `[start, start + n)`; positions at or past `len` are dropped.
+    #[inline]
+    pub fn or_bits(&mut self, start: usize, n: usize, value: u64) {
+        let n = n.min(self.len.saturating_sub(start));
+        if n == 0 {
+            return;
+        }
+        let v = value & u64::MAX >> (64 - n);
+        let (wi, off) = (start / 64, start % 64);
+        self.words[wi] |= v << off;
+        if off + n > 64 {
+            self.words[wi + 1] |= v >> (64 - off);
+        }
+    }
+
     /// Read 64 bits starting at arbitrary position `start`; bits past the
     /// end read as zero.
     #[inline]
@@ -234,6 +258,85 @@ mod tests {
             assert_eq!(v.get(i), i % 7 == 0);
         }
         assert_eq!(v.count_ones(), 19);
+    }
+
+    /// The bit-at-a-time originals, kept as oracles for the word-level
+    /// byte conversions.
+    fn from_bytes_per_bit(bytes: &[u8], len: usize) -> BitVec {
+        let mut v = BitVec::zeros(len);
+        for i in 0..len {
+            if bytes[i / 8] >> (i % 8) & 1 == 1 {
+                v.set(i, true);
+            }
+        }
+        v
+    }
+
+    fn to_bytes_per_bit(v: &BitVec) -> Vec<u8> {
+        let mut out = vec![0u8; v.len().div_ceil(8)];
+        for i in 0..v.len() {
+            if v.get(i) {
+                out[i / 8] |= 1 << (i % 8);
+            }
+        }
+        out
+    }
+
+    /// Lengths around word and byte boundaries and the block sizes the
+    /// datapaths use.
+    const ORACLE_LENS: [usize; 9] = [0, 1, 63, 64, 65, 100, 512, 708, 1000];
+
+    fn noise(len: usize, seed: u64) -> Vec<u8> {
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn byte_conversions_match_per_bit_originals() {
+        for len in ORACLE_LENS {
+            for seed in 0..8 {
+                // Extra source bytes past `len` must be ignored.
+                let bytes = noise(len.div_ceil(8) + (seed as usize % 3), seed);
+                let fast = BitVec::from_bytes(&bytes, len);
+                let slow = from_bytes_per_bit(&bytes, len);
+                assert_eq!(fast, slow, "from_bytes len {len} seed {seed}");
+                assert_eq!(
+                    fast.to_bytes(),
+                    to_bytes_per_bit(&slow),
+                    "to_bytes len {len}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn field_access_matches_per_bit_reference() {
+        for len in ORACLE_LENS {
+            let v = BitVec::from_bytes(&noise(len.div_ceil(8), len as u64), len);
+            for start in [0, 1, 3, 62, 63, 64, 65, 127, 500, 707, 998, 999, 1000, 1100] {
+                for n in [0usize, 1, 2, 3, 4, 7, 33, 63, 64] {
+                    let want = (0..n)
+                        .filter(|&k| start + k < len && v.get(start + k))
+                        .fold(0u64, |acc, k| acc | 1 << k);
+                    assert_eq!(v.get_bits(start, n), want, "get len {len} at {start}+{n}");
+                    let value = 0xA5C3_F00F_1234_5678u64.rotate_left(start as u32);
+                    let mut fast = v.clone();
+                    fast.or_bits(start, n, value);
+                    let mut slow = v.clone();
+                    for k in (0..n).filter(|&k| start + k < len && value >> k & 1 == 1) {
+                        slow.set(start + k, true);
+                    }
+                    assert_eq!(fast, slow, "or len {len} at {start}+{n}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -114,19 +114,19 @@ impl EcpMlc {
 
     /// On a write, refresh the replacement values of already-marked cells
     /// (the pointed cells can't store the new data themselves).
-    pub fn update_for_write(&mut self, states: &[usize]) {
+    pub fn update_for_write<S: Copy + Into<usize>>(&mut self, states: &[S]) {
         assert_eq!(states.len(), self.block_cells);
         for entry in self.entries.iter_mut().flatten() {
-            entry.1 = states[entry.0];
+            entry.1 = states[entry.0].into();
         }
     }
 
     /// Apply corrections to sensed states (the read-path MUX of
-    /// Figure 14).
-    pub fn apply(&self, states: &mut [usize]) {
+    /// Figure 14). Replacement symbols are 2-bit states.
+    pub fn apply<S: From<u8>>(&self, states: &mut [S]) {
         assert_eq!(states.len(), self.block_cells);
         for &(ptr, replacement) in self.entries.iter().flatten() {
-            states[ptr] = replacement;
+            states[ptr] = S::from(replacement as u8);
         }
     }
 

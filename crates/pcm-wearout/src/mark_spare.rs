@@ -14,8 +14,9 @@
 //! Both that staged datapath and the straightforward skip-scan are
 //! implemented here and tested equivalent.
 
+use pcm_codec::tec;
 use pcm_codec::ternary::Trit;
-use pcm_codec::three_on_two::{decode_pair, encode_pair, inv_pair, PairValue};
+use pcm_codec::three_on_two::{decode_pair, PairValue, PAIR_TEC, TEC_PAIR};
 use pcm_ecc::bitvec::BitVec;
 
 /// Data pairs in a 64B block (§6.2).
@@ -107,59 +108,25 @@ impl MarkSpareCodec {
             self.data_pairs,
             "need one value per data pair"
         );
-        let mut failed = vec![false; self.total_pairs()];
-        for &f in failed_pairs {
-            // pcm-lint: allow(no-panic-lib) — contract: failed-pair indices are bounded by the block layout
-            assert!(f < self.total_pairs(), "failed pair {f} out of range");
-            failed[f] = true;
+        let mut data = BitVec::zeros(self.data_pairs * 3);
+        for (p, &v) in values.iter().enumerate() {
+            // pcm-lint: allow(no-panic-lib) — encode contract: 3-ON-2 carries 3 bits per pair; callers split input accordingly
+            assert!(v < 8, "3-ON-2 encodes 3 bits, got {v}");
+            data.or_bits(3 * p, 3, u64::from(v));
         }
-        let marked = failed.iter().filter(|&&b| b).count();
-        if marked > self.spare_pairs {
-            return Err(MarkSpareError::TooManyFailures {
-                marked,
-                spares: self.spare_pairs,
-            });
-        }
-        let mut out = Vec::with_capacity(self.total_pairs());
-        let mut next_value = 0usize;
-        for &is_failed in &failed {
-            if is_failed {
-                out.push(inv_pair());
-            } else if next_value < values.len() {
-                out.push(encode_pair(values[next_value]));
-                next_value += 1;
-            } else {
-                // Unused spare: park at a benign data value.
-                out.push(encode_pair(0));
-            }
-        }
-        debug_assert_eq!(next_value, values.len(), "all data placed");
-        Ok(out)
+        let trits = self.encode_block(&data, failed_pairs)?;
+        Ok(trits.chunks_exact(2).map(|c| (c[0], c[1])).collect())
     }
 
     /// Recover the logical values by skipping INV pairs (reference
     /// semantics for the hardware datapath).
     pub fn decode_pairs(&self, pairs: &[(Trit, Trit)]) -> Result<Vec<u8>, MarkSpareError> {
         assert_eq!(pairs.len(), self.total_pairs());
-        let mut out = Vec::with_capacity(self.data_pairs);
-        let mut marked = 0usize;
-        for &(a, b) in pairs {
-            match decode_pair(a, b) {
-                PairValue::Inv => marked += 1,
-                PairValue::Data(v) => {
-                    if out.len() < self.data_pairs {
-                        out.push(v);
-                    }
-                }
-            }
-        }
-        if out.len() < self.data_pairs {
-            return Err(MarkSpareError::TooManyFailures {
-                marked,
-                spares: self.spare_pairs,
-            });
-        }
-        Ok(out)
+        let trits: Vec<Trit> = pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        let data = self.decode_block(&trits, self.data_pairs * 3)?;
+        Ok((0..self.data_pairs)
+            .map(|p| data.get_bits(3 * p, 3) as u8)
+            .collect())
     }
 
     /// The Figure 12 hardware datapath: `spare_pairs` MUX stages, each
@@ -227,10 +194,160 @@ impl MarkSpareCodec {
         data: &BitVec,
         failed_pairs: &[usize],
     ) -> Result<Vec<Trit>, MarkSpareError> {
+        Ok(tec::bits_to_trits(&self.encode_tec(data, failed_pairs)?).0)
+    }
+
+    /// [`Self::encode_block`] straight into the TEC bit image of the trit
+    /// stream (2 bits per cell, [`tec::trits_to_bits`]), one 4-bit
+    /// [`PAIR_TEC`] code per physical pair.
+    pub fn encode_tec(
+        &self,
+        data: &BitVec,
+        failed_pairs: &[usize],
+    ) -> Result<BitVec, MarkSpareError> {
         // pcm-lint: allow(no-panic-lib) — contract: data length is bounded by the block layout
         assert!(data.len() <= self.data_pairs * 3);
-        let mut values = Vec::with_capacity(self.data_pairs);
-        for p in 0..self.data_pairs {
+        let mut failed = vec![false; self.total_pairs()];
+        for &f in failed_pairs {
+            // pcm-lint: allow(no-panic-lib) — contract: failed-pair indices are bounded by the block layout
+            assert!(f < self.total_pairs(), "failed pair {f} out of range");
+            failed[f] = true;
+        }
+        let marked = failed.iter().filter(|&&b| b).count();
+        if marked > self.spare_pairs {
+            return Err(MarkSpareError::TooManyFailures {
+                marked,
+                spares: self.spare_pairs,
+            });
+        }
+        let mut out = BitVec::zeros(self.total_cells() * 2);
+        let mut next_value = 0usize;
+        for (p, &is_failed) in failed.iter().enumerate() {
+            let value = if is_failed {
+                8 // INV
+            } else if next_value < self.data_pairs {
+                next_value += 1;
+                data.get_bits(3 * (next_value - 1), 3) as usize
+            } else {
+                0 // unused spare: park at a benign data value
+            };
+            out.or_bits(4 * p, 4, PAIR_TEC[value]);
+        }
+        Ok(out)
+    }
+
+    /// Decode the full physical trit stream back to `len_bits` of data.
+    pub fn decode_block(&self, trits: &[Trit], len_bits: usize) -> Result<BitVec, MarkSpareError> {
+        assert_eq!(trits.len(), self.total_cells());
+        self.decode_tec(&tec::trits_to_bits(trits), len_bits)
+    }
+
+    /// [`Self::decode_block`] of the TEC bit image of the trit stream:
+    /// each 4-bit pair code goes through the [`TEC_PAIR`] table, INV pairs
+    /// are skipped, and data values are packed 3 bits at a time. A cell
+    /// holding the `01` pattern reads as S2, as in
+    /// [`tec::bits_to_trits`].
+    pub fn decode_tec(&self, bits: &BitVec, len_bits: usize) -> Result<BitVec, MarkSpareError> {
+        assert_eq!(bits.len(), self.total_cells() * 2);
+        let mut out = BitVec::zeros(len_bits);
+        let (mut kept, mut marked) = (0usize, 0usize);
+        let codes = bits.as_words();
+        for p in 0..self.total_pairs() {
+            match TEC_PAIR[(codes[p / 16] >> (4 * (p % 16)) & 0b1111) as usize] {
+                8 => marked += 1,
+                v if kept < self.data_pairs => {
+                    out.or_bits(3 * kept, 3, u64::from(v));
+                    kept += 1;
+                }
+                _ => {}
+            }
+        }
+        if kept < self.data_pairs {
+            return Err(MarkSpareError::TooManyFailures {
+                marked,
+                spares: self.spare_pairs,
+            });
+        }
+        Ok(out)
+    }
+}
+
+/// The bit-at-a-time originals, kept as oracles for the word-level
+/// versions above.
+#[cfg(test)]
+mod per_bit {
+    use super::*;
+    use pcm_codec::three_on_two::{encode_pair, inv_pair};
+
+    pub fn encode_pairs(
+        c: &MarkSpareCodec,
+        values: &[u8],
+        failed_pairs: &[usize],
+    ) -> Result<Vec<(Trit, Trit)>, MarkSpareError> {
+        assert_eq!(values.len(), c.data_pairs, "need one value per data pair");
+        let mut failed = vec![false; c.total_pairs()];
+        for &f in failed_pairs {
+            assert!(f < c.total_pairs(), "failed pair {f} out of range");
+            failed[f] = true;
+        }
+        let marked = failed.iter().filter(|&&b| b).count();
+        if marked > c.spare_pairs {
+            return Err(MarkSpareError::TooManyFailures {
+                marked,
+                spares: c.spare_pairs,
+            });
+        }
+        let mut out = Vec::with_capacity(c.total_pairs());
+        let mut next_value = 0usize;
+        for &is_failed in &failed {
+            if is_failed {
+                out.push(inv_pair());
+            } else if next_value < values.len() {
+                out.push(encode_pair(values[next_value]));
+                next_value += 1;
+            } else {
+                // Unused spare: park at a benign data value.
+                out.push(encode_pair(0));
+            }
+        }
+        debug_assert_eq!(next_value, values.len(), "all data placed");
+        Ok(out)
+    }
+
+    pub fn decode_pairs(
+        c: &MarkSpareCodec,
+        pairs: &[(Trit, Trit)],
+    ) -> Result<Vec<u8>, MarkSpareError> {
+        assert_eq!(pairs.len(), c.total_pairs());
+        let mut out = Vec::with_capacity(c.data_pairs);
+        let mut marked = 0usize;
+        for &(a, b) in pairs {
+            match decode_pair(a, b) {
+                PairValue::Inv => marked += 1,
+                PairValue::Data(v) => {
+                    if out.len() < c.data_pairs {
+                        out.push(v);
+                    }
+                }
+            }
+        }
+        if out.len() < c.data_pairs {
+            return Err(MarkSpareError::TooManyFailures {
+                marked,
+                spares: c.spare_pairs,
+            });
+        }
+        Ok(out)
+    }
+
+    pub fn encode_block(
+        c: &MarkSpareCodec,
+        data: &BitVec,
+        failed_pairs: &[usize],
+    ) -> Result<Vec<Trit>, MarkSpareError> {
+        assert!(data.len() <= c.data_pairs * 3);
+        let mut values = Vec::with_capacity(c.data_pairs);
+        for p in 0..c.data_pairs {
             let mut v = 0u8;
             for b in 0..3 {
                 let idx = p * 3 + b;
@@ -240,15 +357,18 @@ impl MarkSpareCodec {
             }
             values.push(v);
         }
-        let pairs = self.encode_pairs(&values, failed_pairs)?;
+        let pairs = encode_pairs(c, &values, failed_pairs)?;
         Ok(pairs.into_iter().flat_map(|(a, b)| [a, b]).collect())
     }
 
-    /// Decode the full physical trit stream back to `len_bits` of data.
-    pub fn decode_block(&self, trits: &[Trit], len_bits: usize) -> Result<BitVec, MarkSpareError> {
-        assert_eq!(trits.len(), self.total_cells());
+    pub fn decode_block(
+        c: &MarkSpareCodec,
+        trits: &[Trit],
+        len_bits: usize,
+    ) -> Result<BitVec, MarkSpareError> {
+        assert_eq!(trits.len(), c.total_cells());
         let pairs: Vec<(Trit, Trit)> = trits.chunks_exact(2).map(|c| (c[0], c[1])).collect();
-        let values = self.decode_pairs(&pairs)?;
+        let values = decode_pairs(c, &pairs)?;
         let mut out = BitVec::zeros(len_bits);
         for (p, &v) in values.iter().enumerate() {
             for b in 0..3 {
@@ -265,6 +385,68 @@ impl MarkSpareCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcm_codec::three_on_two::inv_pair;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn word_level_block_codec_matches_per_bit(
+            geometry in 0usize..4,
+            seed in any::<u64>(),
+            failed in vec(0usize..177, 0..9),
+            invs in vec(0usize..177, 0..9),
+            len_cut in 0usize..4,
+        ) {
+            // The paper's block plus small and odd geometries.
+            let (data_pairs, spare_pairs) = [(171, 6), (4, 2), (21, 0), (33, 5)][geometry];
+            let c = MarkSpareCodec::new(data_pairs, spare_pairs);
+            let len = [data_pairs * 3, data_pairs * 3 - 1, data_pairs * 3 / 2, 1][len_cut];
+            let data = BitVec::from_words(
+                (0..len.div_ceil(64)).map(|k| seed.rotate_left(k as u32 * 5) ^ k as u64).collect(),
+                len,
+            );
+            let failed: Vec<usize> = failed.iter().map(|&f| f % c.total_pairs()).collect();
+            let values: Vec<u8> = (0..data_pairs).map(|p| (seed >> (p % 61)) as u8 & 7).collect();
+            let pairs = per_bit::encode_pairs(&c, &values, &failed);
+            prop_assert_eq!(c.encode_pairs(&values, &failed), pairs.clone());
+            if let Ok(pairs) = pairs {
+                prop_assert_eq!(c.decode_pairs(&pairs), per_bit::decode_pairs(&c, &pairs));
+            }
+            let want = per_bit::encode_block(&c, &data, &failed);
+            prop_assert_eq!(c.encode_block(&data, &failed), want.clone());
+            // Decode the encoding with extra pairs forced to INV (drifted
+            // or marked), at full and shorter lengths.
+            let mut trits = want.unwrap_or_else(|_| c.encode_block(&data, &[]).unwrap());
+            for &p in &invs {
+                let p = p % c.total_pairs();
+                trits[2 * p] = Trit::S4;
+                trits[2 * p + 1] = Trit::S4;
+            }
+            let pairs: Vec<(Trit, Trit)> = trits.chunks_exact(2).map(|c| (c[0], c[1])).collect();
+            prop_assert_eq!(c.decode_pairs(&pairs), per_bit::decode_pairs(&c, &pairs));
+            for len_bits in [len, len / 2, data_pairs * 3] {
+                let want = per_bit::decode_block(&c, &trits, len_bits);
+                prop_assert_eq!(c.decode_block(&trits, len_bits), want.clone());
+                prop_assert_eq!(c.decode_tec(&tec::trits_to_bits(&trits), len_bits), want);
+            }
+        }
+
+        #[test]
+        fn tec_decode_reads_01_cells_as_s2(seed in any::<u64>(), len_bits in 0usize..=512) {
+            // Raw TEC words, `01` patterns included: decode_tec equals
+            // bits_to_trits (which forces them to S2) then decode_block.
+            let c = MarkSpareCodec::default();
+            let bits = BitVec::from_words(
+                (0..12).map(|k| seed.rotate_left(k * 9) ^ u64::from(k)).collect(),
+                c.total_cells() * 2,
+            );
+            let (trits, _) = tec::bits_to_trits(&bits);
+            prop_assert_eq!(c.decode_tec(&bits, len_bits), per_bit::decode_block(&c, &trits, len_bits));
+        }
+    }
 
     fn values(n: usize, seed: u64) -> Vec<u8> {
         let mut x = seed | 1;

@@ -347,6 +347,42 @@ proptest! {
     // ---------------- drift model ----------------
 
     #[test]
+    fn sense_range_matches_per_cell_sense(
+        design_idx in 0usize..4,
+        seed in any::<u64>(),
+        writes in vec((0usize..96, 0u32..4, 0usize..3), 1..160),
+        worn in vec(0usize..96, 0..24),
+        age_idx in 0usize..4,
+        base in 0usize..96,
+    ) {
+        use mlc_pcm::device::CellArray;
+        use mlc_pcm::wearout::fault::EnduranceModel;
+        let designs = [
+            LevelDesign::three_level_naive(),
+            mlc_pcm::core::optimize::three_level_optimal().clone(),
+            mlc_pcm::core::optimize::four_level_optimal().clone(),
+            LevelDesign::two_level(),
+        ];
+        let d = &designs[design_idx];
+        let mut arr = CellArray::new(96, EnduranceModel::mlc(), seed);
+        for &c in &worn {
+            arr.set_lifetime(c, 1);
+        }
+        // Writes at a few distinct times, so one range mixes write times
+        // (and, below, includes cells written after `now`).
+        let times = [0.0, 17.5, 1024.0, 3.0e8];
+        for &(c, t, state) in &writes {
+            arr.program(c, d, state % d.n_levels(), times[t as usize]);
+        }
+        let now = [0.0, 1024.0, mlc_pcm::core::params::TEN_YEARS_SECS, 20.0][age_idx];
+        let mut out = vec![0u8; 96 - base];
+        arr.sense_range(base, d, now, &mut out);
+        for (k, &s) in out.iter().enumerate() {
+            prop_assert_eq!(usize::from(s), arr.sense(base + k, d, now), "cell {}", base + k);
+        }
+    }
+
+    #[test]
     fn drift_is_monotone_for_nonnegative_alpha(
         logr0 in 3.0f64..6.0,
         alpha in 0.0f64..0.2,
