@@ -47,25 +47,14 @@ impl Trit {
 
     /// The transient-error-correction bit pattern of §6.3:
     /// S1 → 00, S2 → 01, S4 → 11, as `(low_bit, high_bit)`. A drift error
-    /// (S1→S2 or S2→S4) flips exactly one bit.
+    /// (S1→S2 or S2→S4) flips exactly one bit. The pattern `(0, 1)`
+    /// encodes no state; [`crate::tec::CODE_STATE`] is the inverse.
     #[inline]
     pub fn tec_bits(self) -> (bool, bool) {
         match self {
             Trit::S1 => (false, false),
             Trit::S2 => (true, false),
             Trit::S4 => (true, true),
-        }
-    }
-
-    /// Inverse of [`Trit::tec_bits`]. The pattern `(0, 1)` does not encode
-    /// any state — it can only appear after an ECC miscorrection.
-    #[inline]
-    pub fn from_tec_bits(low: bool, high: bool) -> Option<Trit> {
-        match (low, high) {
-            (false, false) => Some(Trit::S1),
-            (true, false) => Some(Trit::S2),
-            (true, true) => Some(Trit::S4),
-            (false, true) => None,
         }
     }
 
@@ -95,9 +84,11 @@ mod tests {
     fn tec_bits_roundtrip_and_reject_invalid() {
         for t in Trit::ALL {
             let (l, h) = t.tec_bits();
-            assert_eq!(Trit::from_tec_bits(l, h), Some(t));
+            let code = usize::from(l) | usize::from(h) << 1;
+            assert_eq!(usize::from(crate::tec::CODE_STATE[code]), t.index());
         }
-        assert_eq!(Trit::from_tec_bits(false, true), None);
+        // No trit maps to the `01` pattern (low = 0, high = 1).
+        assert!(Trit::ALL.iter().all(|t| t.tec_bits() != (false, true)));
     }
 
     #[test]

@@ -286,12 +286,19 @@ impl LevelDesign {
         (self.n_levels() as f64).log2()
     }
 
-    /// Map a sensed log-resistance to a state index.
+    /// Map a sensed log-resistance to a state index: the first threshold
+    /// it lies below, else the top state. Every threshold is compared
+    /// (select, not early exit), since sensed states of a block are
+    /// random and a data-dependent exit mispredicts.
+    #[inline]
     pub fn sense(&self, logr: f64) -> usize {
-        self.thresholds
-            .iter()
-            .position(|&t| logr < t)
-            .unwrap_or(self.n_levels() - 1)
+        let mut state = self.n_levels() - 1;
+        for (i, &t) in self.thresholds.iter().enumerate().rev() {
+            if logr < t {
+                state = i;
+            }
+        }
+        state
     }
 
     /// Lower/upper sensing boundaries of state `i` (`None` at the extremes).
@@ -429,6 +436,43 @@ mod tests {
         assert_eq!(d.sense(4.7), 2);
         assert_eq!(d.sense(5.6), 3);
         assert_eq!(d.sense(99.0), 3);
+    }
+
+    #[test]
+    fn sense_is_the_first_threshold_below() {
+        // The early-exit original, on sorted, unsorted and repeated
+        // thresholds and on NaN / infinite resistances.
+        let first_below = |d: &LevelDesign, logr: f64| {
+            d.thresholds
+                .iter()
+                .position(|&t| logr < t)
+                .unwrap_or(d.n_levels() - 1)
+        };
+        let mut d = LevelDesign::four_level_naive();
+        let orders: [[f64; 3]; 4] = [
+            [3.5, 4.5, 5.5],
+            [5.5, 3.5, 4.5],
+            [4.5, 4.5, 3.5],
+            [f64::NAN, 4.0, 5.0],
+        ];
+        for thresholds in orders {
+            d.thresholds = thresholds.to_vec();
+            for k in 0..=100 {
+                let logr = 2.0 + 0.05 * k as f64;
+                assert_eq!(
+                    d.sense(logr),
+                    first_below(&d, logr),
+                    "{thresholds:?} at {logr}"
+                );
+            }
+            for logr in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 4.5] {
+                assert_eq!(
+                    d.sense(logr),
+                    first_below(&d, logr),
+                    "{thresholds:?} at {logr}"
+                );
+            }
+        }
     }
 
     #[test]
