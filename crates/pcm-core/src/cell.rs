@@ -8,8 +8,9 @@
 //! the design's thresholds.
 
 use crate::drift::DriftTrajectory;
-use crate::level::LevelDesign;
-use crate::rng::Xoshiro256pp;
+use crate::level::{DriftSwitch, LevelDesign};
+use crate::params::AlphaDistribution;
+use crate::rng::{truncate_normal, Xoshiro256pp};
 
 /// Outcome of programming one cell.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -42,30 +43,217 @@ pub fn write_cell_with_tolerance(
     tolerance_sigma: f64,
     rng: &mut Xoshiro256pp,
 ) -> WrittenCell {
-    // pcm-lint: allow(no-panic-lib) — write contract: the target state comes from a validated LevelDesign
-    assert!(state < design.n_levels(), "state {state} out of range");
-    // pcm-lint: allow(no-panic-lib) — write contract: the write tolerance is a positive design parameter
-    assert!(tolerance_sigma > 0.0);
-    let (z, attempts) = rng.next_truncated_normal(tolerance_sigma);
-    let logr0 = design.states[state].nominal_logr + z * design.sigma_logr;
-    // Drift exponents are Gaussian per Table 1 but clamped at zero:
-    // resistance only ever increases ("Once a cell is programmed ... the
-    // cell resistance increases over time", §1). The Gaussian's negative
-    // tail is a model artifact; the guard band δ covers any slow downward
-    // relaxation (§5.1).
-    let a1 = design.alpha_for_state(state);
-    let alpha1 = rng.next_normal_scaled(a1.mu, a1.sigma).max(0.0);
-    let trajectory = match design.drift_switch {
-        Some(sw) if design.states[state].nominal_logr < sw.switch_logr => {
-            let alpha2 = rng.next_normal_scaled(sw.alpha.mu, sw.alpha.sigma).max(0.0);
-            DriftTrajectory::with_switch(logr0, alpha1, sw.switch_logr, alpha2)
+    WritePlan::new(design, state, tolerance_sigma).write(|| rng.next_normal())
+}
+
+/// Program `states` under `design` into `out`: bit-identical to one
+/// [`write_cell`] call per state in order, leaving `rng` in the same
+/// state, but with the normals drawn in batches
+/// ([`Xoshiro256pp::fill_normals`]) and the per-state constants hoisted.
+pub fn write_cells(
+    design: &LevelDesign,
+    states: &[u8],
+    rng: &mut Xoshiro256pp,
+    out: &mut [WrittenCell],
+) {
+    debug_assert_eq!(states.len(), out.len());
+    let mut writer = CellWriter::new(design, states, rng);
+    for (cell, &s) in out.iter_mut().zip(states) {
+        *cell = writer.write(usize::from(s), rng);
+    }
+    writer.sync(rng);
+}
+
+/// Everything a write to one state reads from its design, hoisted out of
+/// per-cell loops.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct WritePlan {
+    state: usize,
+    nominal_logr: f64,
+    sigma_logr: f64,
+    tolerance_sigma: f64,
+    alpha: AlphaDistribution,
+    /// The §5.3 rate switch, for states programmed below it.
+    switch: Option<DriftSwitch>,
+}
+
+impl WritePlan {
+    /// The plan for writing `state` of `design` with a program-and-verify
+    /// window of ±`tolerance_sigma`.
+    fn new(design: &LevelDesign, state: usize, tolerance_sigma: f64) -> Self {
+        // pcm-lint: allow(no-panic-lib) — write contract: the target state comes from a validated LevelDesign
+        assert!(state < design.n_levels(), "state {state} out of range");
+        // pcm-lint: allow(no-panic-lib) — write contract: the write tolerance is a positive design parameter
+        assert!(tolerance_sigma > 0.0);
+        let nominal_logr = design.states[state].nominal_logr;
+        Self {
+            state,
+            nominal_logr,
+            sigma_logr: design.sigma_logr,
+            tolerance_sigma,
+            alpha: design.alpha_for_state(state),
+            switch: design
+                .drift_switch
+                .filter(|sw| nominal_logr < sw.switch_logr),
         }
-        _ => DriftTrajectory::simple(logr0, alpha1),
-    };
-    WrittenCell {
-        state,
-        trajectory,
-        write_attempts: attempts,
+    }
+
+    /// Normals a write of this state draws when its first pulse verifies:
+    /// `logR0`, α1 and, below the rate switch, α2.
+    fn min_draws(&self) -> usize {
+        2 + usize::from(self.switch.is_some())
+    }
+
+    /// Program one cell from the standard normals `next` yields, in
+    /// [`write_cell`]'s draw order: the truncated-Gaussian `logR0`
+    /// (re-drawn until it lands within the window, §2.2), then α1, then α2.
+    #[inline(always)]
+    fn write(&self, mut next: impl FnMut() -> f64) -> WrittenCell {
+        let (z, attempts) = truncate_normal(self.tolerance_sigma, &mut next);
+        let logr0 = self.nominal_logr + z * self.sigma_logr;
+        // Drift exponents are Gaussian per Table 1 but clamped at zero:
+        // resistance only ever increases ("Once a cell is programmed ...
+        // the cell resistance increases over time", §1). The Gaussian's
+        // negative tail is a model artifact; the guard band δ covers any
+        // slow downward relaxation (§5.1).
+        let alpha1 = (self.alpha.mu + self.alpha.sigma * next()).max(0.0);
+        let trajectory = match self.switch {
+            Some(sw) => {
+                let alpha2 = (sw.alpha.mu + sw.alpha.sigma * next()).max(0.0);
+                DriftTrajectory::with_switch(logr0, alpha1, sw.switch_logr, alpha2)
+            }
+            None => DriftTrajectory::simple(logr0, alpha1),
+        };
+        WrittenCell {
+            state: self.state,
+            trajectory,
+            write_attempts: attempts,
+        }
+    }
+}
+
+/// The [`WritePlan`] of each state of a design at its own write
+/// tolerance, built once per run of cells.
+#[derive(Debug, Clone)]
+struct WritePlans<'a> {
+    design: &'a LevelDesign,
+    table: [Option<WritePlan>; 8],
+}
+
+impl<'a> WritePlans<'a> {
+    /// Plans for `design`'s first eight states; any further state is
+    /// planned on demand.
+    fn new(design: &'a LevelDesign) -> Self {
+        let tolerance = design.write_tolerance_sigma;
+        Self {
+            design,
+            table: std::array::from_fn(|s| {
+                (s < design.n_levels()).then(|| WritePlan::new(design, s, tolerance))
+            }),
+        }
+    }
+
+    /// Normals writing `states` draws when every first pulse verifies.
+    fn min_draws(&self, states: &[u8]) -> usize {
+        states
+            .iter()
+            .map(|&s| self.get(usize::from(s)).min_draws())
+            .sum()
+    }
+
+    /// The plan for `state`.
+    #[inline]
+    fn get(&self, state: usize) -> WritePlan {
+        match self.table.get(state) {
+            Some(Some(plan)) => *plan,
+            _ => WritePlan::new(self.design, state, self.design.write_tolerance_sigma),
+        }
+    }
+}
+
+/// Normals drawn ahead per batch by a [`CellWriter`].
+const WRITER_BATCH: usize = 256;
+
+/// Writes a run of cells in [`write_cell`] draw order, handing out the
+/// normals from batches drawn ahead with [`Xoshiro256pp::fill_normals`]
+/// (DESIGN.md §19).
+///
+/// The writes see exactly the stream per-cell writes would; only the
+/// generator runs ahead, and [`Self::sync`] puts it back where the next
+/// write would start drawing. A batch never holds more normals than the
+/// run's remaining cells draw when every first pulse verifies. So when
+/// every cell is written, a truncation reject finds the batch spent and
+/// the writer draws on, and the run ends with the generator already in
+/// place (`sync` is free). Cells the caller skips leave normals drawn
+/// ahead, which `sync` drops.
+#[derive(Debug, Clone)]
+pub struct CellWriter<'a> {
+    plans: WritePlans<'a>,
+    normals: [f64; WRITER_BATCH],
+    len: usize,
+    pos: usize,
+    /// The generator's state at `normals[0]`.
+    origin: Xoshiro256pp,
+    /// Normals the cells not yet written draw at the least.
+    owed: usize,
+}
+
+impl<'a> CellWriter<'a> {
+    /// A writer for programming `states` of `design`, in order, from
+    /// `rng`'s stream.
+    pub fn new(design: &'a LevelDesign, states: &[u8], rng: &Xoshiro256pp) -> Self {
+        let plans = WritePlans::new(design);
+        let owed = plans.min_draws(states);
+        Self {
+            plans,
+            normals: [0.0; WRITER_BATCH],
+            len: 0,
+            pos: 0,
+            origin: rng.clone(),
+            owed,
+        }
+    }
+
+    /// Write the next cell of the run to `state`; bit-identical to
+    /// [`write_cell`] at this point of the stream.
+    #[inline]
+    pub fn write(&mut self, state: usize, rng: &mut Xoshiro256pp) -> WrittenCell {
+        let plan = self.plans.get(state);
+        self.owed = self.owed.saturating_sub(plan.min_draws());
+        // The cursor lives in locals while the cell draws, so it stays in
+        // registers.
+        let (mut pos, mut len, mut used) = (self.pos, self.len, 0);
+        let (normals, origin, owed) = (&mut self.normals, &mut self.origin, self.owed);
+        let cell = plan.write(|| {
+            if pos == len {
+                // This cell still needs at least one more normal (its
+                // unplanned rejects may have used up its own share).
+                let need = plan.min_draws().saturating_sub(used).max(1) + owed;
+                len = need.min(WRITER_BATCH);
+                pos = 0;
+                *origin = rng.clone();
+                rng.fill_normals(&mut normals[..len]);
+            }
+            used += 1;
+            pos += 1;
+            normals[pos - 1]
+        });
+        (self.pos, self.len) = (pos, len);
+        cell
+    }
+
+    /// Put `rng` where the next [`Self::write`] would start drawing,
+    /// dropping the normals drawn ahead of it (a snapshot of the generator
+    /// at the batch's first normal, plus a replay of the ones consumed).
+    /// Call it before drawing from `rng` directly and at the end of a
+    /// run that skipped cells; the next write draws afresh.
+    pub fn sync(&mut self, rng: &mut Xoshiro256pp) {
+        if self.pos < self.len {
+            *rng = self.origin.clone();
+            rng.fill_normals(&mut self.normals[..self.pos]);
+        }
+        self.len = 0;
+        self.pos = 0;
     }
 }
 

@@ -12,7 +12,7 @@
 //! so results are bit-identical regardless of thread count.
 
 use super::CerEstimator;
-use crate::cell::write_cell;
+use crate::cell::{write_cell, write_cells, WrittenCell};
 use crate::drift::{log_time, PreparedTrajectory};
 use crate::level::LevelDesign;
 use crate::math::stats::Proportion;
@@ -102,21 +102,31 @@ impl MonteCarloCer {
             .collect();
 
         // Draw order matches the reference path exactly: per shard, states
-        // in order, samples in order — chunking only groups *evaluations*,
-        // and the error counts are integer sums, so regrouping is exact.
+        // in order, samples in order — `write_cells` is bit-identical to
+        // per-sample `write_cell`, chunking only groups *evaluations*, and
+        // the error counts are integer sums, so regrouping is exact.
         const CHUNK: usize = 256;
+        debug_assert!(n_states <= 256, "state indices must fit in u8");
         let totals = self.run_sharded(n_states * n_times, |rng, size, counts| {
             let mut plain: Vec<(f64, f64)> = Vec::with_capacity(CHUNK);
             let mut switched: Vec<PreparedTrajectory> = Vec::with_capacity(CHUNK);
+            let blank = WrittenCell {
+                state: 0,
+                trajectory: crate::drift::DriftTrajectory::simple(0.0, 0.0),
+                write_attempts: 0,
+            };
+            let mut cells = vec![blank; CHUNK];
             for (state, &(lo, hi)) in bands.iter().enumerate() {
+                let states = [state as u8; CHUNK];
                 let mut remaining = size;
                 while remaining > 0 {
                     let n = remaining.min(CHUNK as u64) as usize;
                     remaining -= n as u64;
                     plain.clear();
                     switched.clear();
-                    for _ in 0..n {
-                        let p = write_cell(design, state, rng).trajectory.prepare();
+                    write_cells(design, &states[..n], rng, &mut cells[..n]);
+                    for cell in &cells[..n] {
+                        let p = cell.trajectory.prepare();
                         // Trajectories that never switch regimes take the
                         // two-f64 fast lane; the rest keep the compare.
                         if p.lc == f64::INFINITY {

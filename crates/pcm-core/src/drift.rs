@@ -132,6 +132,7 @@ impl DriftTrajectory {
     }
 
     /// Flatten this trajectory for batched evaluation.
+    #[inline]
     pub fn prepare(&self) -> PreparedTrajectory {
         match (self.switch, self.switch_log_time()) {
             (Some((sw, alpha2)), Some(lc)) => PreparedTrajectory {

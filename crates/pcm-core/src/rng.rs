@@ -128,6 +128,47 @@ impl Xoshiro256pp {
         }
     }
 
+    /// Fill `out` with standard normals: bit-identical to `out.len()`
+    /// calls of [`Self::next_normal`], leaving the generator in the same
+    /// state (DESIGN.md §19).
+    ///
+    /// Each polar attempt consumes exactly two `u64`s, so the attempts are
+    /// drawn in batches of at most the normals still missing (never past
+    /// the last one needed), the accepted pairs compacted without a
+    /// branch, and the `ln` and `u · sqrt(−2 ln s / s)` passes then run
+    /// over the batch as independent, vectorisable work instead of one
+    /// serial chain per normal.
+    pub fn fill_normals(&mut self, out: &mut [f64]) {
+        const ATTEMPTS: usize = 64;
+        let mut filled = 0;
+        while filled < out.len() {
+            let mut u = [0.0f64; ATTEMPTS];
+            let mut s = [0.0f64; ATTEMPTS];
+            let mut k = 0;
+            for _ in 0..(out.len() - filled).min(ATTEMPTS) {
+                let a = 2.0 * self.next_f64() - 1.0;
+                let b = 2.0 * self.next_f64() - 1.0;
+                let r = a * a + b * b;
+                u[k] = a;
+                s[k] = r;
+                k += usize::from(r > 0.0 && r < 1.0);
+            }
+            let mut l = [0.0f64; ATTEMPTS];
+            for (l, s) in l[..k].iter_mut().zip(&s[..k]) {
+                *l = s.ln();
+            }
+            for (((o, u), l), s) in out[filled..filled + k]
+                .iter_mut()
+                .zip(&u[..k])
+                .zip(&l[..k])
+                .zip(&s[..k])
+            {
+                *o = u * (-2.0 * l / s).sqrt();
+            }
+            filled += k;
+        }
+    }
+
     /// Normal with given mean and standard deviation.
     #[inline]
     pub fn next_normal_scaled(&mut self, mean: f64, sd: f64) -> f64 {
@@ -142,18 +183,30 @@ impl Xoshiro256pp {
     pub fn next_truncated_normal(&mut self, limit: f64) -> (f64, u32) {
         // pcm-lint: allow(no-panic-lib) — contract: rejection sampling needs a positive limit
         assert!(limit > 0.0);
-        let mut attempts = 0u32;
-        loop {
-            attempts += 1;
-            let z = self.next_normal();
-            if z.abs() <= limit {
-                return (z, attempts);
-            }
-            // Acceptance for 2.75σ is ~99.4%; a long rejection streak is
-            // astronomically unlikely but bounded for robustness.
-            if attempts >= 10_000 {
-                return (z.clamp(-limit, limit), attempts);
-            }
+        truncate_normal(limit, || self.next_normal())
+    }
+}
+
+/// Most draws a truncated-normal sample makes before it gives up and
+/// clamps: a write's program-and-verify iterations never exceed it.
+pub const MAX_TRUNCATION_ATTEMPTS: u32 = 10_000;
+
+/// [`Xoshiro256pp::next_truncated_normal`] over the standard normals
+/// `next` yields: re-draw until `|z| <= limit`, clamping after
+/// [`MAX_TRUNCATION_ATTEMPTS`]. Returns `(value, attempts)`.
+#[inline]
+pub(crate) fn truncate_normal(limit: f64, mut next: impl FnMut() -> f64) -> (f64, u32) {
+    let mut attempts = 0u32;
+    loop {
+        attempts += 1;
+        let z = next();
+        if z.abs() <= limit {
+            return (z, attempts);
+        }
+        // Acceptance for 2.75σ is ~99.4%; a long rejection streak is
+        // astronomically unlikely but bounded for robustness.
+        if attempts >= MAX_TRUNCATION_ATTEMPTS {
+            return (z.clamp(-limit, limit), attempts);
         }
     }
 }

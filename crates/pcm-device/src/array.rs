@@ -15,9 +15,10 @@
 //!
 //! [`DriftTrajectory`]: pcm_core::drift::DriftTrajectory
 
+use pcm_core::cell::CellWriter;
 use pcm_core::drift::{log_time, PreparedTrajectory};
 use pcm_core::level::LevelDesign;
-use pcm_core::rng::Xoshiro256pp;
+use pcm_core::rng::{Xoshiro256pp, MAX_TRUNCATION_ATTEMPTS};
 use pcm_wearout::fault::{EnduranceModel, FaultKind, WearState};
 
 /// One physical cell.
@@ -40,6 +41,18 @@ fn stuck_logr(fault: FaultKind) -> f64 {
 }
 
 impl PhysicalCell {
+    /// Whether no write can wear this cell out now, so programming it
+    /// never draws a fault from the stream: a healthy cell takes at most
+    /// [`MAX_TRUNCATION_ATTEMPTS`] cycles, a known-stuck one exactly one.
+    #[inline]
+    fn is_hot(&self) -> bool {
+        let max_cycles = match self.wear.fault {
+            None => u64::from(MAX_TRUNCATION_ATTEMPTS),
+            Some(_) => 1,
+        };
+        !self.wear.wears_out_after(max_cycles)
+    }
+
     /// Log-resistance at drift log-time `l` (pinned if the cell is stuck).
     #[inline]
     fn logr_at_log_time(&self, l: f64) -> f64 {
@@ -64,6 +77,19 @@ pub struct ProgramOutcome {
     pub verified: bool,
 }
 
+/// Outcome of programming a run of cells with
+/// [`CellArray::program_range`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RangeOutcome {
+    /// Cells programmed, from the start of the run: all of them, or up to
+    /// and including the first one that discovered a new fault.
+    pub programmed: usize,
+    /// Program-and-verify iterations across those cells.
+    pub attempts: u64,
+    /// The fault the last programmed cell discovered, if any.
+    pub new_fault: Option<FaultKind>,
+}
+
 /// A flat array of physical cells.
 #[derive(Debug)]
 pub struct CellArray {
@@ -78,13 +104,22 @@ impl CellArray {
     pub fn new(n: usize, endurance: EnduranceModel, seed: u64) -> Self {
         // pcm-lint: allow(no-ambient-nondeterminism) — deterministic stream: the seed is caller-provided, per the documented reproducibility contract
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        let cells = (0..n)
-            .map(|_| PhysicalCell {
-                trajectory: pcm_core::drift::DriftTrajectory::simple(3.0, 0.0).prepare(),
+        // One lifetime draw per cell, in cell order: batches of
+        // `fill_normals` are the same stream as per-cell
+        // `WearState::new` calls.
+        let erased = pcm_core::drift::DriftTrajectory::simple(3.0, 0.0).prepare();
+        let lifetime = endurance.lifetime_map();
+        let mut normals = [0.0; 256];
+        let mut cells = Vec::with_capacity(n);
+        while cells.len() < n {
+            let batch = &mut normals[..(n - cells.len()).min(256)];
+            rng.fill_normals(batch);
+            cells.extend(batch.iter().map(|&z| PhysicalCell {
+                trajectory: erased,
                 write_time: 0.0,
-                wear: WearState::new(&endurance, &mut rng),
-            })
-            .collect();
+                wear: WearState::with_lifetime(lifetime(z)),
+            }));
+        }
         Self {
             cells,
             endurance,
@@ -151,6 +186,66 @@ impl CellArray {
         }
     }
 
+    /// Program the cells `[base, base + states.len())` to `states` under
+    /// `design` at absolute time `now`, stopping after the first cell whose
+    /// write discovers a new fault so the caller can react to it (mark a
+    /// pair, take an ECP entry) before the rest are programmed.
+    ///
+    /// Bit-identical to calling [`Self::program`] on each cell in turn —
+    /// same cells, same generator stream (DESIGN.md §19). The normals of a
+    /// run are drawn in batches by a [`CellWriter`], planned from the
+    /// states alone. A cell this write could wear out — a healthy one
+    /// within [`MAX_TRUNCATION_ATTEMPTS`] cycles of its lifetime, or a
+    /// known-stuck one whose renewed lifetime runs out on this pulse —
+    /// draws its fault from the same stream, so it takes the cold path:
+    /// the generator is put back at the cell's first draw and the cell
+    /// goes through [`Self::program`]. Known-stuck cells draw nothing, so
+    /// the run ends by putting back any normals drawn for them.
+    pub fn program_range(
+        &mut self,
+        base: usize,
+        design: &LevelDesign,
+        states: &[u8],
+        now: f64,
+    ) -> RangeOutcome {
+        let mut writer = CellWriter::new(design, states, &self.rng);
+        let mut attempts = 0u64;
+        for (k, &s) in states.iter().enumerate() {
+            let state = usize::from(s);
+            let cell = &mut self.cells[base + k];
+            if cell.is_hot() {
+                let n = if cell.wear.fault.is_some() {
+                    // A known-stuck cell takes one pulse and draws nothing.
+                    1
+                } else {
+                    let written = writer.write(state, &mut self.rng);
+                    cell.trajectory = written.trajectory.prepare();
+                    cell.write_time = now;
+                    u64::from(written.write_attempts)
+                };
+                cell.wear.cycles = cell.wear.cycles.saturating_add(n);
+                attempts += n;
+                continue;
+            }
+            writer.sync(&mut self.rng);
+            let out = self.program(base + k, design, state, now);
+            attempts += u64::from(out.attempts);
+            if out.new_fault.is_some() {
+                return RangeOutcome {
+                    programmed: k + 1,
+                    attempts,
+                    new_fault: out.new_fault,
+                };
+            }
+        }
+        writer.sync(&mut self.rng);
+        RangeOutcome {
+            programmed: states.len(),
+            attempts,
+            new_fault: None,
+        }
+    }
+
     /// Sense cell `idx` at absolute time `now` under `design`.
     pub fn sense(&self, idx: usize, design: &LevelDesign, now: f64) -> usize {
         design.sense(self.logr(idx, now))
@@ -212,6 +307,21 @@ mod tests {
         // Prepared trajectory (40) + write time (8) + wear state (24): the
         // fault is stored once and the stuck level derived from it.
         assert_eq!(std::mem::size_of::<PhysicalCell>(), 72);
+    }
+
+    #[test]
+    fn new_draws_the_per_cell_lifetimes() {
+        // Batched lifetime draws: the same values, and the same generator
+        // position afterwards, as one `WearState::new` per cell.
+        let model = EnduranceModel::mlc();
+        for n in [0, 1, 255, 256, 257, 1000] {
+            let mut a = CellArray::new(n, model, 9);
+            let mut rng = Xoshiro256pp::seed_from_u64(9);
+            for cell in &a.cells {
+                assert_eq!(cell.wear, WearState::new(&model, &mut rng), "{n} cells");
+            }
+            assert_eq!(a.rng.next_u64(), rng.next_u64(), "{n} cells");
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ use pcm_codec::tec::{self, TecCodec, CODE_STATE};
 use pcm_core::level::LevelDesign;
 use pcm_ecc::bch::Bch;
 use pcm_ecc::bitvec::BitVec;
+use pcm_wearout::fault::FaultKind;
 use pcm_wearout::mark_spare::MarkSpareCodec;
 use pcm_wearout::EcpMlc;
 
@@ -70,6 +71,32 @@ pub struct WriteReport {
     pub new_faults: usize,
     /// Total program-and-verify iterations across all cells.
     pub attempts: u64,
+}
+
+/// Program `states` into the cells from `base` through
+/// [`CellArray::program_range`], handing each newly discovered fault (its
+/// index in `states`) to `on_fault` before the next cell is programmed;
+/// an error from `on_fault` stops the write there. Returns the
+/// program-and-verify iterations spent.
+pub(crate) fn program_cells(
+    array: &mut CellArray,
+    base: usize,
+    design: &LevelDesign,
+    states: &[u8],
+    now: f64,
+    mut on_fault: impl FnMut(usize, FaultKind) -> Result<(), BlockError>,
+) -> Result<u64, BlockError> {
+    let mut attempts = 0;
+    let mut done = 0;
+    while done < states.len() {
+        let run = array.program_range(base + done, design, &states[done..], now);
+        attempts += run.attempts;
+        done += run.programmed;
+        if let Some(fault) = run.new_fault {
+            on_fault(done - 1, fault)?;
+        }
+    }
+    Ok(attempts)
 }
 
 /// Data payload size per block, bytes.
@@ -139,33 +166,45 @@ impl ThreeLevelBlock {
                 .map_err(|_| BlockError::WearoutExhausted)?;
             let check = self.tec.encode_bits(&tec_bits);
 
+            let mlc = self.codec.total_cells();
+            let mut states = [0u8; THREE_LEVEL_BLOCK_CELLS];
+            let (data_states, check_states) = states.split_at_mut(mlc);
+            for (i, state) in data_states.iter_mut().enumerate() {
+                *state = CODE_STATE[tec_bits.get_bits(2 * i, 2) as usize];
+            }
+            for (j, state) in check_states.iter_mut().enumerate() {
+                *state = u8::from(check.get(j));
+            }
+
             let mut discovered = Vec::new();
-            for i in 0..self.codec.total_cells() {
-                let state = CODE_STATE[tec_bits.get_bits(2 * i, 2) as usize];
-                let out = array.program(self.base + i, &self.design, usize::from(state), now);
-                attempts += out.attempts as u64;
-                if let Some(fault) = out.new_fault {
+            attempts += program_cells(
+                array,
+                self.base,
+                &self.design,
+                data_states,
+                now,
+                |i, fault| {
                     new_faults += 1;
-                    let pair = i / 2;
                     if fault.can_force_s4() {
-                        discovered.push(pair);
+                        discovered.push(i / 2);
                     }
                     // Non-markable (dead stuck-set) cells are left to the
                     // BCH-1 safety net (§6.4).
-                }
-            }
-            for (j, b) in (0..check.len()).map(|j| (j, check.get(j))) {
-                let out = array.program(
-                    self.base + self.codec.total_cells() + j,
-                    &self.slc,
-                    usize::from(b),
-                    now,
-                );
-                attempts += out.attempts as u64;
-                if out.new_fault.is_some() {
-                    new_faults += 1; // SLC check cell faults → BCH absorbs
-                }
-            }
+                    Ok(())
+                },
+            )?;
+            // SLC check cell faults → BCH absorbs.
+            attempts += program_cells(
+                array,
+                self.base + mlc,
+                &self.slc,
+                check_states,
+                now,
+                |_, _| {
+                    new_faults += 1;
+                    Ok(())
+                },
+            )?;
 
             if discovered.is_empty() {
                 return Ok(WriteReport {
@@ -284,20 +323,16 @@ impl FourLevelBlock {
         gray::encode_into(&parity, parity_states);
 
         let mut new_faults = 0usize;
-        let mut attempts = 0u64;
-        for (i, &s) in states.iter().enumerate() {
-            let out = array.program(self.base + i, &self.design, usize::from(s), now);
-            attempts += out.attempts as u64;
-            if out.new_fault.is_some() {
-                new_faults += 1;
-                // Parity-cell faults land on BCH's budget.
-                if i < DATA_CELLS_4LC {
-                    self.ecp
-                        .mark(i, usize::from(s))
-                        .map_err(|_| BlockError::WearoutExhausted)?;
-                }
+        let ecp = &mut self.ecp;
+        let attempts = program_cells(array, self.base, &self.design, &states, now, |i, _| {
+            new_faults += 1;
+            // Parity-cell faults land on BCH's budget.
+            if i < DATA_CELLS_4LC {
+                ecp.mark(i, usize::from(states[i]))
+                    .map_err(|_| BlockError::WearoutExhausted)?;
             }
-        }
+            Ok(())
+        })?;
         // Keep replacement symbols in sync with the data just written.
         self.ecp.update_for_write(&states[..DATA_CELLS_4LC]);
         Ok(WriteReport {

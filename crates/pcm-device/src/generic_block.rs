@@ -20,7 +20,7 @@
 //! §6 description cell for cell.
 
 use crate::array::CellArray;
-use crate::block::{BlockError, ReadReport, WriteReport, BLOCK_BYTES};
+use crate::block::{program_cells, BlockError, ReadReport, WriteReport, BLOCK_BYTES};
 use pcm_codec::enumerative::EnumerativeCode;
 use pcm_core::level::LevelDesign;
 use pcm_ecc::bch::Bch;
@@ -213,25 +213,29 @@ impl GenericBlock {
             let symbols = self.layout(&bits)?;
             let check = self.bch.encode(&self.tec_bits(&symbols));
             let mut discovered = Vec::new();
-            for (i, &s) in symbols.iter().enumerate() {
-                let out = array.program(self.base_cell + i, &self.design, s as usize, now);
-                attempts += out.attempts as u64;
-                if let Some(fault) = out.new_fault {
+            attempts += program_cells(
+                array,
+                self.base_cell,
+                &self.design,
+                &symbols,
+                now,
+                |i, fault| {
                     new_faults += 1;
                     if fault.can_force_s4() {
                         discovered.push(i / per);
                     }
-                }
-            }
-            for j in 0..check.len() {
-                let out = array.program(
-                    self.base_cell + self.mlc_cells() + j,
-                    &self.slc,
-                    usize::from(check.get(j)),
-                    now,
-                );
-                attempts += out.attempts as u64;
-            }
+                    Ok(())
+                },
+            )?;
+            let check_states: Vec<u8> = (0..check.len()).map(|j| u8::from(check.get(j))).collect();
+            attempts += program_cells(
+                array,
+                self.base_cell + self.mlc_cells(),
+                &self.slc,
+                &check_states,
+                now,
+                |_, _| Ok(()),
+            )?;
             if discovered.is_empty() {
                 return Ok(WriteReport {
                     new_faults,

@@ -69,7 +69,7 @@ mod telemetry_hooks;
 mod trace_hooks;
 pub mod wear_level;
 
-pub use array::{CellArray, ProgramOutcome};
+pub use array::{CellArray, ProgramOutcome, RangeOutcome};
 pub use bank::PcmBank;
 pub use block::{BlockError, FourLevelBlock, ReadReport, ThreeLevelBlock, WriteReport};
 pub use builder::{ConfigError, DeviceBuilder};

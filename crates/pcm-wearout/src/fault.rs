@@ -73,8 +73,16 @@ impl EnduranceModel {
 
     /// Sample a cell's lifetime in write cycles.
     pub fn sample_lifetime(&self, rng: &mut Xoshiro256pp) -> u64 {
-        let log10 = self.median_cycles.log10() + self.sigma_log10 * rng.next_normal();
-        10f64.powf(log10).round().max(1.0) as u64
+        self.lifetime_map()(rng.next_normal())
+    }
+
+    /// The map from a cell's standard-normal endurance draw to its
+    /// lifetime in write cycles — [`Self::sample_lifetime`]'s, with
+    /// `log10(median)` computed once for callers that map a batch of
+    /// draws ([`Xoshiro256pp::fill_normals`]).
+    pub fn lifetime_map(&self) -> impl Fn(f64) -> u64 + Copy {
+        let (log10_median, sigma_log10) = (self.median_cycles.log10(), self.sigma_log10);
+        move |z| 10f64.powf(log10_median + sigma_log10 * z).round().max(1.0) as u64
     }
 
     /// Sample the failure mode at wearout.
@@ -103,9 +111,14 @@ pub struct WearState {
 impl WearState {
     /// Fresh cell with a sampled lifetime.
     pub fn new(model: &EnduranceModel, rng: &mut Xoshiro256pp) -> Self {
+        Self::with_lifetime(model.sample_lifetime(rng))
+    }
+
+    /// Fresh cell with a lifetime of `lifetime` write cycles.
+    pub fn with_lifetime(lifetime: u64) -> Self {
         Self {
             cycles: 0,
-            lifetime: model.sample_lifetime(rng),
+            lifetime,
             fault: None,
         }
     }
@@ -118,14 +131,21 @@ impl WearState {
         model: &EnduranceModel,
         rng: &mut Xoshiro256pp,
     ) -> Option<FaultKind> {
-        let was_worn = self.is_worn();
+        let wears_out = self.wears_out_after(n);
         self.cycles = self.cycles.saturating_add(n);
-        if !was_worn && self.is_worn() {
+        if wears_out {
             let fault = model.sample_fault(rng);
             self.fault = Some(fault);
             return Some(fault);
         }
         None
+    }
+
+    /// Whether charging `n` more cycles wears the cell out — the write
+    /// [`Self::wear`] reports as a new fault, drawing its kind from the
+    /// stream.
+    pub fn wears_out_after(&self, n: u64) -> bool {
+        !self.is_worn() && self.cycles.saturating_add(n) >= self.lifetime
     }
 
     /// Whether the cell has exhausted its endurance.
