@@ -3,15 +3,15 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pcm_core::level::LevelDesign;
-use pcm_device::{CellOrganization, PcmDevice};
+use pcm_device::{CellOrganization, DeviceBuilder, ShardedPcmDevice};
 use pcm_wearout::fault::EnduranceModel;
 
 // Criterion drives hundreds of thousands of iterations at the same
 // block; with MLC endurance (1e5 cycles) the cells would genuinely wear
 // out mid-benchmark. Use SLC endurance (1e8) so the datapath cost is
 // measured, not the wearout machinery.
-fn three_level_device() -> PcmDevice {
-    PcmDevice::builder()
+fn three_level_device() -> ShardedPcmDevice {
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -19,12 +19,12 @@ fn three_level_device() -> PcmDevice {
         .banks(4)
         .seed(11)
         .endurance(EnduranceModel::slc())
-        .build()
+        .build_sharded()
         .unwrap()
 }
 
-fn four_level_device() -> PcmDevice {
-    PcmDevice::builder()
+fn four_level_device() -> ShardedPcmDevice {
+    DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: pcm_core::optimize::four_level_optimal().clone(),
             smart: true,
@@ -33,7 +33,7 @@ fn four_level_device() -> PcmDevice {
         .banks(4)
         .seed(11)
         .endurance(EnduranceModel::slc())
-        .build()
+        .build_sharded()
         .unwrap()
 }
 
@@ -41,11 +41,11 @@ fn bench_writes(c: &mut Criterion) {
     let data = pcm_bench::payload(3);
     let mut g = c.benchmark_group("block_write_64B");
     g.throughput(Throughput::Bytes(64));
-    let mut d3 = three_level_device();
+    let d3 = three_level_device();
     g.bench_function("3LC_full_path", |b| {
         b.iter(|| std::hint::black_box(d3.write_block(0, &data).unwrap()))
     });
-    let mut d4 = four_level_device();
+    let d4 = four_level_device();
     g.bench_function("4LCo_full_path", |b| {
         b.iter(|| std::hint::black_box(d4.write_block(0, &data).unwrap()))
     });
@@ -56,13 +56,13 @@ fn bench_reads(c: &mut Criterion) {
     let data = pcm_bench::payload(4);
     let mut g = c.benchmark_group("block_read_64B");
     g.throughput(Throughput::Bytes(64));
-    let mut d3 = three_level_device();
+    let d3 = three_level_device();
     d3.write_block(0, &data).unwrap();
     d3.advance_time(3600.0);
     g.bench_function("3LC_full_path", |b| {
         b.iter(|| std::hint::black_box(d3.read_block(0).unwrap()))
     });
-    let mut d4 = four_level_device();
+    let d4 = four_level_device();
     d4.write_block(0, &data).unwrap();
     d4.advance_time(600.0);
     g.bench_function("4LCo_full_path", |b| {
@@ -73,7 +73,7 @@ fn bench_reads(c: &mut Criterion) {
 
 fn bench_refresh(c: &mut Criterion) {
     let data = pcm_bench::payload(5);
-    let mut dev = four_level_device();
+    let dev = four_level_device();
     for b in 0..16 {
         dev.write_block(b, &data).unwrap();
     }
@@ -89,7 +89,7 @@ fn bench_refresh(c: &mut Criterion) {
 fn bench_wear_leveling(c: &mut Criterion) {
     use pcm_device::WearLeveledDevice;
     let data = pcm_bench::payload(6);
-    let raw = PcmDevice::builder()
+    let raw = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -97,7 +97,7 @@ fn bench_wear_leveling(c: &mut Criterion) {
         .banks(1)
         .seed(13)
         .endurance(EnduranceModel::slc())
-        .build()
+        .build_sharded()
         .unwrap();
     let mut dev = WearLeveledDevice::new(raw, 16, 16);
     for b in 0..16 {

@@ -3,12 +3,11 @@
 //! concurrent engine is ≥2× aggregate write throughput at 4 threads /
 //! 8 banks over the single-threaded run — that requires ≥4 hardware
 //! cores; on fewer, the sweep instead demonstrates that sharding adds
-//! no overhead (thread counts land within noise of each other and of
-//! the sequential baseline).
+//! no overhead (thread counts land within noise of each other).
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
 use pcm_core::level::LevelDesign;
-use pcm_device::{CellOrganization, PcmDevice, ShardedPcmDevice, ShardedScrubber};
+use pcm_device::{CellOrganization, DeviceBuilder, ShardedPcmDevice, ShardedScrubber};
 use pcm_wearout::fault::EnduranceModel;
 
 /// Writes issued per benchmark iteration (across all threads).
@@ -18,7 +17,7 @@ const OPS: usize = 64;
 // thousands of iterations at the same blocks measure the datapath, not
 // the wearout machinery.
 fn sharded(banks: usize) -> ShardedPcmDevice {
-    PcmDevice::builder()
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -91,23 +90,6 @@ fn bench_batch_vs_singles(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_sequential_baseline(c: &mut Criterion) {
-    // The non-sharded engine on the same geometry, for the overhead of
-    // the mutex + atomic-clock layer at one thread.
-    let data = pcm_bench::payload(7);
-    let mut g = c.benchmark_group("sequential_write_64B");
-    g.throughput(Throughput::Bytes((OPS * 64) as u64));
-    let mut dev: PcmDevice = sharded(8).into_sequential();
-    g.bench_function("8banks", |b| {
-        b.iter(|| {
-            for i in 0..OPS {
-                std::hint::black_box(dev.write_block(i % 8, &data).unwrap());
-            }
-        })
-    });
-    g.finish();
-}
-
 fn bench_demand_with_background_scrub(c: &mut Criterion) {
     // The refresh-vs-demand interaction (§4.1/§7): two demand threads
     // write while the scrubber walks the device from two background
@@ -149,7 +131,6 @@ criterion_group!(
     benches,
     bench_thread_bank_sweep,
     bench_batch_vs_singles,
-    bench_sequential_baseline,
     bench_demand_with_background_scrub
 );
 

@@ -581,16 +581,16 @@ pub fn fig8(opts: &Opts) {
 
 /// Figure 9: the read datapath, demonstrated step by step on a device.
 pub fn fig9(_opts: &Opts) {
-    use pcm_device::{CellOrganization, PcmDevice};
+    use pcm_device::{CellOrganization, DeviceBuilder};
     println!("== Figure 9: read data path walk-through (3LC block) ==");
-    let mut dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
         .blocks(1)
         .banks(1)
         .seed(77)
-        .build()
+        .build_sharded()
         .unwrap();
     let data = crate::payload(42);
     dev.write_block(0, &data).unwrap();
@@ -1038,13 +1038,13 @@ pub fn ablate_lifetime(opts: &Opts) {
 /// block error rate is large enough to measure with thousands of blocks.
 pub fn validate_bler(opts: &Opts) {
     use pcm_core::math::stats::Proportion;
-    use pcm_device::{CellOrganization, PcmDevice};
+    use pcm_device::{CellOrganization, DeviceBuilder};
     println!("== Validation: analytic BLER vs functional device simulation ==");
     let blocks = (opts.samples / 4096).clamp(512, 8192) as usize;
     let t = 2f64.powi(15); // 9 hours: 4LCn CER ≈ 3.2e-2, BLER ≈ 0.4
     let design = LevelDesign::four_level_naive();
 
-    let mut dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: design.clone(),
             smart: false,
@@ -1052,7 +1052,7 @@ pub fn validate_bler(opts: &Opts) {
         .blocks(blocks)
         .banks(8)
         .seed(opts.seed ^ 0xB1E5)
-        .build()
+        .build_sharded()
         .unwrap();
     let mut rng = pcm_core::rng::Xoshiro256pp::seed_from_u64(opts.seed);
     let mut payloads = Vec::with_capacity(blocks);
@@ -1106,14 +1106,14 @@ pub fn validate_bler(opts: &Opts) {
     );
 
     // The 3LC contrast: same experiment, zero failures expected.
-    let mut dev3 = PcmDevice::builder()
+    let dev3 = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
         .blocks(blocks.min(1024))
         .banks(8)
         .seed(opts.seed ^ 0x31C)
-        .build()
+        .build_sharded()
         .unwrap();
     let n3 = dev3.blocks();
     for b in 0..n3 {

@@ -7,18 +7,51 @@
 //! and — crucially — its own deterministic RNG stream derived from
 //! `(device_seed, bank_id)` via [`pcm_core::rng::stream_seed`].
 //!
-//! Per-bank RNG streams are what make the concurrent engine
-//! ([`crate::concurrent::ShardedPcmDevice`]) bit-identical to the
-//! sequential [`crate::device::PcmDevice`]: a bank's outcomes depend only
-//! on the sequence of operations applied *to that bank*, never on how
-//! operations interleave across banks or which thread executed them.
+//! Per-bank RNG streams are what make the device engine
+//! ([`crate::concurrent::ShardedPcmDevice`]) deterministic at any thread
+//! count: a bank's outcomes depend only on the sequence of operations
+//! applied *to that bank*, never on how operations interleave across
+//! banks or which thread executed them.
 
 use crate::array::CellArray;
 use crate::block::{BlockError, FourLevelBlock, ReadReport, ThreeLevelBlock, WriteReport};
-use crate::device::{CellOrganization, DeviceStats};
+use crate::builder::CellOrganization;
 use crate::generic_block::GenericBlock;
 use pcm_core::rng::stream_seed;
 use pcm_wearout::fault::EnduranceModel;
+
+/// Cumulative device statistics (per bank, or summed across banks).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeviceStats {
+    /// Completed block writes.
+    pub writes: u64,
+    /// Completed block reads.
+    pub reads: u64,
+    /// Bits corrected by transient-error ECC across all reads.
+    pub corrected_bits: u64,
+    /// Reads that failed as uncorrectable.
+    pub uncorrectable_reads: u64,
+    /// Wearout faults discovered by write-and-verify.
+    pub wearout_faults: u64,
+    /// Blocks refreshed (scrubbed), whether by a scrubber or by a
+    /// directly issued `refresh_block`.
+    pub refreshes: u64,
+    /// Total program-and-verify iterations (wear cycles) issued.
+    pub write_attempts: u64,
+}
+
+impl DeviceStats {
+    /// Fold another stats record into this one (per-bank aggregation).
+    pub fn accumulate(&mut self, other: &DeviceStats) {
+        self.writes += other.writes;
+        self.reads += other.reads;
+        self.corrected_bits += other.corrected_bits;
+        self.uncorrectable_reads += other.uncorrectable_reads;
+        self.wearout_faults += other.wearout_faults;
+        self.refreshes += other.refreshes;
+        self.write_attempts += other.write_attempts;
+    }
+}
 
 /// A block datapath of any supported organization.
 pub(crate) enum AnyBlock {

@@ -1,36 +1,72 @@
 //! Device construction: the named-setter builder is the only way to
-//! construct either engine (the positional constructors were removed).
+//! construct the device engine, [`ShardedPcmDevice`].
 //!
 //! ```
-//! use pcm_device::{CellOrganization, PcmDevice};
+//! use pcm_device::{CellOrganization, DeviceBuilder};
 //! use pcm_core::level::LevelDesign;
 //!
-//! let mut dev = PcmDevice::builder()
+//! let dev = DeviceBuilder::new()
 //!     .organization(CellOrganization::ThreeLevel(LevelDesign::three_level_naive()))
 //!     .blocks(16)
 //!     .banks(4)
 //!     .seed(42)
-//!     .build()
+//!     .build_sharded()
 //!     .unwrap();
 //! dev.write_block(0, &[0xA5; 64]).unwrap();
 //! ```
-//!
-//! The same configuration builds either engine: [`DeviceBuilder::build`]
-//! for the sequential [`PcmDevice`], [`DeviceBuilder::build_sharded`] for
-//! the concurrent [`ShardedPcmDevice`] — with bit-identical behavior for
-//! a given seed (see `crate::concurrent`).
 
 use crate::bank::PcmBank;
-use crate::causal::CausalState;
+use crate::block::{FOUR_LEVEL_BLOCK_CELLS, THREE_LEVEL_BLOCK_CELLS};
 use crate::concurrent::ShardedPcmDevice;
-use crate::device::{CellOrganization, PcmDevice};
 use crate::generic_block::GenericBlock;
-use crate::metrics::DeviceMetrics;
+use pcm_codec::enumerative::EnumerativeCode;
 use pcm_core::level::LevelDesign;
 use pcm_telemetry::{TelemetryConfig, TelemetryRecorder};
 use pcm_trace::{Recorder, TraceConfig};
 use pcm_wearout::fault::EnduranceModel;
 use std::sync::Arc;
+
+/// Which block organization a device uses.
+#[derive(Debug, Clone, PartialEq)]
+pub enum CellOrganization {
+    /// The paper's 3LCo + 3-ON-2 + mark-and-spare + BCH-1 stack.
+    ThreeLevel(LevelDesign),
+    /// The 4LCo + Gray(+smart) + BCH-10 + ECP-6 stack.
+    FourLevel {
+        /// The four-level design (usually `four_level_optimal()`).
+        design: LevelDesign,
+        /// Enable the §5.1 smart-encoding pass.
+        smart: bool,
+    },
+    /// The §8 generalized K-level stack: enumerative data code + Gray
+    /// TEC + marker-state mark-and-spare ([`GenericBlock`]).
+    Generic {
+        /// The K-level design (K = `code.base()`).
+        design: LevelDesign,
+        /// The k-bits-in-m-symbols data code.
+        code: EnumerativeCode,
+        /// Worn groups tolerated per block.
+        spare_groups: usize,
+        /// BCH correction strength of the TEC.
+        tec_strength: usize,
+    },
+}
+
+impl CellOrganization {
+    /// Physical cells one block of this organization occupies.
+    pub fn cells_per_block(&self) -> usize {
+        match self {
+            CellOrganization::ThreeLevel(_) => THREE_LEVEL_BLOCK_CELLS,
+            CellOrganization::FourLevel { .. } => FOUR_LEVEL_BLOCK_CELLS,
+            CellOrganization::Generic {
+                design,
+                code,
+                spare_groups,
+                tec_strength,
+            } => GenericBlock::new(design.clone(), *code, 0, *spare_groups, *tec_strength).cells(),
+        }
+    }
+}
 
 /// A rejected device configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,7 +111,7 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// Builder for [`PcmDevice`] / [`ShardedPcmDevice`].
+/// Builder for [`ShardedPcmDevice`].
 ///
 /// Defaults: the paper's proposed 3LCo organization, 16 blocks, 4 banks,
 /// seed 0, MLC endurance.
@@ -142,8 +178,8 @@ impl DeviceBuilder {
     }
 
     /// Enable deterministic model-time event tracing: the device (and
-    /// every handle derived from it — sessions, the other engine after
-    /// a conversion, scrub controllers) records into a shared per-bank
+    /// every handle derived from it — sessions, scrubbers and their
+    /// per-bank cursors) records into a shared per-bank
     /// ring buffer reachable via `tracer().buffer()`. Without this,
     /// tracing costs one branch per operation.
     pub fn trace(mut self, config: TraceConfig) -> Self {
@@ -209,37 +245,12 @@ impl DeviceBuilder {
             .map(|config| Arc::new(TelemetryRecorder::new(self.banks, config.clone())))
     }
 
-    /// Build the sequential engine.
-    pub fn build(self) -> Result<PcmDevice, ConfigError> {
-        let metrics = Arc::new(DeviceMetrics::new(self.banks));
-        let trace = self.recorder();
-        let telemetry = self.telemetry_recorder();
-        let causal = Arc::new(CausalState::new(self.banks));
-        Ok(PcmDevice::from_banks(
-            self.build_banks()?,
-            0.0,
-            metrics,
-            trace,
-            telemetry,
-            causal,
-        ))
-    }
-
-    /// Build the lock-sharded concurrent engine from the same
-    /// configuration (bit-identical to [`DeviceBuilder::build`] for the
-    /// same seed and per-bank operation order).
+    /// Build the lock-sharded device engine.
     pub fn build_sharded(self) -> Result<ShardedPcmDevice, ConfigError> {
-        let metrics = Arc::new(DeviceMetrics::new(self.banks));
-        let trace = self.recorder();
-        let telemetry = self.telemetry_recorder();
-        let causal = Arc::new(CausalState::new(self.banks));
         Ok(ShardedPcmDevice::from_banks(
             self.build_banks()?,
-            0.0,
-            metrics,
-            trace,
-            telemetry,
-            causal,
+            self.recorder(),
+            self.telemetry_recorder(),
         ))
     }
 }
@@ -250,7 +261,7 @@ mod tests {
 
     #[test]
     fn defaults_build() {
-        let dev = DeviceBuilder::new().build().unwrap();
+        let dev = DeviceBuilder::new().build_sharded().unwrap();
         assert_eq!(dev.blocks(), 16);
         assert_eq!(dev.banks(), 4);
     }
@@ -258,15 +269,19 @@ mod tests {
     #[test]
     fn rejects_bad_geometry() {
         assert_eq!(
-            DeviceBuilder::new().blocks(0).build().err(),
+            DeviceBuilder::new().blocks(0).build_sharded().err(),
             Some(ConfigError::ZeroBlocks)
         );
         assert_eq!(
-            DeviceBuilder::new().banks(0).build().err(),
+            DeviceBuilder::new().banks(0).build_sharded().err(),
             Some(ConfigError::ZeroBanks)
         );
         assert_eq!(
-            DeviceBuilder::new().blocks(10).banks(4).build().err(),
+            DeviceBuilder::new()
+                .blocks(10)
+                .banks(4)
+                .build_sharded()
+                .err(),
             Some(ConfigError::BlocksNotDivisibleByBanks {
                 blocks: 10,
                 banks: 4
@@ -285,7 +300,7 @@ mod tests {
                 spare_groups: 0,
                 tec_strength: 1,
             })
-            .build()
+            .build_sharded()
             .err();
         assert_eq!(
             err,
@@ -315,8 +330,11 @@ mod tests {
             .blocks(8)
             .banks(2)
             .seed(33);
-        let mut a = config.clone().build().unwrap();
-        let mut b = config.endurance(EnduranceModel::mlc()).build().unwrap();
+        let a = config.clone().build_sharded().unwrap();
+        let b = config
+            .endurance(EnduranceModel::mlc())
+            .build_sharded()
+            .unwrap();
         let data = vec![0xC3u8; 64];
         let ra = a.write_block(5, &data).unwrap();
         let rb = b.write_block(5, &data).unwrap();

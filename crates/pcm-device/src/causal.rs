@@ -1,9 +1,8 @@
-//! Per-device causal-correlation state shared by both engines.
+//! Per-device causal-correlation state.
 //!
 //! Two pieces, both indexed by bank and both touched only while the
-//! owning bank's lock is held (sharded engine) or under `&mut self`
-//! (sequential engine), so their evolution is a pure function of each
-//! bank's operation order — the same determinism rule the trace buffer
+//! owning bank's lock is held, so their evolution is a pure function of
+//! each bank's operation order — the same determinism rule the trace buffer
 //! and the bank RNG streams already obey:
 //!
 //! * **Demand ctx counters** — one split counter per bank handing out
@@ -46,8 +45,8 @@ impl CausalState {
     }
 
     /// Allocate the next demand correlation id for `bank`. Call only
-    /// while holding the bank's lock (or `&mut` on the sequential
-    /// engine) so per-bank allocation order equals op order.
+    /// while holding the bank's lock so per-bank allocation order
+    /// equals op order.
     pub(crate) fn next_demand(&self, bank: usize) -> u64 {
         // Per-bank split counter: the atomic is for `&self` access, not
         // for cross-thread ordering — the bank lock serializes callers.
@@ -72,8 +71,8 @@ impl CausalState {
 
 /// The scrub-pass correlation id: a pure function of the schedule
 /// (bank + first launch tick of the pass), so every walker — the
-/// sequential controller, the inline sharded scrubber, and per-bank
-/// cursors at any thread count — derives the identical id.
+/// inline scrubber and per-bank cursors at any thread count — derives
+/// the identical id.
 pub(crate) fn scrub_ctx(bank: usize, first_tick: u64) -> u64 {
     pack_ctx(CtxClass::Scrub, bank as u64, first_tick as u32)
 }

@@ -14,10 +14,9 @@
 //! so a bank's outcomes are a pure function of the *sequence of
 //! operations applied to that bank* — independent of thread count,
 //! cross-bank interleaving, and wall-clock scheduling. For the same seed,
-//! the sharded engine is bit-identical to the sequential
-//! [`PcmDevice`] whenever the per-bank
-//! operation order matches (cross-validated in `tests/proptests.rs` and
-//! `tests/concurrent_engine.rs`).
+//! a run on N threads is bit-identical to the same ops issued inline on
+//! one thread whenever the per-bank operation order matches
+//! (cross-validated in `tests/proptests.rs` and `tests/concurrent_scrub.rs`).
 //!
 //! ## Example
 //!
@@ -40,10 +39,9 @@
 //! assert_eq!(dev.stats().writes, 64);
 //! ```
 
-use crate::bank::PcmBank;
+use crate::bank::{DeviceStats, PcmBank};
 use crate::block::{ReadReport, WriteReport, BLOCK_BYTES};
 use crate::causal::{self, CausalState};
-use crate::device::{DeviceStats, PcmDevice};
 use crate::error::PcmError;
 use crate::metrics::{self, DeviceMetrics};
 use crate::telemetry_hooks;
@@ -78,29 +76,27 @@ pub struct ShardedPcmDevice {
     cells_per_block: usize,
     /// Device clock, seconds, stored as `f64::to_bits`.
     now_bits: AtomicU64,
-    metrics: Arc<DeviceMetrics>,
+    metrics: DeviceMetrics,
     trace: Recorder,
     telemetry: Option<Arc<TelemetryRecorder>>,
-    causal: Arc<CausalState>,
+    causal: CausalState,
 }
 
 impl ShardedPcmDevice {
     pub(crate) fn from_banks(
         banks: Vec<PcmBank>,
-        now: f64,
-        metrics: Arc<DeviceMetrics>,
         trace: Recorder,
         telemetry: Option<Arc<TelemetryRecorder>>,
-        causal: Arc<CausalState>,
     ) -> Self {
-        debug_assert_eq!(metrics.banks(), banks.len());
+        let metrics = DeviceMetrics::new(banks.len());
+        let causal = CausalState::new(banks.len());
         let blocks = banks.iter().map(PcmBank::blocks).sum();
         let cells_per_block = banks.first().map_or(0, PcmBank::cells_per_block);
         Self {
             shards: banks.into_iter().map(Mutex::new).collect(),
             blocks,
             cells_per_block,
-            now_bits: AtomicU64::new(now.to_bits()),
+            now_bits: AtomicU64::new(0.0f64.to_bits()),
             metrics,
             trace,
             telemetry,
@@ -108,34 +104,8 @@ impl ShardedPcmDevice {
         }
     }
 
-    /// Tear the sharded engine back down into a sequential device (e.g.
-    /// to hand it to [`RefreshController`](crate::refresh::RefreshController)
-    /// or the wear-leveling wrappers). Requires exclusive ownership, so no
-    /// lock can be held.
-    pub fn into_sequential(self) -> PcmDevice {
-        let now = f64::from_bits(self.now_bits.into_inner());
-        let banks = self
-            .shards
-            .into_iter()
-            .map(|m| {
-                m.into_inner()
-                    // pcm-lint: allow(no-panic-lib) — same poisoning argument as lock_bank.
-                    .expect("no shard lock can outlive the device")
-            })
-            .collect();
-        PcmDevice::from_banks(
-            banks,
-            now,
-            self.metrics,
-            self.trace,
-            self.telemetry,
-            self.causal,
-        )
-    }
-
     /// The observability registry: per-bank atomic counters and latency
-    /// histograms, recorded lock-free on every operation and shared with
-    /// the sequential engine across conversions.
+    /// histograms, recorded lock-free on every operation.
     pub fn metrics(&self) -> &DeviceMetrics {
         &self.metrics
     }
@@ -183,8 +153,8 @@ impl ShardedPcmDevice {
         self.shards.len()
     }
 
-    /// Bank owning a block (low-order interleaving; identical to the
-    /// sequential engine's mapping).
+    /// Bank owning a block (low-order interleaving, like DDR rank/bank
+    /// address maps).
     pub fn bank_of(&self, block: usize) -> usize {
         block % self.shards.len()
     }
@@ -385,11 +355,11 @@ impl ShardedPcmDevice {
         r.map(|rep| (rep, wait_ns))
     }
 
-    /// Refresh (scrub) one block: read, correct, rewrite. A
-    /// directly-issued refresh is a demand op and gets a demand
-    /// correlation id; the scrub walkers use
-    /// [`ShardedPcmDevice::refresh_block_ctx`] with the owning pass's
-    /// id instead.
+    /// Refresh (scrub) one block: read, correct, rewrite — the §1
+    /// mechanism ("for every cell, at least once per refresh period, we
+    /// read, correct if needed, and re-write"). A directly-issued refresh
+    /// is a demand op and gets a demand correlation id; the scrub walkers
+    /// tag theirs with the owning scrub pass's id instead.
     pub fn refresh_block(&self, block: usize) -> Result<(), PcmError> {
         self.refresh_impl(block, None)
     }
@@ -461,9 +431,9 @@ impl ShardedPcmDevice {
     /// between the two halves.
     ///
     /// Returns the destination's write report; metrics record one read
-    /// on the source bank and one write on the destination bank, exactly
-    /// like the sequential engine's
-    /// [`PcmDevice::copy_block`](crate::device::PcmDevice::copy_block).
+    /// on the source bank and one write on the destination bank, and the
+    /// outcome is bit-identical to a [`Self::read_block`] of `src`
+    /// followed by a [`Self::write_block`] of its data to `dst`.
     pub fn copy_block(&self, src: usize, dst: usize) -> Result<WriteReport, PcmError> {
         let (s_shard, s_local) = self.locate(src)?;
         let (d_shard, d_local) = self.locate(dst)?;
@@ -584,8 +554,9 @@ impl ShardedPcmDevice {
         self.shards.iter().map(|s| lock_bank(s).stats()).collect()
     }
 
-    /// Fault-injection hook: force a cell's lifetime (device-wide
-    /// block-major cell layout, like the sequential engine).
+    /// Fault-injection hook: force a cell's lifetime. Cell indices use
+    /// the device-wide layout (block-major: block `b` owns cells
+    /// `[b*cells_per_block, (b+1)*cells_per_block)`).
     pub fn inject_lifetime(&self, cell: usize, cycles: u64) {
         let cpb = self.cells_per_block;
         let block = cell / cpb;
@@ -593,19 +564,6 @@ impl ShardedPcmDevice {
         let shard = block % self.shards.len();
         let local_block = block / self.shards.len();
         lock_bank(&self.shards[shard]).set_lifetime(local_block * cpb + within, cycles);
-    }
-}
-
-impl From<PcmDevice> for ShardedPcmDevice {
-    fn from(dev: PcmDevice) -> Self {
-        let (banks, now, metrics, trace, telemetry, causal) = dev.into_banks();
-        Self::from_banks(banks, now, metrics, trace, telemetry, causal)
-    }
-}
-
-impl From<ShardedPcmDevice> for PcmDevice {
-    fn from(dev: ShardedPcmDevice) -> Self {
-        dev.into_sequential()
     }
 }
 
@@ -695,8 +653,7 @@ impl<'d> Session<'d> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::DeviceBuilder;
-    use crate::device::CellOrganization;
+    use crate::builder::{CellOrganization, DeviceBuilder};
     use pcm_core::level::LevelDesign;
 
     fn builder() -> DeviceBuilder {
@@ -710,25 +667,87 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_engine_bit_for_bit() {
-        let mut seq = builder().build().unwrap();
-        let sharded = builder().build_sharded().unwrap();
+    fn per_bank_stats_sum_to_device_stats() {
+        let dev = builder().build_sharded().unwrap();
+        assert_eq!(dev.capacity_bytes(), 32 * 64);
+        assert_eq!((dev.bank_of(0), dev.bank_of(9), dev.bank_of(31)), (0, 1, 7));
         for b in 0..32 {
-            let data = vec![(b as u8).wrapping_mul(7); 64];
-            let a = seq.write_block(b, &data).unwrap();
-            let c = sharded.write_block(b, &data).unwrap();
-            assert_eq!(a, c, "write report diverged at block {b}");
+            dev.write_block(b, &[b as u8 ^ 0x42; 64]).unwrap();
         }
-        seq.advance_time(3600.0);
-        sharded.advance_time(3600.0);
+        for b in 0..16 {
+            dev.read_block(b).unwrap();
+        }
+        let per_bank = dev.bank_stats();
+        assert_eq!(per_bank.len(), 8);
+        let mut sum = DeviceStats::default();
+        for s in &per_bank {
+            sum.accumulate(s);
+            // Low-order interleaving spreads 32 blocks evenly over 8 banks.
+            assert_eq!((s.writes, s.reads), (4, 2));
+        }
+        assert_eq!(sum, dev.stats());
+        // 364 cells per 3LC write, at least one program pass each.
+        assert!(sum.write_attempts >= 32 * 364, "{}", sum.write_attempts);
+    }
+
+    #[test]
+    fn metrics_registry_tracks_ops_per_bank() {
+        let dev = builder().build_sharded().unwrap();
         for b in 0..32 {
-            assert_eq!(
-                seq.read_block(b).unwrap(),
-                sharded.read_block(b).unwrap(),
-                "read diverged at block {b}"
-            );
+            dev.write_block(b, &[0x24; 64]).unwrap();
         }
-        assert_eq!(seq.stats(), sharded.stats());
+        for b in 0..8 {
+            dev.read_block(b).unwrap();
+        }
+        dev.refresh_block(0).unwrap();
+        let snap = dev.metrics().snapshot();
+        assert_eq!(snap.per_bank.len(), 8);
+        // Low-order interleaving: 4 writes per bank; the 8 reads land one
+        // per bank and the scrub on bank 0.
+        for (bank, m) in snap.per_bank.iter().enumerate() {
+            assert_eq!((m.writes, m.reads), (4, 1), "bank {bank}");
+        }
+        assert_eq!(snap.per_bank[0].scrubs, 1);
+        let total = snap.total();
+        assert_eq!(
+            (total.writes, total.scrubs, total.uncorrectables),
+            (32, 1, 0)
+        );
+        // Busy time: 32 writes ≥ 1 µs each + 8 reads at 200 ns + one
+        // scrub at 1.2 µs.
+        assert!(total.busy_ns >= 32_000 + 1600 + 1200, "{}", total.busy_ns);
+        // The histogram saw every successful op.
+        assert_eq!(total.latency_buckets.iter().sum::<u64>(), 41);
+    }
+
+    #[test]
+    fn generic_organization_works_device_wide() {
+        use pcm_codec::enumerative::EnumerativeCode;
+        // A ternary generic device must behave like the dedicated 3LC one.
+        let dev = DeviceBuilder::new()
+            .organization(CellOrganization::Generic {
+                design: LevelDesign::three_level_naive(),
+                code: EnumerativeCode::new(3, 2),
+                spare_groups: 6,
+                tec_strength: 1,
+            })
+            .blocks(8)
+            .banks(4)
+            .seed(21)
+            .build_sharded()
+            .unwrap();
+        let pat = |b: usize| vec![(b as u8).wrapping_mul(41) ^ 0x69; 64];
+        for b in 0..8 {
+            dev.write_block(b, &pat(b)).unwrap();
+        }
+        dev.advance_time(pcm_core::params::TEN_YEARS_SECS);
+        for b in 0..8 {
+            assert_eq!(dev.read_block(b).unwrap().data, pat(b), "block {b}");
+        }
+        // Refresh through the generic path works too.
+        dev.refresh_block(3).unwrap();
+        assert_eq!(dev.stats().refreshes, 1);
+        assert_eq!(dev.read_block(3).unwrap().data, pat(3));
     }
 
     #[test]
@@ -797,26 +816,31 @@ mod tests {
     }
 
     #[test]
-    fn copy_block_matches_sequential_engine_bit_for_bit() {
-        let mut seq = builder().build().unwrap();
-        let sharded = builder().build_sharded().unwrap();
+    fn copy_block_equals_read_then_write() {
+        // `copy_block` is a read of the source and a write of its data,
+        // under both bank locks at once: a second same-seed device doing
+        // the two halves as separate ops must agree bit for bit.
+        let copied = builder().build_sharded().unwrap();
+        let split = builder().build_sharded().unwrap();
         for b in 0..8 {
             let data = vec![(b as u8).wrapping_mul(31); 64];
-            seq.write_block(b, &data).unwrap();
-            sharded.write_block(b, &data).unwrap();
+            copied.write_block(b, &data).unwrap();
+            split.write_block(b, &data).unwrap();
         }
         // Cross-bank (0 → 13), same-bank (2 → 10 with 8 banks), and
         // reversed-order (13 → 0) copies must all agree.
         for (src, dst) in [(0, 13), (2, 10), (13, 0)] {
-            let a = seq.copy_block(src, dst).unwrap();
-            let b = sharded.copy_block(src, dst).unwrap();
+            let a = copied.copy_block(src, dst).unwrap();
+            let data = split.read_block(src).unwrap().data;
+            let b = split.write_block(dst, &data).unwrap();
             assert_eq!(a, b, "copy report diverged for {src}->{dst}");
             assert_eq!(
-                seq.read_block(dst).unwrap().data,
-                sharded.read_block(dst).unwrap().data,
+                copied.read_block(dst).unwrap(),
+                split.read_block(dst).unwrap()
             );
         }
-        assert_eq!(seq.stats(), sharded.stats());
+        assert_eq!(copied.stats(), split.stats());
+        assert_eq!(copied.metrics().snapshot(), split.metrics().snapshot());
     }
 
     #[test]
@@ -910,21 +934,6 @@ mod tests {
             }
         });
         assert!((dev.now() - 2000.0).abs() < 1e-9, "{}", dev.now());
-    }
-
-    #[test]
-    fn conversions_preserve_state() {
-        let sharded = builder().build_sharded().unwrap();
-        let data = vec![0x5Au8; 64];
-        sharded.write_block(3, &data).unwrap();
-        sharded.advance_time(42.0);
-        let mut seq = sharded.into_sequential();
-        assert_eq!(seq.now(), 42.0);
-        assert_eq!(seq.read_block(3).unwrap().data, data);
-        // And back.
-        let sharded: ShardedPcmDevice = seq.into();
-        assert_eq!(sharded.read_block(3).unwrap().data, data);
-        assert_eq!(sharded.stats().writes, 1);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! Two layers:
 //!
 //! * [`PcmError`] wraps the operation-path errors ([`BlockError`],
-//!   [`ConfigError`], out-of-range addressing) behind one
+//!   [`ConfigError`], out-of-range addressing, an exhausted remap
+//!   reserve) behind one
 //!   `std::error::Error` implementation, so callers match on a single
 //!   `#[non_exhaustive]` enum instead of per-layer types — and new
 //!   failure classes can be added without breaking downstream matches.
@@ -35,6 +36,21 @@ pub enum PcmError {
         /// The device's block count.
         blocks: usize,
     },
+    /// A [`RemappedDevice`](crate::remap::RemappedDevice) had no reserve
+    /// block left to retire a worn-out block into: device end of life.
+    ReserveExhausted,
+}
+
+impl PcmError {
+    /// `Ok` when `block < blocks`, else [`PcmError::BlockOutOfRange`] —
+    /// the bounds check the wrappers run before touching any state.
+    pub(crate) fn check_block(block: usize, blocks: usize) -> Result<(), PcmError> {
+        if block < blocks {
+            Ok(())
+        } else {
+            Err(PcmError::BlockOutOfRange { block, blocks })
+        }
+    }
 }
 
 impl std::fmt::Display for PcmError {
@@ -45,6 +61,7 @@ impl std::fmt::Display for PcmError {
             PcmError::BlockOutOfRange { block, blocks } => {
                 write!(f, "block {block} out of range (device has {blocks} blocks)")
             }
+            PcmError::ReserveExhausted => write!(f, "remap reserve pool exhausted"),
         }
     }
 }
@@ -54,7 +71,7 @@ impl std::error::Error for PcmError {
         match self {
             PcmError::Block(e) => Some(e),
             PcmError::Config(e) => Some(e),
-            PcmError::BlockOutOfRange { .. } => None,
+            PcmError::BlockOutOfRange { .. } | PcmError::ReserveExhausted => None,
         }
     }
 }

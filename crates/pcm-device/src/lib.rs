@@ -8,34 +8,37 @@
 //! * [`block`] — the two complete 64-byte block datapaths: the proposed
 //!   3LC stack (3-ON-2 + mark-and-spare + BCH-1, Figure 9) and the 4LC
 //!   baseline (Gray + smart + BCH-10 + ECP-6).
-//! * [`device`] — banks of blocks with a global drift clock and stats.
-//! * [`refresh`] — the scrub controller that makes 4LC usable as volatile
-//!   memory (§4.1) — and that the 3LC design gets to switch off.
-//! * [`scrub`] — the same integer-tick schedule for the sharded engine:
-//!   per-bank cursors runnable inline or from background scrub threads.
+//! * [`bank`] — one bank: a slice of cells, its block datapaths, its
+//!   statistics and its own RNG stream.
+//! * [`concurrent`] — the device engine, [`ShardedPcmDevice`]: banks
+//!   behind per-bank locks, a global drift clock, and per-thread
+//!   [`Session`]s. Single-threaded use is the same engine driven from one
+//!   thread.
+//! * [`scrub`] — the integer-tick scrub schedule that makes 4LC usable as
+//!   volatile memory (§4.1) — and that the 3LC design gets to switch off —
+//!   run inline, fanned out over threads, or as per-bank cursors.
 //! * [`metrics`] — per-bank atomic counters and log2 latency histograms,
-//!   recorded by both engines and shared across conversions.
+//!   recorded on every operation.
 //!
 //! ```
-//! use pcm_device::{CellOrganization, PcmDevice};
+//! use pcm_device::{CellOrganization, DeviceBuilder};
 //! use pcm_core::level::LevelDesign;
 //!
-//! let mut dev = PcmDevice::builder()
+//! let dev = DeviceBuilder::new()
 //!     .organization(CellOrganization::ThreeLevel(LevelDesign::three_level_naive()))
 //!     .blocks(16)
 //!     .banks(4)
 //!     .seed(42)
-//!     .build()
+//!     .build_sharded()
 //!     .unwrap();
 //! dev.write_block(0, &[0xA5; 64]).unwrap();
 //! dev.advance_time(10.0 * 365.25 * 86_400.0);   // ten years, no power
 //! assert_eq!(dev.read_block(0).unwrap().data, vec![0xA5; 64]);
 //! ```
 //!
-//! For many-threaded workloads, [`DeviceBuilder::build_sharded`] yields
-//! the bank-sharded [`concurrent::ShardedPcmDevice`] — bit-identical to
-//! the sequential engine for the same seed (see the [`concurrent`]
-//! module docs for the determinism rule):
+//! Every operation takes `&self` and locks only its block's bank, so the
+//! same device serves many threads (see the [`concurrent`] module docs
+//! for the determinism rule):
 //!
 //! ```
 //! use pcm_device::DeviceBuilder;
@@ -58,11 +61,9 @@ pub mod block;
 pub mod builder;
 mod causal;
 pub mod concurrent;
-pub mod device;
 pub mod error;
 pub mod generic_block;
 pub mod metrics;
-pub mod refresh;
 pub mod remap;
 pub mod scrub;
 mod telemetry_hooks;
@@ -70,17 +71,15 @@ mod trace_hooks;
 pub mod wear_level;
 
 pub use array::{CellArray, ProgramOutcome, RangeOutcome};
-pub use bank::PcmBank;
+pub use bank::{DeviceStats, PcmBank};
 pub use block::{BlockError, FourLevelBlock, ReadReport, ThreeLevelBlock, WriteReport};
-pub use builder::{ConfigError, DeviceBuilder};
+pub use builder::{CellOrganization, ConfigError, DeviceBuilder};
 pub use concurrent::{Session, SessionStats, ShardedPcmDevice};
-pub use device::{CellOrganization, DeviceStats, PcmDevice};
 pub use error::{Error, PcmError};
 pub use generic_block::GenericBlock;
 pub use metrics::{BankMetrics, BankMetricsSnapshot, DeviceMetrics, LogHistogram, MetricsSnapshot};
-pub use refresh::{RefreshController, RefreshReport};
 pub use remap::RemappedDevice;
-pub use scrub::{BankScrubCursor, ScrubScheduler, ShardedScrubber};
+pub use scrub::{BankScrubCursor, RefreshReport, ScrubScheduler, ShardedScrubber};
 // The tracing vocabulary, re-exported so device users need not depend
 // on pcm-trace directly. The ctx items are the correlation-id scheme
 // the profiling layer shares with `pcm-store`.

@@ -2,11 +2,10 @@
 //! log2-bucket histograms.
 //!
 //! The ROADMAP north-star asks for observability of the hot paths; this
-//! module is the lightweight layer both engines thread their telemetry
-//! through. A [`DeviceMetrics`] holds one [`BankMetrics`] per bank —
-//! plain `AtomicU64`s, so the sharded engine records without taking any
-//! lock and the sequential engine pays a handful of uncontended atomic
-//! adds per op. Histograms bucket by `log2(value)` ([`LogHistogram`]),
+//! module is the lightweight layer the device engine threads its
+//! telemetry through. A [`DeviceMetrics`] holds one [`BankMetrics`] per
+//! bank — plain `AtomicU64`s, so the engine records without taking any
+//! lock. Histograms bucket by `log2(value)` ([`LogHistogram`]),
 //! which keeps them fixed-size and mergeable while still resolving the
 //! order-of-magnitude structure of latency distributions.
 //!
@@ -14,11 +13,6 @@
 //! synchronize, so `Relaxed` is correct throughout and the whole
 //! module opts in to the lint's counter class.
 // pcm-lint: atomic-module(counters)
-//!
-//! Counters survive engine conversions
-//! ([`ShardedPcmDevice::into_sequential`](crate::concurrent::ShardedPcmDevice::into_sequential)
-//! and back): the registry is shared via `Arc` and travels with the
-//! banks.
 //!
 //! Recorded latencies use the paper's timing model (§7 / Table 5): array
 //! reads occupy their bank for 200 ns, each program-and-verify iteration

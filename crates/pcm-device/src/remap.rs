@@ -12,13 +12,14 @@
 //! analysis needs).
 
 use crate::block::{BlockError, ReadReport, WriteReport};
-use crate::device::PcmDevice;
+use crate::concurrent::ShardedPcmDevice;
+use crate::error::PcmError;
 use crate::trace_hooks;
 use std::collections::BTreeMap;
 
 /// A device with a reserve pool and transparent bad-block forwarding.
 pub struct RemappedDevice {
-    device: PcmDevice,
+    device: ShardedPcmDevice,
     /// Logical (user-visible) block count; blocks ≥ this are reserve.
     logical_blocks: usize,
     /// Forwarding table: retired physical block → reserve block.
@@ -27,30 +28,9 @@ pub struct RemappedDevice {
     next_reserve: usize,
 }
 
-/// Errors surfaced by the remapping layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RemapError {
-    /// The reserve pool is exhausted: device end of life.
-    ReserveExhausted,
-    /// The underlying block failed in a way remapping cannot fix
-    /// (uncorrectable transient errors: data is already lost).
-    Unrecoverable(BlockError),
-}
-
-impl std::fmt::Display for RemapError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RemapError::ReserveExhausted => write!(f, "reserve pool exhausted"),
-            RemapError::Unrecoverable(e) => write!(f, "unrecoverable: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RemapError {}
-
 impl RemappedDevice {
     /// Wrap `device`, reserving its last `reserve_blocks` blocks.
-    pub fn new(device: PcmDevice, reserve_blocks: usize) -> Self {
+    pub fn new(device: ShardedPcmDevice, reserve_blocks: usize) -> Self {
         // pcm-lint: allow(no-panic-lib) — constructor contract: the reserve must leave at least one data block
         assert!(reserve_blocks < device.blocks());
         let logical_blocks = device.blocks() - reserve_blocks;
@@ -77,14 +57,9 @@ impl RemappedDevice {
         self.device.blocks() - self.next_reserve
     }
 
-    /// The wrapped device.
-    pub fn device(&self) -> &PcmDevice {
+    /// The wrapped device (stats, clock, fault injection).
+    pub fn device(&self) -> &ShardedPcmDevice {
         &self.device
-    }
-
-    /// Mutable access to the wrapped device (clock, fault injection).
-    pub fn device_mut(&mut self) -> &mut PcmDevice {
-        &mut self.device
     }
 
     /// Resolve forwarding (bounded: a reserve block that itself dies is
@@ -102,27 +77,22 @@ impl RemappedDevice {
     }
 
     /// Read a logical block through the forwarding table.
-    pub fn read_block(&mut self, block: usize) -> Result<ReadReport, RemapError> {
-        // pcm-lint: allow(no-panic-lib) — contract: logical block bounds are the public API limit
-        assert!(block < self.logical_blocks);
-        let pa = self.resolve(block);
-        self.device
-            .read_block(pa)
-            .map_err(RemapError::Unrecoverable)
+    pub fn read_block(&self, block: usize) -> Result<ReadReport, PcmError> {
+        PcmError::check_block(block, self.logical_blocks)?;
+        self.device.read_block(self.resolve(block))
     }
 
     /// Write a logical block; on wearout exhaustion the block is retired
-    /// and the write retried on a fresh reserve block.
-    pub fn write_block(&mut self, block: usize, data: &[u8]) -> Result<WriteReport, RemapError> {
-        // pcm-lint: allow(no-panic-lib) — contract: logical block bounds are the public API limit
-        assert!(block < self.logical_blocks);
+    /// and the write retried on a fresh reserve block. Fails with
+    /// [`PcmError::ReserveExhausted`] once no reserve block is left.
+    pub fn write_block(&mut self, block: usize, data: &[u8]) -> Result<WriteReport, PcmError> {
+        PcmError::check_block(block, self.logical_blocks)?;
         loop {
             let pa = self.resolve(block);
             match self.device.write_block(pa, data) {
-                Ok(r) => return Ok(r),
-                Err(BlockError::WearoutExhausted) | Err(BlockError::WriteFailed) => {
+                Err(PcmError::Block(BlockError::WearoutExhausted | BlockError::WriteFailed)) => {
                     if self.next_reserve >= self.device.blocks() {
-                        return Err(RemapError::ReserveExhausted);
+                        return Err(PcmError::ReserveExhausted);
                     }
                     let replacement = self.next_reserve;
                     self.next_reserve += 1;
@@ -137,7 +107,7 @@ impl RemappedDevice {
                     );
                     // Loop: retry the write on the replacement.
                 }
-                Err(e @ BlockError::Uncorrectable) => return Err(RemapError::Unrecoverable(e)),
+                other => return other,
             }
         }
     }
@@ -146,22 +116,22 @@ impl RemappedDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::CellOrganization;
+    use crate::builder::{CellOrganization, DeviceBuilder};
     use pcm_core::level::LevelDesign;
 
-    fn device(blocks: usize, seed: u64) -> PcmDevice {
-        PcmDevice::builder()
+    fn device(blocks: usize, seed: u64) -> ShardedPcmDevice {
+        DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
             .blocks(blocks)
             .banks(1)
             .seed(seed)
-            .build()
+            .build_sharded()
             .unwrap()
     }
 
-    fn kill_block_pairs(dev: &mut PcmDevice, block: usize, pairs: usize) {
+    fn kill_block_pairs(dev: &ShardedPcmDevice, block: usize, pairs: usize) {
         for p in 0..pairs {
             dev.inject_lifetime(block * 364 + p * 2, 1);
         }
@@ -179,8 +149,8 @@ mod tests {
 
     #[test]
     fn dead_block_is_retired_and_forwarded() {
-        let mut raw = device(12, 2);
-        kill_block_pairs(&mut raw, 3, 8); // beyond 6 spares
+        let raw = device(12, 2);
+        kill_block_pairs(&raw, 3, 8); // beyond 6 spares
         let mut dev = RemappedDevice::new(raw, 4);
         let data = vec![0x17u8; 64];
         // Hammer block 3 until its spares run out; the remap layer must
@@ -192,16 +162,15 @@ mod tests {
         assert_eq!(dev.reserve_left(), 3);
         assert_eq!(dev.read_block(3).unwrap().data, data);
         // Ten years later the forwarded data is still there.
-        dev.device_mut()
-            .advance_time(pcm_core::params::TEN_YEARS_SECS);
+        dev.device().advance_time(pcm_core::params::TEN_YEARS_SECS);
         assert_eq!(dev.read_block(3).unwrap().data, data);
     }
 
     #[test]
     fn chained_forwarding_survives_reserve_death() {
-        let mut raw = device(12, 3);
-        kill_block_pairs(&mut raw, 1, 8); // logical block 1 dies
-        kill_block_pairs(&mut raw, 8, 8); // ...and so does the 1st reserve
+        let raw = device(12, 3);
+        kill_block_pairs(&raw, 1, 8); // logical block 1 dies
+        kill_block_pairs(&raw, 8, 8); // ...and so does the 1st reserve
         let mut dev = RemappedDevice::new(raw, 4);
         let data = vec![0x5Au8; 64];
         for _ in 0..24 {
@@ -213,10 +182,10 @@ mod tests {
 
     #[test]
     fn reserve_exhaustion_is_end_of_life() {
-        let mut raw = device(6, 4);
+        let raw = device(6, 4);
         // Kill every block including reserves.
         for b in 0..6 {
-            kill_block_pairs(&mut raw, b, 8);
+            kill_block_pairs(&raw, b, 8);
         }
         let mut dev = RemappedDevice::new(raw, 2);
         let data = vec![9u8; 64];
@@ -224,7 +193,7 @@ mod tests {
         for _ in 0..40 {
             match dev.write_block(0, &data) {
                 Ok(_) => {}
-                Err(RemapError::ReserveExhausted) => {
+                Err(PcmError::ReserveExhausted) => {
                     died = true;
                     break;
                 }
@@ -237,8 +206,8 @@ mod tests {
 
     #[test]
     fn other_blocks_unaffected_by_retirement() {
-        let mut raw = device(12, 5);
-        kill_block_pairs(&mut raw, 2, 8);
+        let raw = device(12, 5);
+        kill_block_pairs(&raw, 2, 8);
         let mut dev = RemappedDevice::new(raw, 4);
         let pat = |b: usize| vec![b as u8 | 0x80; 64];
         for b in 0..8 {
@@ -250,5 +219,19 @@ mod tests {
             assert_eq!(dev.read_block(b).unwrap().data, pat(b), "block {b}");
         }
         assert_eq!(dev.retired(), 1);
+    }
+
+    #[test]
+    fn out_of_range_is_an_error_not_a_panic() {
+        let mut dev = RemappedDevice::new(device(12, 6), 4);
+        let oob = PcmError::BlockOutOfRange {
+            block: 8,
+            blocks: 8,
+        };
+        // Block 8 exists physically, but it is reserve, not user-visible.
+        assert_eq!(dev.write_block(8, &[1u8; 64]).unwrap_err(), oob);
+        assert_eq!(dev.read_block(8).unwrap_err(), oob);
+        assert_eq!(dev.device().stats(), Default::default());
+        assert_eq!(dev.reserve_left(), 4);
     }
 }

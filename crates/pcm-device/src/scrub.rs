@@ -1,20 +1,20 @@
-//! Concurrent scrub for the bank-sharded engine.
+//! Scrub (refresh) for the device engine.
 //!
 //! The paper's availability results (§4.1, §7, Figure 4) hinge on
 //! refresh: every block is read, ECC-corrected, and rewritten once per
-//! interval, stealing per-bank write bandwidth from demand traffic.
-//! [`RefreshController`](crate::refresh::RefreshController) models that
-//! for the sequential engine; this module brings the same schedule to
-//! [`ShardedPcmDevice`] so the concurrent path can model the
-//! refresh-vs-demand interaction.
+//! interval, stealing per-bank write bandwidth from demand traffic. This
+//! module walks a [`ShardedPcmDevice`] on that schedule, inline or from
+//! scrub threads interleaved with demand sessions, so the model captures
+//! the refresh-vs-demand interaction.
 //!
 //! ## The schedule
 //!
 //! Launch `k` (1-based) is due at exactly `k × step` where
 //! `step = interval / blocks`, and scrubs global block
-//! `(k - 1) % blocks` — identical to the sequential controller. Due
-//! times are integer-tick products, never accumulated, so the schedule
-//! cannot drift. With low-order bank interleaving the global walk visits
+//! `(k - 1) % blocks`. Due times are integer-tick products, never
+//! accumulated, so the schedule cannot drift over long horizons, and the
+//! first launch is at `step` — not `t = 0`, which would scrub one extra
+//! block per run. With low-order bank interleaving the global walk visits
 //! banks round-robin, which means **each bank's scrub stream is
 //! independent**: bank `b`'s `j`-th scrub is launch `j·banks + b + 1`,
 //! at local block `j % blocks_per_bank`. That is what
@@ -27,25 +27,42 @@
 //! given bank always happen in schedule order (a cursor is owned by one
 //! thread at a time), so:
 //!
-//! * [`ShardedScrubber::run_until`] (inline) is **bit-identical** to
-//!   [`RefreshController::run_until`](crate::refresh::RefreshController::run_until)
-//!   on the same schedule;
 //! * [`ShardedScrubber::run_until_concurrent`] is bit-identical to the
-//!   inline run at any thread count;
+//!   inline [`ShardedScrubber::run_until`] at any thread count;
 //! * interleaving demand sessions preserves the identity whenever the
-//!   *per-bank* order of demand ops relative to scrubs matches the
-//!   sequential reference (cross-validated in `tests/proptests.rs` and
+//!   *per-bank* order of demand ops relative to scrubs matches an inline
+//!   reference run (cross-validated in `tests/proptests.rs` and
 //!   `tests/concurrent_scrub.rs`).
 
 use crate::causal;
 use crate::concurrent::ShardedPcmDevice;
-use crate::refresh::RefreshReport;
 use crate::trace_hooks;
+
+/// What a scrub run did during a `run_until` call.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RefreshReport {
+    /// Blocks scrubbed.
+    pub blocks_refreshed: u64,
+    /// Blocks whose scrub failed (uncorrectable or worn out).
+    pub failures: u64,
+    /// Bank-seconds of busy time consumed.
+    pub bank_busy_secs: f64,
+}
+
+impl RefreshReport {
+    /// Fold another report into this one (merging per-bank or per-thread
+    /// scrub reports).
+    pub fn merge(&mut self, other: &RefreshReport) {
+        self.blocks_refreshed += other.blocks_refreshed;
+        self.failures += other.failures;
+        self.bank_busy_secs += other.bank_busy_secs;
+    }
+}
 
 /// The integer-tick scrub schedule for a device geometry.
 ///
 /// Pure arithmetic — holds no cursor state — so it can be shared freely
-/// across threads and engines.
+/// across threads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScrubScheduler {
     /// Target interval between successive scrubs of the same block.
@@ -191,18 +208,16 @@ impl BankScrubCursor {
             self.sched.step_secs(),
             self.sched.block_scrub_secs,
         );
-        // One product, not accumulation — see `RefreshController::run_until`.
+        // One product, not accumulation — see `ShardedScrubber::run_until`.
         report.bank_busy_secs =
             (report.blocks_refreshed + report.failures) as f64 * self.sched.block_scrub_secs;
         report
     }
 }
 
-/// A periodic scrubber over a [`ShardedPcmDevice`] — the concurrent
-/// counterpart of [`RefreshController`](crate::refresh::RefreshController).
+/// A periodic scrubber over a [`ShardedPcmDevice`].
 ///
-/// Run it inline with [`run_until`](Self::run_until) (deterministic,
-/// bit-identical to the sequential controller), fan it out with
+/// Run it inline with [`run_until`](Self::run_until), fan it out with
 /// [`run_until_concurrent`](Self::run_until_concurrent), or split it
 /// into [`BankScrubCursor`]s via [`bank_cursors`](Self::bank_cursors)
 /// and drive those from long-lived scrub threads interleaved with
@@ -235,12 +250,13 @@ impl ShardedScrubber {
     }
 
     /// Advance to device time `t`, scrubbing every block that came due,
-    /// in global launch order. Bit-identical to
-    /// [`RefreshController::run_until`](crate::refresh::RefreshController::run_until)
-    /// on the same schedule.
+    /// in global launch order. The device clock must already be at (or
+    /// past) `t`.
     pub fn run_until(&mut self, dev: &ShardedPcmDevice, t: f64) -> RefreshReport {
         let mut report = RefreshReport::default();
-        // Per-bank pass accumulators (see `RefreshController::run_until`).
+        // Per-bank (first launch, last launch, count) accumulators for
+        // the scrub-pass trace spans; the first launch also names the
+        // pass's correlation id, which every refresh in the pass carries.
         let mut passes: Vec<Option<(u64, u64, u64)>> = vec![None; self.sched.banks];
         while self.sched.due_time(self.tick) <= t {
             let block = self.sched.block_of(self.tick);
@@ -262,6 +278,9 @@ impl ShardedScrubber {
                 self.sched.block_scrub_secs,
             );
         }
+        // Busy time as one product, not accumulated 1 µs at a time: the
+        // result is then independent of how launches were grouped, so
+        // split runs, cursors and concurrent runs report identical totals.
         report.bank_busy_secs =
             (report.blocks_refreshed + report.failures) as f64 * self.sched.block_scrub_secs;
         report
@@ -338,9 +357,7 @@ impl ShardedScrubber {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::DeviceBuilder;
-    use crate::device::CellOrganization;
-    use crate::refresh::RefreshController;
+    use crate::builder::{CellOrganization, DeviceBuilder};
     use pcm_core::level::LevelDesign;
 
     fn builder() -> DeviceBuilder {
@@ -354,7 +371,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_matches_sequential_walk() {
+    fn schedule_walks_blocks_in_order() {
         let sched = ScrubScheduler::for_geometry(16, 4, 1.6);
         assert!((sched.step_secs() - 0.1).abs() < 1e-15);
         // Launches walk blocks 0, 1, 2, … — banks round-robin.
@@ -386,68 +403,6 @@ mod tests {
         assert_eq!(next, vec![7, 8, 9, 10]);
         // And local blocks wrap per bank: bank 0's third scrub is block 8.
         assert_eq!(resumed[0].next_block(), 8);
-    }
-
-    #[test]
-    fn inline_scrub_is_bit_identical_to_sequential_controller() {
-        let mut seq = builder().build().unwrap();
-        let sharded = builder().build_sharded().unwrap();
-        let data: Vec<u8> = (0..64).map(|i| i as u8 ^ 0xB4).collect();
-        for b in 0..16 {
-            seq.write_block(b, &data).unwrap();
-            sharded.write_block(b, &data).unwrap();
-        }
-        let mut ctl = RefreshController::new(1.6);
-        let mut scrubber = ShardedScrubber::new(&sharded, 1.6);
-        for k in 1..=5u32 {
-            let t = 1.6 * k as f64;
-            seq.advance_time(t - seq.now());
-            sharded.advance_time(t - sharded.now());
-            let a = ctl.run_until(&mut seq, t);
-            let b = scrubber.run_until(&sharded, t);
-            assert_eq!(a, b, "report diverged at period {k}");
-        }
-        assert_eq!(seq.stats(), sharded.stats());
-        for b in 0..16 {
-            assert_eq!(
-                seq.read_block(b).unwrap(),
-                sharded.read_block(b).unwrap(),
-                "block {b}"
-            );
-        }
-    }
-
-    #[test]
-    fn concurrent_scrub_matches_inline_at_any_thread_count() {
-        let run = |threads: Option<usize>| {
-            let dev = builder().build_sharded().unwrap();
-            let data = vec![0x6Bu8; 64];
-            for b in 0..16 {
-                dev.write_block(b, &data).unwrap();
-            }
-            let mut scrubber = ShardedScrubber::new(&dev, 1.6);
-            let mut total = RefreshReport::default();
-            for k in 1..=4u32 {
-                let t = 1.6 * k as f64;
-                dev.advance_time(t - dev.now());
-                total.merge(&match threads {
-                    None => scrubber.run_until(&dev, t),
-                    Some(n) => scrubber.run_until_concurrent(&dev, t, n),
-                });
-            }
-            assert_eq!(scrubber.completed(), 64);
-            let blocks: Vec<usize> = (0..16).collect();
-            let reads: Vec<Vec<u8>> = dev
-                .read_batch(&blocks)
-                .into_iter()
-                .map(|r| r.unwrap().data)
-                .collect();
-            (total, reads, dev.stats(), dev.metrics().snapshot())
-        };
-        let reference = run(None);
-        for threads in [1usize, 2, 4, 8] {
-            assert_eq!(run(Some(threads)), reference, "threads={threads}");
-        }
     }
 
     #[test]
@@ -490,5 +445,126 @@ mod tests {
         assert_eq!(rep.blocks_refreshed, 16 * INTERVALS);
         assert_eq!(rep.failures, 0);
         assert_eq!(dev.stats().refreshes, 16 * INTERVALS);
+    }
+
+    fn four_level(design: LevelDesign, blocks: usize, seed: u64) -> ShardedPcmDevice {
+        DeviceBuilder::new()
+            .organization(CellOrganization::FourLevel {
+                design,
+                smart: false,
+            })
+            .blocks(blocks)
+            .banks(4)
+            .seed(seed)
+            .build_sharded()
+            .unwrap()
+    }
+
+    #[test]
+    fn long_horizon_inline_count_is_exact() {
+        // interval / blocks = 0.075 s: not representable in binary, so
+        // an accumulating `next_due += step` schedule (plus a t=0 launch)
+        // drifts off by one or worse over 8000 launches. Due times are
+        // `tick × step`, so the count is exactly blocks × intervals.
+        let dev = DeviceBuilder::new()
+            .blocks(4)
+            .banks(4)
+            .seed(3)
+            .build_sharded()
+            .unwrap();
+        for b in 0..4 {
+            dev.write_block(b, &[0x1D; 64]).unwrap();
+        }
+        let mut scrubber = ShardedScrubber::new(&dev, 0.3);
+        const INTERVALS: u64 = 2000;
+        let horizon = 0.3 * INTERVALS as f64;
+        dev.advance_time(horizon);
+        let rep = scrubber.run_until(&dev, horizon);
+        assert_eq!(rep.blocks_refreshed, 4 * INTERVALS, "{rep:?}");
+        assert_eq!(rep.failures, 0);
+        assert_eq!(dev.stats().refreshes, 4 * INTERVALS);
+        // And the count stays exact across split calls, one per interval.
+        let dev = builder().build_sharded().unwrap();
+        for b in 0..16 {
+            dev.write_block(b, &[0x2E; 64]).unwrap();
+        }
+        let mut split = ShardedScrubber::new(&dev, 0.3);
+        let mut total = 0u64;
+        for k in 1..=40u64 {
+            let t = 0.3 * k as f64;
+            dev.advance_time(t - dev.now());
+            let rep = split.run_until(&dev, t);
+            // One interval covers each block exactly once.
+            assert_eq!(rep.blocks_refreshed, 16, "interval {k}");
+            total += rep.blocks_refreshed;
+        }
+        assert_eq!(total, 16 * 40);
+    }
+
+    #[test]
+    fn bank_utilization_matches_analytic_model() {
+        let dev = four_level(pcm_core::optimize::four_level_optimal().clone(), 16, 123);
+        let scrubber = ShardedScrubber::new(&dev, 1024.0);
+        // 4 blocks per bank, 1 µs each, per 1024 s.
+        let expect = 4.0 * 1e-6 / 1024.0;
+        assert!((scrubber.scheduler().bank_utilization() - expect).abs() < 1e-15);
+    }
+
+    #[test]
+    fn refreshed_4lc_survives_many_intervals() {
+        let dev = four_level(pcm_core::optimize::four_level_optimal().clone(), 8, 123);
+        let data: Vec<u8> = (0..64).map(|i| i as u8).collect();
+        for b in 0..8 {
+            dev.write_block(b, &data).unwrap();
+        }
+        let mut scrubber = ShardedScrubber::new(&dev, 1024.0);
+        // A simulated half-day in 17-minute steps.
+        for k in 1..=42u32 {
+            let t = 1024.0 * k as f64;
+            dev.advance_time(1024.0);
+            assert_eq!(scrubber.run_until(&dev, t).failures, 0, "at t={t}");
+        }
+        for b in 0..8 {
+            assert_eq!(dev.read_block(b).unwrap().data, data, "block {b}");
+        }
+    }
+
+    #[test]
+    fn unrefreshed_naive_4lc_loses_data_within_two_days() {
+        // The naive design's CER after two unrefreshed days (~5e-2) puts
+        // ~15 expected cell errors in every 306-cell block — far past
+        // BCH-10. (The *optimized* design fails more slowly: its 17-minute
+        // interval is set by the fleet-wide 3.73e-9 BLER target, not by
+        // single-block day-scale loss.)
+        let dev = four_level(LevelDesign::four_level_naive(), 8, 31);
+        let data: Vec<u8> = (0..64).map(|i| i as u8).collect();
+        for b in 0..8 {
+            dev.write_block(b, &data).unwrap();
+        }
+        dev.advance_time(2.0 * 86_400.0);
+        let dead = (0..8)
+            .filter(|&b| !matches!(dev.read_block(b), Ok(r) if r.data == data))
+            .count();
+        assert!(
+            dead > 0,
+            "an unrefreshed 4LCn device must lose blocks in two days"
+        );
+    }
+
+    #[test]
+    fn scrub_failures_are_counted_not_panicked() {
+        let dev = four_level(LevelDesign::four_level_naive(), 4, 9);
+        for b in 0..4 {
+            dev.write_block(b, &[0xE7; 64]).unwrap();
+        }
+        // Let the naive design rot for a day, then try to scrub.
+        dev.advance_time(86_400.0);
+        let mut scrubber = ShardedScrubber::new(&dev, 86_400.0);
+        let rep = scrubber.run_until(&dev, 86_400.0);
+        assert!(
+            rep.failures > 0,
+            "scrubbing a rotten 4LCn device must fail: {rep:?}"
+        );
+        assert_eq!(rep.blocks_refreshed + rep.failures, 4);
     }
 }

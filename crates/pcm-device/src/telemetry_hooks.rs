@@ -1,11 +1,10 @@
 //! Adapter between the metrics registry and `pcm-telemetry`, plus the
-//! single polling helper both engines call from `advance_time`.
+//! polling helper the device engine calls from `advance_time`.
 //!
-//! Centralizing the poll here — like `trace_hooks` centralizes event
-//! emission — keeps the sequential and sharded engines byte-identical:
-//! both observe the same counters (the shared `DeviceMetrics` registry)
-//! at the same model instants, so the telemetry series they produce are
-//! the same series.
+//! Sampling only at quiesced `advance_time` calls keeps the series
+//! thread-count invariant: every run observes the same counters (the
+//! `DeviceMetrics` registry) at the same model instants, so the
+//! telemetry series they produce are the same series.
 
 use crate::metrics::DeviceMetrics;
 use pcm_telemetry::{BankCounters, TelemetryRecorder};

@@ -1,12 +1,11 @@
-//! Shared trace-emission helpers for both device engines.
+//! Shared trace-emission helpers for the device engine.
 //!
 //! The determinism oracle (`tests/trace_determinism.rs`) demands that
-//! the sequential and sharded engines emit *identical* per-bank event
-//! streams for the same per-bank operation order. The only way to keep
-//! that true as code evolves is to have exactly one function per
-//! touchpoint — both engines, the refresh controller, the sharded
-//! scrubber, and the per-bank scrub cursors all call these — so an
-//! emission change cannot land in one engine and not the other.
+//! an inline run and runs at any thread count emit *identical* per-bank
+//! event streams for the same per-bank operation order. Exactly one
+//! function per touchpoint — the engine's ops, the inline scrubber, the
+//! per-bank scrub cursors and the remapping layer all call these —
+//! keeps an emission change from landing on one path and not another.
 //!
 //! Timestamps: an op's span begins at the device clock when the op is
 //! issued (`secs_to_ns(now)`) and ends after its modeled busy window
@@ -21,20 +20,13 @@ use crate::metrics;
 use pcm_trace::{secs_to_ns, OpKind, Recorder, NO_BLOCK};
 
 /// Stable failure-event payload codes (documented in DESIGN.md §12).
-pub(crate) fn block_error_code(e: &BlockError) -> u64 {
-    match e {
-        BlockError::Uncorrectable => 1,
-        BlockError::WearoutExhausted => 2,
-        BlockError::WriteFailed => 3,
-    }
-}
-
-/// [`block_error_code`] lifted over the sharded engine's error type.
 /// Only block datapath failures are traced; config/out-of-range errors
 /// never reach a bank (and record no metrics either).
 pub(crate) fn pcm_error_code(e: &PcmError) -> Option<u64> {
     match e {
-        PcmError::Block(b) => Some(block_error_code(b)),
+        PcmError::Block(BlockError::Uncorrectable) => Some(1),
+        PcmError::Block(BlockError::WearoutExhausted) => Some(2),
+        PcmError::Block(BlockError::WriteFailed) => Some(3),
         _ => None,
     }
 }

@@ -16,8 +16,9 @@
 //! PA = q + 1 if q >= gap else q    // N+1 physical slots, slot `gap` free
 //! ```
 
-use crate::block::{BlockError, ReadReport, WriteReport};
-use crate::device::PcmDevice;
+use crate::block::{ReadReport, WriteReport};
+use crate::concurrent::ShardedPcmDevice;
+use crate::error::PcmError;
 
 /// The Start-Gap address-rotation state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,13 +119,13 @@ impl StartGap {
 /// movements transparently on writes. Reads and writes use *logical*
 /// block numbers.
 pub struct WearLeveledDevice {
-    device: PcmDevice,
+    device: ShardedPcmDevice,
     leveler: StartGap,
 }
 
 impl WearLeveledDevice {
     /// Wrap `device`; it must have exactly `logical_blocks + 1` blocks.
-    pub fn new(device: PcmDevice, logical_blocks: usize, psi: u32) -> Self {
+    pub fn new(device: ShardedPcmDevice, logical_blocks: usize, psi: u32) -> Self {
         let leveler = StartGap::new(logical_blocks, psi);
         assert_eq!(
             device.blocks(),
@@ -139,14 +140,9 @@ impl WearLeveledDevice {
         self.leveler.logical_blocks()
     }
 
-    /// The wrapped device (for stats / clock access).
-    pub fn device(&self) -> &PcmDevice {
+    /// The wrapped device (stats, clock, fault injection).
+    pub fn device(&self) -> &ShardedPcmDevice {
         &self.device
-    }
-
-    /// Mutable access to the wrapped device (clock, fault injection).
-    pub fn device_mut(&mut self) -> &mut PcmDevice {
-        &mut self.device
     }
 
     /// The leveler state (for inspection).
@@ -155,13 +151,15 @@ impl WearLeveledDevice {
     }
 
     /// Read a logical block.
-    pub fn read_block(&mut self, logical: usize) -> Result<ReadReport, BlockError> {
-        let pa = self.leveler.translate(logical);
-        self.device.read_block(pa)
+    pub fn read_block(&self, logical: usize) -> Result<ReadReport, PcmError> {
+        PcmError::check_block(logical, self.blocks())?;
+        self.device.read_block(self.leveler.translate(logical))
     }
 
-    /// Write a logical block, performing any due gap movement first.
-    pub fn write_block(&mut self, logical: usize, data: &[u8]) -> Result<WriteReport, BlockError> {
+    /// Write a logical block, performing any due gap movement first. An
+    /// out-of-range block is rejected before any state changes.
+    pub fn write_block(&mut self, logical: usize, data: &[u8]) -> Result<WriteReport, PcmError> {
+        PcmError::check_block(logical, self.blocks())?;
         if let Some(mv) = self.leveler.note_write() {
             // The `from` slot may never have been written (fresh device);
             // in that case the gap swallows an empty block.
@@ -170,15 +168,15 @@ impl WearLeveledDevice {
             }
             self.leveler.complete_move();
         }
-        let pa = self.leveler.translate(logical);
-        self.device.write_block(pa, data)
+        self.device
+            .write_block(self.leveler.translate(logical), data)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::CellOrganization;
+    use crate::builder::{CellOrganization, DeviceBuilder};
     use pcm_core::level::LevelDesign;
 
     #[test]
@@ -234,14 +232,14 @@ mod tests {
     }
 
     fn leveled_device(psi: u32) -> WearLeveledDevice {
-        let dev = PcmDevice::builder()
+        let dev = DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
             .blocks(9)
             .banks(3)
             .seed(7)
-            .build()
+            .build_sharded()
             .unwrap();
         WearLeveledDevice::new(dev, 8, psi)
     }
@@ -310,5 +308,26 @@ mod tests {
             wa > wb + 150,
             "psi=1 must roughly double write traffic: {wa} vs {wb}"
         );
+    }
+
+    #[test]
+    fn out_of_range_is_rejected_before_any_state_changes() {
+        // ψ = 2: after one write, the next write is the one that moves
+        // the gap. An out-of-range block must fail before that move.
+        let mut dev = leveled_device(2);
+        dev.write_block(0, &[5u8; 64]).unwrap();
+        let (leveler, stats) = (dev.leveler().clone(), dev.device().stats());
+        let oob = PcmError::BlockOutOfRange {
+            block: 8,
+            blocks: 8,
+        };
+        assert_eq!(dev.write_block(8, &[6u8; 64]).unwrap_err(), oob);
+        assert_eq!(dev.read_block(8).unwrap_err(), oob);
+        assert_eq!(dev.leveler().gap_moves(), 0);
+        assert_eq!(dev.leveler(), &leveler);
+        assert_eq!(dev.device().stats(), stats);
+        // The next in-range write is still the ψ-th and moves the gap.
+        dev.write_block(0, &[7u8; 64]).unwrap();
+        assert_eq!(dev.leveler().gap_moves(), 1);
     }
 }

@@ -84,31 +84,8 @@ pub fn simulate(
     instructions: u64,
     seed: u64,
 ) -> SimResult {
-    simulate_traced(
-        params,
-        energy,
-        design,
-        profile,
-        instructions,
-        seed,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`simulate`], recording every memory operation's timing window into
-/// `recorder` (bank-blocking refreshes as spans, REF-OPT refreshes as
-/// instants). With a disabled recorder this is exactly [`simulate`].
-pub fn simulate_traced(
-    params: &SimParams,
-    energy: &EnergyModel,
-    design: DesignPoint,
-    profile: WorkloadProfile,
-    instructions: u64,
-    seed: u64,
-    recorder: &Recorder,
-) -> SimResult {
     let trace = TraceGenerator::new(profile, params.blocks, seed);
-    simulate_ops_traced(
+    simulate_ops(
         params,
         energy,
         design,
@@ -116,90 +93,7 @@ pub fn simulate_traced(
         profile.name,
         instructions,
         profile.mlp,
-        recorder,
-    )
-}
-
-/// Run the simulation over an arbitrary operation stream (e.g. a
-/// [`crate::trace_file::FileTrace`]). `mlp` is the core's outstanding-
-/// read window for this workload.
-pub fn simulate_ops(
-    params: &SimParams,
-    energy: &EnergyModel,
-    design: DesignPoint,
-    trace: impl IntoIterator<Item = crate::workload::MemOp>,
-    label: impl Into<String>,
-    instructions: u64,
-    mlp: usize,
-) -> SimResult {
-    simulate_ops_traced(
-        params,
-        energy,
-        design,
-        trace,
-        label,
-        instructions,
-        mlp,
         &Recorder::disabled(),
-    )
-}
-
-/// [`simulate`] with always-on telemetry: `telemetry` claims its due
-/// sample ticks as engine core time advances (and once more at the end
-/// of the run), turning the engine's per-bank counters into the same
-/// ring-buffered series the functional device exports. Risk transitions
-/// emit into `recorder` (pass `Recorder::disabled()` to skip tracing).
-/// The returned [`SimResult`] is bit-identical to [`simulate`]'s —
-/// telemetry observes the engine, never alters it.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_telemetry(
-    params: &SimParams,
-    energy: &EnergyModel,
-    design: DesignPoint,
-    profile: WorkloadProfile,
-    instructions: u64,
-    seed: u64,
-    telemetry: &TelemetryRecorder,
-    recorder: &Recorder,
-) -> SimResult {
-    let trace = TraceGenerator::new(profile, params.blocks, seed);
-    simulate_ops_inner(
-        params,
-        energy,
-        design,
-        trace,
-        profile.name,
-        instructions,
-        profile.mlp,
-        recorder,
-        Some(telemetry),
-    )
-}
-
-/// [`simulate_ops`] with tracing: every demand read/write and every
-/// refresh emits its modeled timing window into `recorder`, stamped in
-/// engine nanoseconds. End-of-run drain refreshes (counted only for
-/// energy accounting, with no timing model) are not traced.
-#[allow(clippy::too_many_arguments)]
-pub fn simulate_ops_traced(
-    params: &SimParams,
-    energy: &EnergyModel,
-    design: DesignPoint,
-    trace: impl IntoIterator<Item = crate::workload::MemOp>,
-    label: impl Into<String>,
-    instructions: u64,
-    mlp: usize,
-    recorder: &Recorder,
-) -> SimResult {
-    simulate_ops_inner(
-        params,
-        energy,
-        design,
-        trace,
-        label,
-        instructions,
-        mlp,
-        recorder,
         None,
     )
 }
@@ -222,8 +116,23 @@ fn poll_telemetry(
     }
 }
 
+/// Run the simulation over an arbitrary operation stream (a
+/// [`TraceGenerator`] or a [`crate::trace_file::FileTrace`]). `mlp` is
+/// the core's outstanding-read window for this workload.
+///
+/// Every demand read/write and every refresh emits its modeled timing
+/// window into `recorder` (bank-blocking refreshes as spans, REF-OPT
+/// refreshes as instants), stamped in engine nanoseconds; end-of-run
+/// drain refreshes (counted only for energy accounting, with no timing
+/// model) are not traced. `telemetry`, when given, claims its due sample
+/// ticks as engine core time advances (and once more at the end of the
+/// run), turning the engine's per-bank counters into the same
+/// ring-buffered series the functional device exports; risk transitions
+/// emit into `recorder`. Neither observer alters the returned
+/// [`SimResult`]: with `Recorder::disabled()` and `None` this is the
+/// plain simulation.
 #[allow(clippy::too_many_arguments)]
-fn simulate_ops_inner(
+pub fn simulate_ops(
     params: &SimParams,
     energy: &EnergyModel,
     design: DesignPoint,
@@ -462,15 +371,16 @@ mod tests {
         );
         // Sample every 10 µs of engine time.
         let tel = TelemetryRecorder::new(params.banks, TelemetryConfig::new(10_000));
-        let observed = simulate_telemetry(
+        let observed = simulate_ops(
             &params,
             &energy,
             DesignPoint::FourLcRef,
-            profile,
+            TraceGenerator::new(profile, params.blocks, 7),
+            profile.name,
             500_000,
-            7,
-            &tel,
+            profile.mlp,
             &Recorder::disabled(),
+            Some(&tel),
         );
         assert_eq!(observed, plain, "telemetry must not alter the run");
         let snap = tel.snapshot();
@@ -607,6 +517,8 @@ mod tests {
             "hand-trace",
             10_000,
             2,
+            &Recorder::disabled(),
+            None,
         );
         assert_eq!(r.reads, 3);
         assert_eq!(r.writes, 2);

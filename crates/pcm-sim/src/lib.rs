@@ -47,9 +47,7 @@ pub mod trace_report;
 pub mod workload;
 
 pub use config::{DesignPoint, EnergyModel, SimParams};
-pub use engine::{
-    simulate, simulate_ops, simulate_ops_traced, simulate_telemetry, simulate_traced, SimResult,
-};
+pub use engine::{simulate, simulate_ops, SimResult};
 pub use parallel::{figure16_parallel, simulate_matrix};
 pub use profile::{ChildSpan, KindAttribution, LatencyBuckets, Profile, RequestProfile};
 pub use report::{figure16, summary_gains, Figure16Bar};

@@ -28,9 +28,9 @@
 //! Everything is integer arithmetic on monotone counters: no wall
 //! clock, no floats in any tick computation, no iteration-order
 //! dependence. Series are a pure function of the `(now_ns, counters)`
-//! observation sequence, so the sequential engine and the sharded
-//! engine at any thread count — which advance the clock at the same
-//! quiesced points with identical counters — export byte-identical
+//! observation sequence, so an inline device run and runs at any
+//! thread count — which advance the clock at the same quiesced points
+//! with identical counters — export byte-identical
 //! JSONL (`tests/telemetry_determinism.rs` gates exactly this). The
 //! crate is covered by `pcm-lint`'s `no-ambient-nondeterminism`,
 //! `no-float-tick`, `atomic-ordering`, and `lock-order` rules; its

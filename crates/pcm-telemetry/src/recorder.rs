@@ -12,9 +12,9 @@
 //! the first claimed tick absorbs the whole delta and later ones see
 //! zero (with the EWMA decaying across them). Series are therefore a
 //! pure function of the sequence of `(now_ns, counters)` observations:
-//! any two engines that advance the clock at the same quiesced points
-//! with the same counter values — the sequential device, the sharded
-//! device at any thread count — produce byte-identical series.
+//! any two runs that advance the clock at the same quiesced points
+//! with the same counter values — an inline device run, the same ops
+//! at any thread count — produce byte-identical series.
 
 use crate::config::TelemetryConfig;
 use crate::export::{BankSeriesSnapshot, TelemetrySnapshot};

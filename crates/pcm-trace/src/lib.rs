@@ -25,8 +25,8 @@
 //! the device stack makes deterministic by recording under the owning
 //! bank's lock. The canonical per-bank order
 //! ([`TraceSnapshot::canonical_per_bank`], sort by `(t_ns, seq)`) is
-//! therefore identical between the sequential engine and the sharded
-//! engine at any thread count, making the trace itself a correctness
+//! therefore identical between an inline device run and the same ops
+//! at any thread count, making the trace itself a correctness
 //! oracle (`tests/trace_determinism.rs`) rather than just a debugging
 //! aid. The same property holds for this crate as for the device
 //! crates: it is covered by `pcm-lint`'s `no-ambient-nondeterminism`

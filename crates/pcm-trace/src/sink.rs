@@ -34,9 +34,9 @@ impl TraceSink for NullSink {
 /// The handle device engines carry: either disabled (the default — one
 /// branch per would-be event) or backed by a shared sink.
 ///
-/// `Recorder` is `Clone`; clones share the same sink, so a sharded
-/// device, its sessions, and the sequential engine it converts into all
-/// record into one buffer, exactly like the shared metrics registry.
+/// `Recorder` is `Clone`; clones share the same sink, so everything
+/// holding a clone (a device and anything it hands the recorder to)
+/// records into one buffer.
 #[derive(Clone, Default)]
 pub struct Recorder {
     sink: Option<Arc<dyn TraceSink>>,

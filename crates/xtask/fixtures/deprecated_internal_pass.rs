@@ -1,8 +1,8 @@
 //! Expected-pass fixture for `no-deprecated-internal`: modern builder
 //! API, and compat suppressions confined to test code.
 
-pub fn modern_device() -> Result<PcmDevice, ConfigError> {
-    PcmDevice::builder().blocks(64).banks(8).seed(42).build()
+pub fn modern_device() -> Result<ShardedPcmDevice, ConfigError> {
+    DeviceBuilder::new().blocks(64).banks(8).seed(42).build_sharded()
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Expected-fail fixture for `no-float-tick` (in scope because the file
-//! name contains `tick`). This is the exact bug class PR 2 fixed in
-//! `RefreshController::run_until`.
+//! name contains `tick`). This is the drift bug class the scrub
+//! schedule's integer ticks (`ScrubScheduler::due_time`) rule out.
 
 pub struct Scheduler {
     next_due: f64,

@@ -2,7 +2,7 @@
 //! of the seed.
 //!
 //! Reproduced error-rate numbers (Figure 16, the scrub tax, the
-//! proptest cross-validation of sharded vs. sequential engines) are only
+//! proptest cross-validation of threaded vs. inline device runs) are only
 //! meaningful if a run can be replayed bit-for-bit from its seed. In the
 //! core/device/sim crates this rule forbids wall-clock reads
 //! (`Instant::now`, `SystemTime`), process-environment reads

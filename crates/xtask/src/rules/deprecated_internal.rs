@@ -1,7 +1,7 @@
 //! `no-deprecated-internal`: the workspace ships no deprecated API.
 //!
-//! PR 1 deprecated the positional `PcmDevice` constructors behind
-//! `#[deprecated]` shims; PR 6 deleted them, making `DeviceBuilder` the
+//! The positional device constructors were once deprecated behind
+//! `#[deprecated]` shims and later deleted, making `DeviceBuilder` the
 //! only construction path and the public surface deprecation-free. This
 //! rule keeps it that way: non-test code may neither introduce a new
 //! `#[deprecated]` item (deprecation cycles don't exist inside one

@@ -1,10 +1,11 @@
 //! `no-float-tick`: scheduler deadlines advance on integer ticks.
 //!
-//! PR 2 fixed a drift bug where `RefreshController::run_until` advanced
-//! `next_due` by repeated `f64` addition — after ~1e7 steps the
-//! accumulated rounding error shifted scrub launches, changing error
-//! counts between runs of different lengths. The fix computes every
-//! deadline as `tick as f64 * step` from an integer tick. This rule
+//! A scrub scheduler that advances `next_due` by repeated `f64`
+//! addition drifts: after ~1e7 steps the accumulated rounding error
+//! shifts scrub launches, changing error counts between runs of
+//! different lengths. The scrub schedule therefore computes every
+//! deadline as `tick as f64 * step` from an integer tick
+//! (`ScrubScheduler::due_time`). This rule
 //! forbids re-introducing float *accumulation* into any variable named
 //! like a schedule point (`*tick*`, `*due*`, `*deadline*`) in scheduler
 //! code (files whose name contains `scrub`, `refresh`, `sched`, or
@@ -112,7 +113,7 @@ impl Rule for NoFloatTick {
                          horizons"
                     ),
                     suggestion: "advance an integer tick counter and derive the deadline as \
-                                 `tick as f64 * step` (see RefreshController::run_until)"
+                                 `tick as f64 * step` (see ScrubScheduler::due_time)"
                         .to_string(),
                 });
             }

@@ -13,7 +13,7 @@
 
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::core::params::REFRESH_17MIN_SECS;
-use mlc_pcm::device::{CellOrganization, PcmDevice, RefreshController};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder, ShardedPcmDevice, ShardedScrubber};
 
 /// A toy solver whose state is a vector of f32 residuals.
 struct Solver {
@@ -63,14 +63,14 @@ impl Solver {
     }
 }
 
-fn store(dev: &mut PcmDevice, blocks: &[Vec<u8>]) -> bool {
+fn store(dev: &ShardedPcmDevice, blocks: &[Vec<u8>]) -> bool {
     blocks
         .iter()
         .enumerate()
         .all(|(i, b)| dev.write_block(i, b).is_ok())
 }
 
-fn load(dev: &mut PcmDevice, n_blocks: usize) -> Option<Vec<Vec<u8>>> {
+fn load(dev: &ShardedPcmDevice, n_blocks: usize) -> Option<Vec<Vec<u8>>> {
     (0..n_blocks)
         .map(|i| dev.read_block(i).ok().map(|r| r.data))
         .collect()
@@ -90,19 +90,19 @@ fn main() {
     );
 
     // --- 3LC: durable checkpoint --------------------------------------
-    let mut dev3 = PcmDevice::builder()
+    let dev3 = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
         .blocks(image.len())
         .banks(4)
         .seed(7)
-        .build()
+        .build_sharded()
         .unwrap();
-    assert!(store(&mut dev3, &image));
+    assert!(store(&dev3, &image));
     // Crash + two-year power-off repair window.
     dev3.advance_time(2.0 * 365.25 * 86_400.0);
-    let restored = load(&mut dev3, image.len())
+    let restored = load(&dev3, image.len())
         .and_then(|blocks| Solver::restore(&blocks, N))
         .expect("3LC checkpoint survives years without power");
     assert_eq!(restored.epoch, solver.epoch);
@@ -113,7 +113,7 @@ fn main() {
     );
 
     // --- 4LCo with refresh: fine while powered ------------------------
-    let mut dev4 = PcmDevice::builder()
+    let dev4 = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: mlc_pcm::core::optimize::four_level_optimal().clone(),
             smart: true,
@@ -121,15 +121,15 @@ fn main() {
         .blocks(image.len())
         .banks(4)
         .seed(7)
-        .build()
+        .build_sharded()
         .unwrap();
-    assert!(store(&mut dev4, &image));
-    let mut scrub = RefreshController::new(REFRESH_17MIN_SECS);
+    assert!(store(&dev4, &image));
+    let mut scrub = ShardedScrubber::new(&dev4, REFRESH_17MIN_SECS);
     for k in 1..=24 {
         dev4.advance_time(REFRESH_17MIN_SECS);
-        scrub.run_until(&mut dev4, REFRESH_17MIN_SECS * k as f64);
+        scrub.run_until(&dev4, REFRESH_17MIN_SECS * k as f64);
     }
-    let ok = load(&mut dev4, image.len())
+    let ok = load(&dev4, image.len())
         .and_then(|b| Solver::restore(&b, N))
         .is_some_and(|s| s.epoch == solver.epoch);
     println!(
@@ -138,7 +138,7 @@ fn main() {
     );
 
     // ... but refresh requires power. Simulate an outage instead:
-    let mut dev4_off = PcmDevice::builder()
+    let dev4_off = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: LevelDesign::four_level_naive(),
             smart: false,
@@ -146,11 +146,11 @@ fn main() {
         .blocks(image.len())
         .banks(4)
         .seed(7)
-        .build()
+        .build_sharded()
         .unwrap();
-    assert!(store(&mut dev4_off, &image));
+    assert!(store(&dev4_off, &image));
     dev4_off.advance_time(7.0 * 86_400.0); // one week, no refresh
-    let lost = load(&mut dev4_off, image.len())
+    let lost = load(&dev4_off, image.len())
         .and_then(|b| Solver::restore(&b, N))
         .map(|s| s.epoch == solver.epoch && s.state == solver.state)
         != Some(true);

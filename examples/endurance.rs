@@ -18,7 +18,9 @@
 //! Run with: `cargo run --release --example endurance`
 
 use mlc_pcm::core::level::LevelDesign;
-use mlc_pcm::device::{CellOrganization, PcmDevice, RemappedDevice, WearLeveledDevice};
+use mlc_pcm::device::{
+    CellOrganization, DeviceBuilder, RemappedDevice, ShardedPcmDevice, WearLeveledDevice,
+};
 use mlc_pcm::wearout::fault::EnduranceModel;
 use mlc_pcm::wearout::lifetime;
 
@@ -31,8 +33,8 @@ fn weak_endurance() -> EnduranceModel {
     }
 }
 
-fn device(blocks: usize, seed: u64) -> PcmDevice {
-    PcmDevice::builder()
+fn device(blocks: usize, seed: u64) -> ShardedPcmDevice {
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -40,7 +42,7 @@ fn device(blocks: usize, seed: u64) -> PcmDevice {
         .banks(1)
         .seed(seed)
         .endurance(weak_endurance())
-        .build()
+        .build_sharded()
         .unwrap()
 }
 
@@ -49,7 +51,7 @@ fn main() {
     let budget = 400_000u64;
 
     // 1. mark-and-spare only -------------------------------------------
-    let mut bare = device(BLOCKS, 11);
+    let bare = device(BLOCKS, 11);
     let mut bare_writes = 0u64;
     while bare_writes < budget && bare.write_block(0, &data).is_ok() {
         bare_writes += 1;

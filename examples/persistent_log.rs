@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example persistent_log`
 
 use mlc_pcm::core::level::LevelDesign;
-use mlc_pcm::device::{BlockError, CellOrganization, PcmDevice};
+use mlc_pcm::device::{BlockError, CellOrganization, DeviceBuilder, PcmError, ShardedPcmDevice};
 
 /// A fixed-size record: tag byte + 62 payload bytes + checksum byte.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,7 +49,7 @@ impl Record {
 
 /// The log: blocks 0.. of a PCM device, one record per block.
 struct PcmLog {
-    dev: PcmDevice,
+    dev: ShardedPcmDevice,
     head: usize,
     retired_blocks: usize,
 }
@@ -57,14 +57,14 @@ struct PcmLog {
 impl PcmLog {
     fn new(blocks: usize) -> Self {
         Self {
-            dev: PcmDevice::builder()
+            dev: DeviceBuilder::new()
                 .organization(CellOrganization::ThreeLevel(
                     LevelDesign::three_level_naive(),
                 ))
                 .blocks(blocks)
                 .banks(8)
                 .seed(99)
-                .build()
+                .build_sharded()
                 .unwrap(),
             head: 0,
             retired_blocks: 0,
@@ -73,10 +73,10 @@ impl PcmLog {
 
     /// Append a record; skips (retires) blocks whose wearout tolerance is
     /// exhausted — the paper's pointer to FREE-p-style remapping (§6.4).
-    fn append(&mut self, rec: &Record) -> Result<usize, BlockError> {
+    fn append(&mut self, rec: &Record) -> Result<usize, PcmError> {
         loop {
             if self.head >= self.dev.blocks() {
-                return Err(BlockError::WearoutExhausted);
+                return Err(PcmError::Block(BlockError::WearoutExhausted));
             }
             match self.dev.write_block(self.head, &rec.to_block()) {
                 Ok(_) => {
@@ -84,7 +84,7 @@ impl PcmLog {
                     self.head += 1;
                     return Ok(at);
                 }
-                Err(BlockError::WearoutExhausted) | Err(BlockError::WriteFailed) => {
+                Err(PcmError::Block(BlockError::WearoutExhausted | BlockError::WriteFailed)) => {
                     self.retired_blocks += 1;
                     self.head += 1;
                 }
@@ -93,7 +93,7 @@ impl PcmLog {
         }
     }
 
-    fn get(&mut self, at: usize) -> Option<Record> {
+    fn get(&self, at: usize) -> Option<Record> {
         let data = self.dev.read_block(at).ok()?.data;
         Record::from_block(&data)
     }

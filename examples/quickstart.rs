@@ -9,7 +9,7 @@
 
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::core::params::{format_duration, SECS_PER_YEAR};
-use mlc_pcm::device::{CellOrganization, PcmDevice};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder, ShardedPcmDevice};
 
 const BLOCKS: usize = 32;
 
@@ -17,7 +17,7 @@ fn checkpoint_bytes(block: usize) -> Vec<u8> {
     (0..64).map(|i| (block * 64 + i) as u8 ^ 0xA5).collect()
 }
 
-fn survival(dev: &mut PcmDevice) -> usize {
+fn survival(dev: &ShardedPcmDevice) -> usize {
     (0..BLOCKS)
         .filter(|&b| matches!(dev.read_block(b), Ok(r) if r.data == checkpoint_bytes(b)))
         .count()
@@ -26,16 +26,16 @@ fn survival(dev: &mut PcmDevice) -> usize {
 fn main() {
     println!("== mlc-pcm quickstart: is MLC-PCM nonvolatile? ==\n");
 
-    let mut three = PcmDevice::builder()
+    let three = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
         .blocks(BLOCKS)
         .banks(8)
         .seed(2024)
-        .build()
+        .build_sharded()
         .unwrap();
-    let mut four = PcmDevice::builder()
+    let four = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: LevelDesign::four_level_naive(),
             smart: false,
@@ -43,7 +43,7 @@ fn main() {
         .blocks(BLOCKS)
         .banks(8)
         .seed(2024)
-        .build()
+        .build_sharded()
         .unwrap();
 
     for b in 0..BLOCKS {
@@ -73,8 +73,8 @@ fn main() {
         println!(
             "{:>12} | {:>15}/{BLOCKS} | {:>15}/{BLOCKS}",
             format_duration(t),
-            survival(&mut three),
-            survival(&mut four),
+            survival(&three),
+            survival(&four),
         );
     }
 

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example telemetry_explorer`
 
 use mlc_pcm::core::params::REFRESH_17MIN_SECS;
-use mlc_pcm::device::{CellOrganization, DriftRiskConfig, PcmDevice, TelemetryConfig};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder, DriftRiskConfig, TelemetryConfig};
 use mlc_pcm::store::workload::{run_phased, Mix, PhasedConfig, WorkloadConfig};
 use mlc_pcm::store::{PcmStore, StoreConfig};
 use mlc_pcm::telemetry::report;
@@ -47,7 +47,7 @@ fn main() {
         elevated_permille: 500,
         critical_permille: 900,
     });
-    let dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: mlc_pcm::core::optimize::four_level_optimal().clone(),
             smart: true,

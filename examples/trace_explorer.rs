@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example trace_explorer`
 
 use mlc_pcm::core::level::LevelDesign;
-use mlc_pcm::device::{CellOrganization, PcmDevice, ShardedScrubber, TraceConfig};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder, ShardedScrubber, TraceConfig};
 use mlc_pcm::sim::trace_report;
 use mlc_pcm::trace::{chrome, jsonl};
 
@@ -22,7 +22,7 @@ const ROUNDS: usize = 4;
 fn main() {
     // A traced sharded device: every handle (sessions, scrub cursors)
     // records into the same per-bank ring buffers.
-    let dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))

@@ -16,7 +16,7 @@
 //! | [`ecc`] | GF(2^m), BCH encode/decode, Hamming, FO4 latency model |
 //! | [`codec`] | 3-ON-2, Gray/TEC mappings, smart encoding, permutation coding, enumerative codes |
 //! | [`wearout`] | endurance/stuck-at faults, mark-and-spare, ECP, prefix-OR networks, capacity accounting |
-//! | [`device`] | cell arrays, full 3LC/4LC block datapaths, devices, refresh controller |
+//! | [`device`] | cell arrays, full 3LC/4LC block datapaths, the banked device engine, scrub |
 //! | [`sim`] | trace-driven performance & energy simulation (Figure 16) |
 //! | [`trace`] | deterministic model-time event tracing (ring buffers, JSONL/Chrome exporters) |
 //! | [`telemetry`] | model-time series sampling, per-bank drift-risk estimators, `obs-report` analyzer |
@@ -25,16 +25,16 @@
 //! ## Quickstart
 //!
 //! ```
-//! use mlc_pcm::device::{CellOrganization, PcmDevice};
+//! use mlc_pcm::device::{CellOrganization, DeviceBuilder};
 //! use mlc_pcm::core::level::LevelDesign;
 //!
 //! // A three-level-cell device: genuinely nonvolatile MLC-PCM.
-//! let mut dev = PcmDevice::builder()
+//! let dev = DeviceBuilder::new()
 //!     .organization(CellOrganization::ThreeLevel(LevelDesign::three_level_naive()))
 //!     .blocks(16)
 //!     .banks(4)
 //!     .seed(1)
-//!     .build()
+//!     .build_sharded()
 //!     .unwrap();
 //! dev.write_block(0, &[0x42u8; 64]).unwrap();
 //! dev.advance_time(10.0 * 365.25 * 86_400.0); // ten years unpowered
@@ -43,14 +43,15 @@
 //!
 //! ## Concurrent access
 //!
-//! The same builder produces a bank-sharded engine whose results are
-//! bit-identical to the sequential device — shared references suffice,
-//! so it drops straight into scoped threads:
+//! The device is bank-sharded: every operation takes `&self` and locks
+//! only its block's bank, and a bank's outcomes depend only on its own
+//! operation order — so shared references drop straight into scoped
+//! threads, with results independent of the thread count:
 //!
 //! ```
-//! use mlc_pcm::device::PcmDevice;
+//! use mlc_pcm::device::DeviceBuilder;
 //!
-//! let dev = PcmDevice::builder().blocks(16).banks(4).build_sharded().unwrap();
+//! let dev = DeviceBuilder::new().blocks(16).banks(4).build_sharded().unwrap();
 //! std::thread::scope(|scope| {
 //!     for t in 0..4 {
 //!         let dev = &dev;

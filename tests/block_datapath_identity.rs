@@ -13,7 +13,7 @@
 use mlc_pcm::codec::enumerative::EnumerativeCode;
 use mlc_pcm::core::optimize::{four_level_optimal, three_level_optimal};
 use mlc_pcm::core::params::{REFRESH_17MIN_SECS, TEN_YEARS_SECS};
-use mlc_pcm::device::{CellOrganization, PcmDevice};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder};
 
 const BLOCKS: usize = 24;
 const BANKS: usize = 4;
@@ -48,7 +48,7 @@ fn payload(block: usize, round: u64) -> Vec<u8> {
 fn digest(org: CellOrganization, seed: u64, short_lived: usize) -> u64 {
     let org_cells = org.cells_per_block();
     let cells = org_cells * BLOCKS;
-    let dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(org)
         .blocks(BLOCKS)
         .banks(BANKS)

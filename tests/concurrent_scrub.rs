@@ -1,20 +1,17 @@
-//! Integration tests for the concurrent scrub subsystem: the sharded
-//! engine's integer-tick scrubber against the sequential
-//! `RefreshController`, background scrub threads interleaved with
-//! demand sessions, long-horizon schedule exactness, and the shared
-//! metrics registry surfaced from all three engine handles.
+//! Integration tests for the scrub subsystem: the inline integer-tick
+//! scrubber against the same schedule fanned out over scrub threads,
+//! background scrub threads interleaved with demand sessions,
+//! long-horizon schedule exactness, and the metrics registry shared by
+//! every handle onto a device.
 
 use mlc_pcm::core::level::LevelDesign;
-use mlc_pcm::device::{
-    CellOrganization, DeviceBuilder, PcmDevice, RefreshController, ShardedPcmDevice,
-    ShardedScrubber,
-};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder, RefreshReport, ShardedScrubber};
 
 const BLOCKS: usize = 16;
 const BANKS: usize = 4;
 
 fn builder(seed: u64) -> DeviceBuilder {
-    PcmDevice::builder()
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -29,30 +26,32 @@ fn pattern(block: usize) -> Vec<u8> {
 
 #[test]
 fn inline_scrub_matches_sequential_controller_end_to_end() {
-    let mut seq = builder(404).build().unwrap();
-    let sharded = builder(404).build_sharded().unwrap();
-    for b in 0..BLOCKS {
-        seq.write_block(b, &pattern(b)).unwrap();
-        sharded.write_block(b, &pattern(b)).unwrap();
-    }
-    let mut ctl = RefreshController::new(1.6);
-    let mut scrubber = ShardedScrubber::new(&sharded, 1.6);
-    for k in 1..=6u32 {
-        let t = 1.6 * k as f64;
-        seq.advance_time(t - seq.now());
-        sharded.advance_time(t - sharded.now());
-        let a = ctl.run_until(&mut seq, t);
-        let b = scrubber.run_until(&sharded, t);
-        assert_eq!(a, b, "scrub report diverged at period {k}");
-    }
-    assert_eq!(seq.stats(), sharded.stats());
-    assert_eq!(seq.metrics().snapshot(), sharded.metrics().snapshot());
-    for b in 0..BLOCKS {
-        assert_eq!(
-            seq.read_block(b).unwrap(),
-            sharded.read_block(b).unwrap(),
-            "block {b}"
-        );
+    // The inline scrubber is the reference: the same schedule fanned out
+    // over scrub threads must match it report for report, and leave the
+    // same data, stats and metrics behind.
+    let run = |threads: Option<usize>| {
+        let dev = builder(404).build_sharded().unwrap();
+        for b in 0..BLOCKS {
+            dev.write_block(b, &pattern(b)).unwrap();
+        }
+        let mut scrubber = ShardedScrubber::new(&dev, 1.6);
+        let reports: Vec<RefreshReport> = (1..=6u32)
+            .map(|k| {
+                let t = 1.6 * k as f64;
+                dev.advance_time(t - dev.now());
+                match threads {
+                    None => scrubber.run_until(&dev, t),
+                    Some(n) => scrubber.run_until_concurrent(&dev, t, n),
+                }
+            })
+            .collect();
+        let reads: Vec<_> = (0..BLOCKS).map(|b| dev.read_block(b).unwrap()).collect();
+        (reports, reads, dev.stats(), dev.metrics().snapshot())
+    };
+    let want = run(None);
+    assert_eq!(want.2.refreshes, 6 * BLOCKS as u64);
+    for threads in [1usize, 2, 4, 8] {
+        assert_eq!(run(Some(threads)), want, "threads={threads}");
     }
 }
 
@@ -70,7 +69,7 @@ fn background_scrub_interleaves_with_demand_sessions() {
     }
     let mut scrubber = ShardedScrubber::new(&dev, 1.6);
     const PERIODS: u32 = 4;
-    let mut scrub_report = mlc_pcm::device::RefreshReport::default();
+    let mut scrub_report = RefreshReport::default();
     std::thread::scope(|scope| {
         for t in 0..4usize {
             let dev = &dev;
@@ -115,18 +114,18 @@ fn background_scrub_interleaves_with_demand_sessions() {
 fn long_horizon_schedule_is_exact_at_every_thread_count() {
     // interval / blocks is not binary-representable, so an accumulating
     // scheduler drifts over thousands of launches; the integer-tick
-    // schedule performs exactly blocks × intervals scrubs from every
-    // engine and at every thread count.
+    // schedule performs exactly blocks × intervals scrubs inline and at
+    // every thread count.
     const INTERVALS: u64 = 500;
     let horizon = 0.3 * INTERVALS as f64;
 
-    let mut seq = builder(5).build().unwrap();
+    let inline = builder(5).build_sharded().unwrap();
     for b in 0..BLOCKS {
-        seq.write_block(b, &pattern(b)).unwrap();
+        inline.write_block(b, &pattern(b)).unwrap();
     }
-    let mut ctl = RefreshController::new(0.3);
-    seq.advance_time(horizon);
-    let rep = ctl.run_until(&mut seq, horizon);
+    let mut scrubber = ShardedScrubber::new(&inline, 0.3);
+    inline.advance_time(horizon);
+    let rep = scrubber.run_until(&inline, horizon);
     assert_eq!(rep.blocks_refreshed, BLOCKS as u64 * INTERVALS);
 
     for threads in [1usize, 2, 4, 8] {
@@ -144,40 +143,41 @@ fn long_horizon_schedule_is_exact_at_every_thread_count() {
         );
         assert_eq!(rep.failures, 0, "threads={threads}");
         assert_eq!(dev.stats().refreshes, BLOCKS as u64 * INTERVALS);
-        assert_eq!(dev.stats(), seq.stats(), "threads={threads}");
+        assert_eq!(dev.stats(), inline.stats(), "threads={threads}");
     }
 }
 
 #[test]
-fn metrics_registry_is_shared_across_handles_and_conversions() {
+fn metrics_registry_is_shared_across_handles() {
     let dev = builder(12).build_sharded().unwrap();
-    // Session records into the same registry as the device handle.
+    // Sessions record into the same registry as the device handle.
+    let bank = 3 % BANKS;
     {
         let mut session = dev.session();
         session.write_block(3, &pattern(3)).unwrap();
         session.read_block(3).unwrap();
         assert_eq!(session.metrics().snapshot(), dev.metrics().snapshot());
     }
-    let bank = 3 % BANKS;
     let snap = dev.metrics().snapshot();
     assert_eq!(snap.per_bank[bank].writes, 1);
     assert_eq!(snap.per_bank[bank].reads, 1);
     assert!(snap.per_bank[bank].busy_ns > 0);
 
-    // The registry travels through engine conversions: counters keep
-    // accumulating into the same banks.
-    let mut seq: PcmDevice = dev.into();
-    seq.write_block(3, &pattern(3)).unwrap();
-    assert_eq!(seq.metrics().snapshot().per_bank[bank].writes, 2);
-    let back: ShardedPcmDevice = seq.into();
-    back.read_block(3).unwrap();
-    let total = back.metrics().snapshot().total();
-    assert_eq!(total.writes, 2);
-    assert_eq!(total.reads, 2);
+    // Sessions on other threads keep accumulating into the same banks.
+    std::thread::scope(|scope| {
+        for _ in 0..2 {
+            let dev = &dev;
+            scope.spawn(move || {
+                let mut session = dev.session();
+                session.write_block(3, &pattern(3)).unwrap();
+                session.read_block(3).unwrap();
+            });
+        }
+    });
+    let snap = dev.metrics().snapshot();
+    let total = snap.total();
+    assert_eq!((total.writes, total.reads), (3, 3));
     // Latency histogram saw every successful op.
-    let hist: u64 = back.metrics().snapshot().per_bank[bank]
-        .latency_buckets
-        .iter()
-        .sum();
-    assert_eq!(hist, 4);
+    let hist: u64 = snap.per_bank[bank].latency_buckets.iter().sum();
+    assert_eq!(hist, 6);
 }

@@ -4,7 +4,8 @@
 
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::device::{
-    CellOrganization, GenericBlock, PcmDevice, RemappedDevice, WearLeveledDevice,
+    CellOrganization, DeviceBuilder, GenericBlock, RemappedDevice, ShardedPcmDevice,
+    WearLeveledDevice,
 };
 use mlc_pcm::wearout::fault::EnduranceModel;
 use mlc_pcm::wearout::lifetime;
@@ -16,8 +17,8 @@ fn weak(median: f64) -> EnduranceModel {
     }
 }
 
-fn weak_device(blocks: usize, banks: usize, seed: u64, median: f64) -> PcmDevice {
-    PcmDevice::builder()
+fn weak_device(blocks: usize, banks: usize, seed: u64, median: f64) -> ShardedPcmDevice {
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -25,7 +26,7 @@ fn weak_device(blocks: usize, banks: usize, seed: u64, median: f64) -> PcmDevice
         .banks(banks)
         .seed(seed)
         .endurance(weak(median))
-        .build()
+        .build_sharded()
         .unwrap()
 }
 
@@ -34,7 +35,7 @@ fn leveling_beats_no_leveling_under_hot_traffic() {
     let data = vec![0x42u8; 64];
     let budget = 100_000u64;
 
-    let mut bare = weak_device(8, 1, 3, 1000.0);
+    let bare = weak_device(8, 1, 3, 1000.0);
     let mut bare_writes = 0;
     while bare_writes < budget && bare.write_block(0, &data).is_ok() {
         bare_writes += 1;
@@ -103,7 +104,7 @@ fn leveled_device_data_integrity_to_the_end() {
 fn analytic_lifetime_brackets_simulation_across_endurance() {
     let data = vec![7u8; 64];
     for median in [600.0, 2000.0] {
-        let mut dev = weak_device(4, 1, 13, median);
+        let dev = weak_device(4, 1, 13, median);
         let mut writes = 0u64;
         while writes < 300_000 && dev.write_block(0, &data).is_ok() {
             writes += 1;

@@ -5,7 +5,9 @@
 
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::core::params::{REFRESH_17MIN_SECS, SECS_PER_YEAR, TEN_YEARS_SECS};
-use mlc_pcm::device::{BlockError, CellOrganization, PcmDevice, RefreshController};
+use mlc_pcm::device::{
+    BlockError, CellOrganization, DeviceBuilder, PcmError, ShardedPcmDevice, ShardedScrubber,
+};
 
 fn pattern(b: usize, salt: u8) -> Vec<u8> {
     (0..64)
@@ -17,14 +19,14 @@ fn pattern(b: usize, salt: u8) -> Vec<u8> {
 fn three_level_device_full_decade_with_wearout() {
     // The paper's full story on one device: wearout during the write
     // phase, then ten unpowered years, then perfect readback.
-    let mut dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
         .blocks(32)
         .banks(8)
         .seed(2013)
-        .build()
+        .build_sharded()
         .unwrap();
     // Sprinkle early-failing cells across the array.
     for k in 0..24 {
@@ -49,7 +51,7 @@ fn three_level_device_full_decade_with_wearout() {
 fn four_level_device_lives_on_refresh_dies_without() {
     let design = mlc_pcm::core::optimize::four_level_optimal().clone();
     // Refreshed device: survives a simulated day of 17-minute scrubs.
-    let mut refreshed = PcmDevice::builder()
+    let refreshed = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: design.clone(),
             smart: true,
@@ -57,15 +59,15 @@ fn four_level_device_lives_on_refresh_dies_without() {
         .blocks(16)
         .banks(8)
         .seed(5)
-        .build()
+        .build_sharded()
         .unwrap();
     for b in 0..16 {
         refreshed.write_block(b, &pattern(b, 1)).unwrap();
     }
-    let mut ctl = RefreshController::new(REFRESH_17MIN_SECS);
+    let mut scrubber = ShardedScrubber::new(&refreshed, REFRESH_17MIN_SECS);
     for k in 1..=84u32 {
         refreshed.advance_time(REFRESH_17MIN_SECS);
-        let rep = ctl.run_until(&mut refreshed, REFRESH_17MIN_SECS * k as f64);
+        let rep = scrubber.run_until(&refreshed, REFRESH_17MIN_SECS * k as f64);
         assert_eq!(rep.failures, 0, "scrub failed at period {k}");
     }
     for b in 0..16 {
@@ -73,7 +75,7 @@ fn four_level_device_lives_on_refresh_dies_without() {
     }
 
     // The same organization without refresh must eventually lose data.
-    let mut bare = PcmDevice::builder()
+    let bare = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: LevelDesign::four_level_naive(),
             smart: false,
@@ -81,7 +83,7 @@ fn four_level_device_lives_on_refresh_dies_without() {
         .blocks(16)
         .banks(8)
         .seed(5)
-        .build()
+        .build_sharded()
         .unwrap();
     for b in 0..16 {
         bare.write_block(b, &pattern(b, 1)).unwrap();
@@ -101,7 +103,7 @@ fn refresh_resets_the_drift_clock_not_just_errors() {
     // After many refresh periods, a refreshed block must look as young as
     // a freshly written one: the next period's error statistics must not
     // accumulate.
-    let mut dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: mlc_pcm::core::optimize::four_level_optimal().clone(),
             smart: false,
@@ -109,7 +111,7 @@ fn refresh_resets_the_drift_clock_not_just_errors() {
         .blocks(8)
         .banks(8)
         .seed(17)
-        .build()
+        .build_sharded()
         .unwrap();
     for b in 0..8 {
         dev.write_block(b, &pattern(b, 9)).unwrap();
@@ -139,17 +141,17 @@ fn mixed_traffic_determinism() {
     // Two identically seeded devices fed identical traffic must agree
     // bit-for-bit in data and statistics.
     let build = || {
-        PcmDevice::builder()
+        DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
             .blocks(16)
             .banks(4)
             .seed(42)
-            .build()
+            .build_sharded()
             .unwrap()
     };
-    let run = |mut dev: PcmDevice| {
+    let run = |dev: ShardedPcmDevice| {
         for step in 0..200u32 {
             let b = (step as usize * 7) % 16;
             if step % 3 == 0 {
@@ -172,14 +174,14 @@ fn mixed_traffic_determinism() {
 #[test]
 fn wearout_exhaustion_is_contained_per_block() {
     // Exhausting one block's spares must not affect its neighbors.
-    let mut dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
         .blocks(4)
         .banks(4)
         .seed(3)
-        .build()
+        .build_sharded()
         .unwrap();
     // Kill 8 pairs of block 2 only.
     for p in 0..8 {
@@ -190,7 +192,9 @@ fn wearout_exhaustion_is_contained_per_block() {
         for b in 0..4 {
             match dev.write_block(b, &pattern(b, round)) {
                 Ok(_) => {}
-                Err(BlockError::WearoutExhausted) if b == 2 => block2_failed = true,
+                Err(PcmError::Block(BlockError::WearoutExhausted)) if b == 2 => {
+                    block2_failed = true
+                }
                 Err(e) => panic!("block {b} unexpectedly failed: {e}"),
             }
         }
@@ -205,14 +209,14 @@ fn wearout_exhaustion_is_contained_per_block() {
 fn corrected_bits_are_reported_through_the_stack() {
     // Age a 3LC device to where occasional drift errors appear, scrub,
     // and confirm the BCH-1 corrections surface in device stats.
-    let mut dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
         .blocks(64)
         .banks(8)
         .seed(1234)
-        .build()
+        .build_sharded()
         .unwrap();
     for b in 0..64 {
         dev.write_block(b, &pattern(b, 0)).unwrap();

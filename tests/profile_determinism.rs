@@ -2,11 +2,11 @@
 //!
 //! Three contracts on top of the tracing oracle:
 //!
-//! 1. **Attribution is engine- and thread-count-invariant.** Correlation
-//!    ids come from split counters (per stream), so the profile built
-//!    from a sequential run and from sharded runs at 1/2/8 threads —
-//!    same per-bank op order — must export byte-identical folded stacks
-//!    and profile JSONL.
+//! 1. **Attribution is thread-count-invariant.** Correlation ids come
+//!    from split counters (per stream), so the profile built from an
+//!    inline run and from runs at 1/2/8 threads — same per-bank op
+//!    order — must export byte-identical folded stacks and profile
+//!    JSONL.
 //! 2. **Observation is free.** A device driven through the `*_ctx` ops
 //!    with tracing enabled walks the identical trajectory (data, stats,
 //!    metrics) as one driven without tracing: the ctx plumbing and the
@@ -16,10 +16,11 @@
 //!    span duration in integer ns with zero residual, and scrub
 //!    interference is actually attributed (nonzero stall somewhere).
 
+mod common;
+
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::device::{
-    BankScrubCursor, CellOrganization, DeviceBuilder, PcmDevice, RefreshController,
-    ShardedScrubber, TelemetryConfig, TraceConfig,
+    CellOrganization, DeviceBuilder, ShardedPcmDevice, TelemetryConfig, TraceConfig,
 };
 use mlc_pcm::sim::profile;
 use mlc_pcm::store::workload::{run_phased, Mix, PhasedConfig, WorkloadConfig};
@@ -32,7 +33,7 @@ const INTERVAL: f64 = 1.6;
 const SEED: u64 = 42;
 
 fn builder(seed: u64) -> DeviceBuilder {
-    PcmDevice::builder()
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -66,71 +67,28 @@ fn rounds_with_ctx() -> Vec<Vec<(usize, bool, u64)>> {
         .collect()
 }
 
-/// Sequential reference: preload, then per round scrub via the
-/// `RefreshController` and apply the ctx-carrying demand ops.
-fn sequential_trace(seed: u64, rounds: &[Vec<(usize, bool, u64)>]) -> String {
-    let mut dev = builder(seed).build().unwrap();
-    for b in 0..BLOCKS {
-        dev.write_block(b, &payload(b)).unwrap();
+fn apply(dev: &ShardedPcmDevice, &(block, is_write, ctx): &(usize, bool, u64)) {
+    if is_write {
+        dev.write_block_ctx(block, &payload(block), ctx).unwrap();
+    } else {
+        dev.read_block_ctx(block, ctx).unwrap();
     }
-    let mut ctl = RefreshController::new(INTERVAL);
-    for (k, ops) in rounds.iter().enumerate() {
-        let t = INTERVAL * (k + 1) as f64;
-        dev.advance_time(t - dev.now());
-        ctl.run_until(&mut dev, t);
-        for &(block, is_write, ctx) in ops {
-            if is_write {
-                dev.write_block_ctx(block, &payload(block), ctx).unwrap();
-            } else {
-                dev.read_block_ctx(block, ctx).unwrap();
-            }
-        }
-    }
-    jsonl::export(&dev.tracer().buffer().unwrap().snapshot())
 }
 
-/// The sharded run at `threads` threads: each thread owns a set of
-/// banks and drives their scrub cursors then their demand ops, in the
-/// same per-bank order as the sequential reference.
-fn sharded_trace(seed: u64, rounds: &[Vec<(usize, bool, u64)>], threads: usize) -> String {
-    let dev = builder(seed).build_sharded().unwrap();
+/// Preload every block, then drive the ctx-carrying rounds inline
+/// (`threads == None`, the reference) or with the banks partitioned
+/// over `threads` threads — the same per-bank order either way.
+fn drive(dev: &ShardedPcmDevice, rounds: &[Vec<(usize, bool, u64)>], threads: Option<usize>) {
     for b in 0..BLOCKS {
         dev.write_block(b, &payload(b)).unwrap();
     }
-    let mut scrubber = ShardedScrubber::new(&dev, INTERVAL);
-    for (k, ops) in rounds.iter().enumerate() {
-        let t = INTERVAL * (k + 1) as f64;
-        dev.advance_time(t - dev.now());
-        let mut cursors = scrubber.bank_cursors();
-        std::thread::scope(|scope| {
-            let mut groups: Vec<Vec<&mut BankScrubCursor>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for cursor in cursors.iter_mut() {
-                groups[cursor.bank() % threads].push(cursor);
-            }
-            for group in groups {
-                let dev = &dev;
-                scope.spawn(move || {
-                    let mut owned = Vec::new();
-                    for cursor in group {
-                        cursor.run_until(dev, t);
-                        owned.push(cursor.bank());
-                    }
-                    for &(block, is_write, ctx) in ops {
-                        if !owned.contains(&(block % BANKS)) {
-                            continue;
-                        }
-                        if is_write {
-                            dev.write_block_ctx(block, &payload(block), ctx).unwrap();
-                        } else {
-                            dev.read_block_ctx(block, ctx).unwrap();
-                        }
-                    }
-                });
-            }
-        });
-        scrubber.adopt_cursors(&cursors);
-    }
+    common::run_rounds(dev, INTERVAL, rounds, threads, |op| op.0, apply);
+}
+
+/// The JSONL trace of one [`drive`] run.
+fn trace(seed: u64, rounds: &[Vec<(usize, bool, u64)>], threads: Option<usize>) -> String {
+    let dev = builder(seed).build_sharded().unwrap();
+    drive(&dev, rounds, threads);
     jsonl::export(&dev.tracer().buffer().unwrap().snapshot())
 }
 
@@ -151,7 +109,7 @@ fn assert_exact_partition(p: &profile::Profile) {
 #[test]
 fn attribution_is_identical_sequential_vs_sharded() {
     let rounds = rounds_with_ctx();
-    let want_doc = sequential_trace(SEED, &rounds);
+    let want_doc = trace(SEED, &rounds, None);
     let want = profile::build(&want_doc).unwrap();
     assert!(
         want.requests.len() >= BLOCKS,
@@ -162,7 +120,7 @@ fn attribution_is_identical_sequential_vs_sharded() {
     let (want_folded, want_jsonl) = (want.to_folded(), want.to_jsonl());
     assert!(!want_folded.is_empty());
     for threads in [1usize, 2, 8] {
-        let got = profile::build(&sharded_trace(SEED, &rounds, threads)).unwrap();
+        let got = profile::build(&trace(SEED, &rounds, Some(threads))).unwrap();
         assert_eq!(
             got.to_folded(),
             want_folded,
@@ -183,7 +141,7 @@ fn ctx_ops_do_not_perturb_device_results() {
     // model are observation, not simulation.
     let rounds = rounds_with_ctx();
     let run = |traced: bool| {
-        let b = PcmDevice::builder()
+        let b = DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
@@ -195,23 +153,8 @@ fn ctx_ops_do_not_perturb_device_results() {
         } else {
             b
         };
-        let mut dev = b.build().unwrap();
-        for blk in 0..BLOCKS {
-            dev.write_block(blk, &payload(blk)).unwrap();
-        }
-        let mut ctl = RefreshController::new(INTERVAL);
-        for (k, ops) in rounds.iter().enumerate() {
-            let t = INTERVAL * (k + 1) as f64;
-            dev.advance_time(t - dev.now());
-            ctl.run_until(&mut dev, t);
-            for &(block, is_write, ctx) in ops {
-                if is_write {
-                    dev.write_block_ctx(block, &payload(block), ctx).unwrap();
-                } else {
-                    dev.read_block_ctx(block, ctx).unwrap();
-                }
-            }
-        }
+        let dev = b.build_sharded().unwrap();
+        drive(&dev, &rounds, None);
         let data: Vec<Vec<u8>> = (0..BLOCKS)
             .map(|blk| dev.read_block(blk).unwrap().data)
             .collect();

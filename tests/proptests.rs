@@ -2,6 +2,8 @@
 //! codec round-trips, ECC correction guarantees, wearout-tolerance
 //! closure, drift-model laws, and device read-after-write identity.
 
+mod common;
+
 use mlc_pcm::codec::{enumerative::EnumerativeCode, gray, permutation, three_on_two};
 use mlc_pcm::core::drift::DriftTrajectory;
 use mlc_pcm::core::level::LevelDesign;
@@ -450,13 +452,13 @@ proptest! {
         payloads in vec(vec(any::<u8>(), 64), 4),
         age_days in 0u32..3650,
     ) {
-        use mlc_pcm::device::{CellOrganization, PcmDevice};
-        let mut dev = PcmDevice::builder()
+        use mlc_pcm::device::{CellOrganization, DeviceBuilder};
+        let dev = DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(LevelDesign::three_level_naive()))
             .blocks(4)
             .banks(4)
             .seed(9)
-            .build()
+            .build_sharded()
             .unwrap();
         for (b, p) in payloads.iter().enumerate() {
             dev.write_block(b, p).unwrap();
@@ -475,13 +477,14 @@ proptest! {
     ) {
         // The determinism guarantee: a bank's outcomes are a pure
         // function of its op sequence, so as long as per-bank order is
-        // preserved, data AND stats are bit-identical to the sequential
-        // engine no matter how many threads drive the shards.
-        use mlc_pcm::device::{CellOrganization, PcmDevice};
+        // preserved, data AND stats are bit-identical to the same ops
+        // issued inline on one thread, no matter how many threads drive
+        // the shards.
+        use mlc_pcm::device::{CellOrganization, DeviceBuilder};
         const BLOCKS: usize = 8;
         const BANKS: usize = 4;
         let build = || {
-            PcmDevice::builder()
+            DeviceBuilder::new()
                 .organization(CellOrganization::ThreeLevel(
                     LevelDesign::three_level_naive(),
                 ))
@@ -490,8 +493,8 @@ proptest! {
                 .seed(seed)
         };
 
-        // Sequential reference run.
-        let mut seq = build().build().unwrap();
+        // Inline reference run.
+        let seq = build().build_sharded().unwrap();
         for (b, p) in payloads.iter().enumerate() {
             seq.write_block(b, p).unwrap();
         }
@@ -509,7 +512,7 @@ proptest! {
         for threads in [1usize, 2, 8] {
             let dev = build().build_sharded().unwrap();
             // Thread t owns banks t, t+threads, … — disjoint ownership
-            // keeps each bank's op order identical to the sequential run.
+            // keeps each bank's op order identical to the inline run.
             std::thread::scope(|scope| {
                 for t in 0..threads {
                     let payloads = &payloads;
@@ -552,106 +555,43 @@ proptest! {
         seed in 0u64..1000,
         rounds in vec(vec((0usize..16, any::<bool>()), 0..12), 1..4),
     ) {
-        // The tentpole determinism rule: scrub-by-cursor on the sharded
-        // engine, interleaved with demand sessions, is bit-identical to
-        // the sequential RefreshController-then-demand path whenever the
-        // per-bank order of operations matches — here, each round does
-        // that bank's due scrubs first, then its demand ops in list
-        // order, exactly like the sequential reference.
-        use mlc_pcm::device::{
-            BankScrubCursor, CellOrganization, PcmDevice, RefreshController, ShardedScrubber,
-        };
+        // The scrub determinism rule: scrub-by-cursor, interleaved with
+        // demand ops on the scrubbing threads, is bit-identical to the
+        // inline scrub-then-demand run whenever the per-bank order of
+        // operations matches — here, each round does that bank's due
+        // scrubs first, then its demand ops in list order.
+        use mlc_pcm::device::{CellOrganization, DeviceBuilder, ShardedPcmDevice};
         const BLOCKS: usize = 16;
-        const BANKS: usize = 4;
         const INTERVAL: f64 = 1.6; // step = 0.1 s: boundaries are exact
-        let build = || {
-            PcmDevice::builder()
+        let payload = |b: usize| vec![b as u8 ^ 0x5A; 64];
+        let run = |threads: Option<usize>| {
+            let dev = DeviceBuilder::new()
                 .organization(CellOrganization::ThreeLevel(
                     LevelDesign::three_level_naive(),
                 ))
                 .blocks(BLOCKS)
-                .banks(BANKS)
+                .banks(4)
                 .seed(seed)
-        };
-        let payload = |b: usize| vec![b as u8 ^ 0x5A; 64];
-
-        // Sequential reference: controller scrubs, then demand ops.
-        let mut seq = build().build().unwrap();
-        for b in 0..BLOCKS {
-            seq.write_block(b, &payload(b)).unwrap();
-        }
-        let mut ctl = RefreshController::new(INTERVAL);
-        for (k, ops) in rounds.iter().enumerate() {
-            let t = INTERVAL * (k + 1) as f64;
-            seq.advance_time(t - seq.now());
-            ctl.run_until(&mut seq, t);
-            for &(block, is_write) in ops {
-                if is_write {
-                    seq.write_block(block, &payload(block)).unwrap();
-                } else {
-                    seq.read_block(block).unwrap();
-                }
-            }
-        }
-        let seq_stats = seq.bank_stats();
-        let seq_metrics = seq.metrics().snapshot();
-        let seq_data: Vec<Vec<u8>> =
-            (0..BLOCKS).map(|b| seq.read_block(b).unwrap().data).collect();
-
-        for threads in [1usize, 2, 8] {
-            let dev = build().build_sharded().unwrap();
+                .build_sharded()
+                .unwrap();
             for b in 0..BLOCKS {
                 dev.write_block(b, &payload(b)).unwrap();
             }
-            let mut scrubber = ShardedScrubber::new(&dev, INTERVAL);
-            for (k, ops) in rounds.iter().enumerate() {
-                let t = INTERVAL * (k + 1) as f64;
-                dev.advance_time(t - dev.now());
-                let mut cursors = scrubber.bank_cursors();
-                std::thread::scope(|scope| {
-                    let mut groups: Vec<Vec<&mut BankScrubCursor>> =
-                        (0..threads).map(|_| Vec::new()).collect();
-                    for cursor in cursors.iter_mut() {
-                        groups[cursor.bank() % threads].push(cursor);
-                    }
-                    for group in groups {
-                        let dev = &dev;
-                        scope.spawn(move || {
-                            let mut session = dev.session();
-                            let mut owned = Vec::new();
-                            for cursor in group {
-                                cursor.run_until(dev, t);
-                                owned.push(cursor.bank());
-                            }
-                            for &(block, is_write) in ops {
-                                if !owned.contains(&(block % BANKS)) {
-                                    continue;
-                                }
-                                if is_write {
-                                    session.write_block(block, &payload(block)).unwrap();
-                                } else {
-                                    session.read_block(block).unwrap();
-                                }
-                            }
-                        });
-                    }
-                });
-                scrubber.adopt_cursors(&cursors);
-            }
-            prop_assert_eq!(&dev.bank_stats(), &seq_stats, "stats, threads={}", threads);
-            prop_assert_eq!(
-                &dev.metrics().snapshot(),
-                &seq_metrics,
-                "metrics, threads={}",
-                threads
-            );
-            for (b, want) in seq_data.iter().enumerate() {
-                prop_assert_eq!(
-                    &dev.read_block(b).unwrap().data,
-                    want,
-                    "block {} at threads={}", b, threads
-                );
-            }
+            let apply = |dev: &ShardedPcmDevice, &(block, is_write): &(usize, bool)| {
+                if is_write {
+                    dev.write_block(block, &payload(block)).unwrap();
+                } else {
+                    dev.read_block(block).unwrap();
+                }
+            };
+            common::run_rounds(&dev, INTERVAL, &rounds, threads, |op| op.0, apply);
+            let data: Vec<Vec<u8>> =
+                (0..BLOCKS).map(|b| dev.read_block(b).unwrap().data).collect();
+            (dev.bank_stats(), dev.metrics().snapshot(), data)
+        };
+        let want = run(None);
+        for threads in [1usize, 2, 8] {
+            prop_assert_eq!(&run(Some(threads)), &want, "threads={}", threads);
         }
     }
 }

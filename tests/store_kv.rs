@@ -3,14 +3,14 @@
 //! determinism of the workload generator, and `trace-report` rendering
 //! of the `kv_*` spans the store emits.
 
-use mlc_pcm::device::{CellOrganization, PcmDevice, ShardedPcmDevice, TraceConfig};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder, ShardedPcmDevice, TraceConfig};
 use mlc_pcm::sim::trace_report;
 use mlc_pcm::store::workload::{self, Mix, WorkloadConfig};
 use mlc_pcm::store::{PcmStore, StoreConfig};
 use mlc_pcm::trace::{jsonl, OpKind};
 
 fn traced_device(blocks: usize, seed: u64) -> ShardedPcmDevice {
-    PcmDevice::builder()
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             mlc_pcm::core::level::LevelDesign::three_level_naive(),
         ))

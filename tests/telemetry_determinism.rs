@@ -3,17 +3,18 @@
 //! The `pcm-telemetry` contract mirrors the tracing one: per-bank
 //! counters are a pure function of that bank's operation order, samples
 //! are claimed on integer model-time ticks, and the sampling points are
-//! quiesced `advance_time` calls — so the sequential engine and the
-//! sharded engine at any thread count must export *byte-identical*
-//! series JSONL for a fixed seed. And because the recorder only
-//! observes, a telemetry-enabled device must walk the exact trajectory
-//! of a telemetry-free one.
+//! quiesced `advance_time` calls — so an inline run and runs at any
+//! thread count must export *byte-identical* series JSONL for a fixed
+//! seed. And because the recorder only observes, a telemetry-enabled
+//! device must walk the exact trajectory of a telemetry-free one.
+
+mod common;
 
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::core::params::REFRESH_17MIN_SECS;
 use mlc_pcm::device::{
-    BankScrubCursor, CellOrganization, DriftRiskConfig, PcmDevice, RefreshController,
-    ShardedScrubber, TelemetryConfig,
+    CellOrganization, DeviceBuilder, DriftRiskConfig, ShardedPcmDevice, ShardedScrubber,
+    TelemetryConfig,
 };
 use mlc_pcm::store::workload::{run_phased, PhasedConfig, WorkloadConfig};
 use mlc_pcm::store::{PcmStore, StoreConfig};
@@ -25,8 +26,8 @@ const ROUND: f64 = 1.6; // step lands on exact ns boundaries
 const SAMPLE_NS: u64 = 400_000_000; // four telemetry ticks per round
 const ROUNDS: usize = 3;
 
-fn builder(seed: u64) -> mlc_pcm::device::DeviceBuilder {
-    PcmDevice::builder()
+fn builder(seed: u64) -> DeviceBuilder {
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -41,7 +42,7 @@ fn payload(b: usize) -> Vec<u8> {
 }
 
 /// A fixed demand-op schedule: `(block, is_write)` per round, the same
-/// list every run (the oracle compares engines, not workloads).
+/// list every run (the oracle compares thread counts, not workloads).
 fn rounds() -> Vec<Vec<(usize, bool)>> {
     (0..ROUNDS)
         .map(|k| {
@@ -52,88 +53,40 @@ fn rounds() -> Vec<Vec<(usize, bool)>> {
         .collect()
 }
 
-/// Sequential reference: preload, then per round advance + scrub +
-/// demand ops. Returns the exported series document.
-fn sequential_series(seed: u64) -> String {
-    let mut dev = builder(seed).build().unwrap();
-    for b in 0..BLOCKS {
-        dev.write_block(b, &payload(b)).unwrap();
+fn apply(dev: &ShardedPcmDevice, &(block, is_write): &(usize, bool)) {
+    if is_write {
+        dev.write_block(block, &payload(block)).unwrap();
+    } else {
+        dev.read_block(block).unwrap();
     }
-    let mut ctl = RefreshController::new(ROUND);
-    for (k, ops) in rounds().iter().enumerate() {
-        let t = ROUND * (k + 1) as f64;
-        dev.advance_time(t - dev.now());
-        ctl.run_until(&mut dev, t);
-        for &(block, is_write) in ops {
-            if is_write {
-                dev.write_block(block, &payload(block)).unwrap();
-            } else {
-                dev.read_block(block).unwrap();
-            }
-        }
-    }
-    dev.telemetry().unwrap().snapshot().to_jsonl()
 }
 
-/// The sharded run at `threads` threads: same schedule, banks
-/// partitioned over scoped threads, telemetry sampled only from the
-/// quiesced `advance_time` boundary.
-fn sharded_series(seed: u64, threads: usize) -> String {
+/// Preload, then per round advance + scrub + demand ops, inline
+/// (`threads == None`, the reference) or with the banks partitioned
+/// over `threads` threads — telemetry is sampled only from the quiesced
+/// `advance_time` boundary. Returns the exported series document.
+fn series(seed: u64, threads: Option<usize>) -> String {
     let dev = builder(seed).build_sharded().unwrap();
     for b in 0..BLOCKS {
         dev.write_block(b, &payload(b)).unwrap();
     }
-    let mut scrubber = ShardedScrubber::new(&dev, ROUND);
-    for (k, ops) in rounds().iter().enumerate() {
-        let t = ROUND * (k + 1) as f64;
-        dev.advance_time(t - dev.now());
-        let mut cursors = scrubber.bank_cursors();
-        std::thread::scope(|scope| {
-            let mut groups: Vec<Vec<&mut BankScrubCursor>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for cursor in cursors.iter_mut() {
-                groups[cursor.bank() % threads].push(cursor);
-            }
-            for group in groups {
-                let dev = &dev;
-                scope.spawn(move || {
-                    let mut session = dev.session();
-                    let mut owned = Vec::new();
-                    for cursor in group {
-                        cursor.run_until(dev, t);
-                        owned.push(cursor.bank());
-                    }
-                    for &(block, is_write) in ops {
-                        if !owned.contains(&(block % BANKS)) {
-                            continue;
-                        }
-                        if is_write {
-                            session.write_block(block, &payload(block)).unwrap();
-                        } else {
-                            session.read_block(block).unwrap();
-                        }
-                    }
-                });
-            }
-        });
-        scrubber.adopt_cursors(&cursors);
-    }
+    common::run_rounds(&dev, ROUND, &rounds(), threads, |op| op.0, apply);
     dev.telemetry().unwrap().snapshot().to_jsonl()
 }
 
 #[test]
 fn series_jsonl_is_byte_identical_across_engines_and_thread_counts() {
-    let want = sequential_series(77);
+    let want = series(77, None);
     assert!(
         want.lines().count() > 1 + BANKS,
         "reference run must retain sample points:\n{want}"
     );
     // A fixed seed re-run is byte-identical…
-    assert_eq!(sequential_series(77), want, "sequential run not stable");
-    // …and so is the sharded engine at every thread count.
+    assert_eq!(series(77, None), want, "inline run not stable");
+    // …and so is every thread count.
     for threads in [1usize, 2, 8] {
         assert_eq!(
-            sharded_series(77, threads),
+            series(77, Some(threads)),
             want,
             "series diverge at threads={threads}"
         );
@@ -149,7 +102,7 @@ fn telemetry_does_not_perturb_device_results() {
     // A telemetry-enabled device and a bare one walk identical
     // trajectories: the recorder observes, it never participates.
     let run = |enabled: bool| {
-        let b = PcmDevice::builder()
+        let b = DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
@@ -161,13 +114,13 @@ fn telemetry_does_not_perturb_device_results() {
         } else {
             b
         };
-        let mut dev = b.build().unwrap();
+        let dev = b.build_sharded().unwrap();
         for blk in 0..BLOCKS {
             dev.write_block(blk, &payload(blk)).unwrap();
         }
-        let mut ctl = RefreshController::new(ROUND);
+        let mut scrubber = ShardedScrubber::new(&dev, ROUND);
         dev.advance_time(2.0 * ROUND);
-        ctl.run_until(&mut dev, 2.0 * ROUND);
+        scrubber.run_until(&dev, 2.0 * ROUND);
         let data: Vec<Vec<u8>> = (0..BLOCKS)
             .map(|blk| dev.read_block(blk).unwrap().data)
             .collect();
@@ -198,7 +151,7 @@ fn obs_report_renders_risk_states_from_a_store_workload() {
     let banks = BANKS;
     let blocks = cfg.required_blocks(&store_cfg).div_ceil(banks) * banks;
     let interval_ns = (REFRESH_17MIN_SECS * 1e9) as u64; // exact: 1024 s
-    let dev = PcmDevice::builder()
+    let dev = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: mlc_pcm::core::optimize::four_level_optimal().clone(),
             smart: true,

@@ -2,15 +2,17 @@
 //!
 //! The `pcm-trace` contract: events for bank `b` are recorded while
 //! bank `b` is (logically) owned, so each bank's event stream is a pure
-//! function of that bank's operation order. Therefore the sharded
-//! engine at any thread count must produce — after the canonical
-//! per-bank sort by `(t_ns, seq)` — the *identical* event stream as the
-//! sequential engine, and a fixed-seed run must export byte-identical
-//! JSONL every time.
+//! function of that bank's operation order. Therefore the device at any
+//! thread count must produce — after the canonical per-bank sort by
+//! `(t_ns, seq)` — the *identical* event stream as the same ops run
+//! inline on one thread, and a fixed-seed run must export
+//! byte-identical JSONL every time.
+
+mod common;
 
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::device::{
-    BankScrubCursor, CellOrganization, PcmDevice, RefreshController, ShardedScrubber, TraceConfig,
+    CellOrganization, DeviceBuilder, ShardedPcmDevice, ShardedScrubber, TraceConfig,
 };
 use mlc_pcm::trace::{jsonl, TraceEvent};
 use proptest::collection::vec;
@@ -20,8 +22,8 @@ const BLOCKS: usize = 16;
 const BANKS: usize = 4;
 const INTERVAL: f64 = 1.6; // step = 0.1 s: round boundaries are exact
 
-fn builder(seed: u64) -> mlc_pcm::device::DeviceBuilder {
-    PcmDevice::builder()
+fn builder(seed: u64) -> DeviceBuilder {
+    DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -37,77 +39,23 @@ fn payload(b: usize) -> Vec<u8> {
 
 type Rounds = Vec<Vec<(usize, bool)>>;
 
-/// Sequential reference: write all blocks, then per round scrub via the
-/// `RefreshController` and apply demand ops. Returns the canonical
-/// per-bank event streams.
-fn sequential_events(seed: u64, rounds: &Rounds) -> Vec<Vec<TraceEvent>> {
-    let mut dev = builder(seed).build().unwrap();
-    for b in 0..BLOCKS {
-        dev.write_block(b, &payload(b)).unwrap();
+fn apply(dev: &ShardedPcmDevice, &(block, is_write): &(usize, bool)) {
+    if is_write {
+        dev.write_block(block, &payload(block)).unwrap();
+    } else {
+        dev.read_block(block).unwrap();
     }
-    let mut ctl = RefreshController::new(INTERVAL);
-    for (k, ops) in rounds.iter().enumerate() {
-        let t = INTERVAL * (k + 1) as f64;
-        dev.advance_time(t - dev.now());
-        ctl.run_until(&mut dev, t);
-        for &(block, is_write) in ops {
-            if is_write {
-                dev.write_block(block, &payload(block)).unwrap();
-            } else {
-                dev.read_block(block).unwrap();
-            }
-        }
-    }
-    dev.tracer()
-        .buffer()
-        .unwrap()
-        .snapshot()
-        .canonical_per_bank()
 }
 
-/// The sharded run at `threads` threads: per round, each thread drives
-/// the scrub cursors of the banks it owns, then that bank's demand ops
-/// — the same per-bank order as the sequential reference.
-fn sharded_events(seed: u64, rounds: &Rounds, threads: usize) -> Vec<Vec<TraceEvent>> {
+/// Write all blocks, then drive `rounds` inline (`threads == None`, the
+/// reference) or on `threads` threads. Returns the canonical per-bank
+/// event streams.
+fn events(seed: u64, rounds: &Rounds, threads: Option<usize>) -> Vec<Vec<TraceEvent>> {
     let dev = builder(seed).build_sharded().unwrap();
     for b in 0..BLOCKS {
         dev.write_block(b, &payload(b)).unwrap();
     }
-    let mut scrubber = ShardedScrubber::new(&dev, INTERVAL);
-    for (k, ops) in rounds.iter().enumerate() {
-        let t = INTERVAL * (k + 1) as f64;
-        dev.advance_time(t - dev.now());
-        let mut cursors = scrubber.bank_cursors();
-        std::thread::scope(|scope| {
-            let mut groups: Vec<Vec<&mut BankScrubCursor>> =
-                (0..threads).map(|_| Vec::new()).collect();
-            for cursor in cursors.iter_mut() {
-                groups[cursor.bank() % threads].push(cursor);
-            }
-            for group in groups {
-                let dev = &dev;
-                scope.spawn(move || {
-                    let mut session = dev.session();
-                    let mut owned = Vec::new();
-                    for cursor in group {
-                        cursor.run_until(dev, t);
-                        owned.push(cursor.bank());
-                    }
-                    for &(block, is_write) in ops {
-                        if !owned.contains(&(block % BANKS)) {
-                            continue;
-                        }
-                        if is_write {
-                            session.write_block(block, &payload(block)).unwrap();
-                        } else {
-                            session.read_block(block).unwrap();
-                        }
-                    }
-                });
-            }
-        });
-        scrubber.adopt_cursors(&cursors);
-    }
+    common::run_rounds(&dev, INTERVAL, rounds, threads, |op| op.0, apply);
     dev.tracer()
         .buffer()
         .unwrap()
@@ -123,13 +71,13 @@ proptest! {
         seed in 0u64..1000,
         rounds in vec(vec((0usize..16, any::<bool>()), 0..12), 1..4),
     ) {
-        let want = sequential_events(seed, &rounds);
+        let want = events(seed, &rounds, None);
         prop_assert!(
             want.iter().map(Vec::len).sum::<usize>() > 0,
             "reference run must trace something"
         );
         for threads in [1usize, 2, 8] {
-            let got = sharded_events(seed, &rounds, threads);
+            let got = events(seed, &rounds, Some(threads));
             prop_assert_eq!(&got, &want, "event streams diverge at threads={}", threads);
         }
     }
@@ -138,13 +86,13 @@ proptest! {
 #[test]
 fn fixed_seed_jsonl_is_byte_identical_across_runs() {
     let run = || {
-        let mut dev = builder(77).build().unwrap();
+        let dev = builder(77).build_sharded().unwrap();
         for b in 0..BLOCKS {
             dev.write_block(b, &payload(b)).unwrap();
         }
-        let mut ctl = RefreshController::new(INTERVAL);
+        let mut scrubber = ShardedScrubber::new(&dev, INTERVAL);
         dev.advance_time(2.0 * INTERVAL);
-        ctl.run_until(&mut dev, 2.0 * INTERVAL);
+        scrubber.run_until(&dev, 2.0 * INTERVAL);
         for b in 0..BLOCKS {
             dev.read_block(b).unwrap();
         }
@@ -165,7 +113,7 @@ fn tracing_does_not_perturb_device_results() {
     // A traced device and an untraced one walk identical trajectories:
     // the recorder observes, it never participates.
     let run = |traced: bool| {
-        let b = PcmDevice::builder()
+        let b = DeviceBuilder::new()
             .organization(CellOrganization::ThreeLevel(
                 LevelDesign::three_level_naive(),
             ))
@@ -177,13 +125,13 @@ fn tracing_does_not_perturb_device_results() {
         } else {
             b
         };
-        let mut dev = b.build().unwrap();
+        let dev = b.build_sharded().unwrap();
         for blk in 0..BLOCKS {
             dev.write_block(blk, &payload(blk)).unwrap();
         }
-        let mut ctl = RefreshController::new(INTERVAL);
+        let mut scrubber = ShardedScrubber::new(&dev, INTERVAL);
         dev.advance_time(INTERVAL);
-        ctl.run_until(&mut dev, INTERVAL);
+        scrubber.run_until(&dev, INTERVAL);
         let data: Vec<Vec<u8>> = (0..BLOCKS)
             .map(|blk| dev.read_block(blk).unwrap().data)
             .collect();
@@ -197,7 +145,7 @@ fn dropped_events_are_counted_not_blocking() {
     // A deliberately tiny ring: recording must stay non-blocking and
     // surface the overwritten count in the snapshot (and from there in
     // trace-report).
-    let mut small = PcmDevice::builder()
+    let small = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
             LevelDesign::three_level_naive(),
         ))
@@ -205,7 +153,7 @@ fn dropped_events_are_counted_not_blocking() {
         .banks(BANKS)
         .seed(3)
         .trace(TraceConfig::new(4))
-        .build()
+        .build_sharded()
         .unwrap();
     for round in 0..8 {
         for b in 0..BLOCKS {
