@@ -6,77 +6,81 @@
 //! repro table3 fig16 --out results  # a subset
 //! ```
 //!
-//! Experiments: table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4
-//! fig5 fig6 fig7 fig8 fig9 fig12 fig13 fig14 fig15 fig16
-//! ablate-mapping ablate-ecc ablate-scale
+//! `repro --help` lists the experiments.
 
 use pcm_bench::experiments as exp;
 use pcm_bench::experiments::Opts;
 
-const ALL: &[&str] = &[
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "table5",
-    "fig1",
-    "fig2",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig12",
-    "fig13",
-    "fig14",
-    "fig15",
-    "fig16",
-    "ablate-mapping",
-    "ablate-ecc",
-    "ablate-scale",
-    "ablate-sensing",
-    "ablate-relaxed-write",
-    "ablate-lifetime",
-    "validate-bler",
-    "validate-write-distribution",
+/// One table/figure/ablation run; it prints its table and writes its CSV.
+type Experiment = fn(&Opts);
+
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: &[(&str, Experiment)] = &[
+    ("table1", exp::table1),
+    ("table2", exp::table2),
+    ("table3", exp::table3),
+    ("table4", exp::table4),
+    ("table5", exp::table5),
+    ("fig1", exp::fig1),
+    ("fig2", exp::fig2),
+    ("fig3", exp::fig3),
+    ("fig4", exp::fig4),
+    ("fig5", exp::fig5),
+    ("fig6", exp::fig6_fig7),
+    ("fig7", exp::fig6_fig7),
+    ("fig8", exp::fig8),
+    ("fig9", exp::fig9),
+    ("fig12", exp::fig12),
+    ("fig13", exp::fig13),
+    ("fig14", exp::fig14),
+    ("fig15", exp::fig15),
+    ("fig16", exp::fig16),
+    ("ablate-mapping", exp::ablate_mapping),
+    ("ablate-ecc", exp::ablate_ecc),
+    ("ablate-scale", exp::ablate_scale),
+    ("ablate-sensing", exp::ablate_sensing),
+    ("ablate-relaxed-write", exp::ablate_relaxed_write),
+    ("ablate-lifetime", exp::ablate_lifetime),
+    ("validate-bler", exp::validate_bler),
+    (
+        "validate-write-distribution",
+        exp::validate_write_distribution,
+    ),
 ];
 
-fn run(name: &str, opts: &Opts) {
-    match name {
-        "table1" => exp::table1(opts),
-        "table2" => exp::table2(opts),
-        "table3" => exp::table3(opts),
-        "table4" => exp::table4(opts),
-        "table5" => exp::table5(opts),
-        "fig1" => exp::fig1(opts),
-        "fig2" => exp::fig2(opts),
-        "fig3" => exp::fig3(opts),
-        "fig4" => exp::fig4(opts),
-        "fig5" => exp::fig5(opts),
-        "fig6" | "fig7" => exp::fig6_fig7(opts),
-        "fig8" => exp::fig8(opts),
-        "fig9" => exp::fig9(opts),
-        "fig10" | "fig11" | "fig12" => exp::fig12(opts),
-        "fig13" => exp::fig13(opts),
-        "fig14" => exp::fig14(opts),
-        "fig15" => exp::fig15(opts),
-        "fig16" => exp::fig16(opts),
-        "ablate-mapping" => exp::ablate_mapping(opts),
-        "ablate-ecc" => exp::ablate_ecc(opts),
-        "ablate-scale" => exp::ablate_scale(opts),
-        "ablate-sensing" => exp::ablate_sensing(opts),
-        "ablate-relaxed-write" => exp::ablate_relaxed_write(opts),
-        "ablate-lifetime" => exp::ablate_lifetime(opts),
-        "validate-bler" => exp::validate_bler(opts),
-        "validate-write-distribution" => exp::validate_write_distribution(opts),
-        other => {
-            eprintln!("unknown experiment '{other}'; known: {ALL:?}");
-            std::process::exit(2);
-        }
-    }
-    println!();
+const USAGE: &str =
+    "usage: repro [EXPERIMENT ...] [--samples N] [--instructions N] [--out DIR] [--seed N]";
+
+/// The usage line plus the experiment names.
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    format!("{USAGE}\nexperiments: all {}", names.join(" "))
+}
+
+/// The experiment a name selects (`fig10`/`fig11` are panels of
+/// `fig12`'s run).
+fn experiment(name: &str) -> Option<Experiment> {
+    let name = match name {
+        "fig10" | "fig11" => "fig12",
+        name => name,
+    };
+    EXPERIMENTS
+        .iter()
+        .find(|&&(known, _)| known == name)
+        .map(|&(_, run)| run)
+}
+
+/// Print `msg` and the usage line to stderr, then exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}\n{}", usage());
+    std::process::exit(2);
+}
+
+/// Parse `flag`'s value, or exit 2 if it is missing or not a number.
+fn number<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
+    value
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs an integer")))
 }
 
 fn main() {
@@ -86,33 +90,16 @@ fn main() {
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--samples" => {
-                opts.samples = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--samples needs an integer");
-            }
-            "--instructions" => {
-                opts.instructions = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--instructions needs an integer");
-            }
+            "--samples" => opts.samples = number("--samples", it.next()),
+            "--instructions" => opts.instructions = number("--instructions", it.next()),
             "--out" => {
-                opts.out_dir = it.next().expect("--out needs a directory");
-            }
-            "--seed" => {
-                opts.seed = it
+                opts.out_dir = it
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
+                    .unwrap_or_else(|| usage_error("--out needs a directory"));
             }
+            "--seed" => opts.seed = number("--seed", it.next()),
             "--help" | "-h" => {
-                println!(
-                    "usage: repro [EXPERIMENT ...] [--samples N] [--instructions N] \
-                     [--out DIR] [--seed N]\nexperiments: all {}",
-                    ALL.join(" ")
-                );
+                println!("{}", usage());
                 return;
             }
             other => targets.push(other.to_string()),
@@ -120,17 +107,24 @@ fn main() {
     }
     if targets.is_empty() || targets.iter().any(|t| t == "all") {
         // fig6/fig7 share one function; skip the duplicate invocation.
-        targets = ALL
+        targets = EXPERIMENTS
             .iter()
-            .filter(|&&t| t != "fig7")
-            .map(|s| s.to_string())
+            .filter(|&&(name, _)| name != "fig7")
+            .map(|&(name, _)| name.to_string())
             .collect();
     }
+    // Resolve every name before any experiment runs, so a typo late in
+    // the list fails the run without writing the earlier CSVs.
+    let runs: Vec<Experiment> = targets
+        .iter()
+        .map(|t| experiment(t).unwrap_or_else(|| usage_error(&format!("unknown experiment '{t}'"))))
+        .collect();
     println!(
         "mlc-pcm reproduction harness  (samples {}, instructions {}, seed {}, out {}/)\n",
         opts.samples, opts.instructions, opts.seed, opts.out_dir
     );
-    for t in &targets {
-        run(t, &opts);
+    for run in runs {
+        run(&opts);
+        println!();
     }
 }

@@ -1,5 +1,5 @@
 //! Shared helpers for the figure/table reproduction harness (`repro`
-//! binary) and the Criterion benches.
+//! binary) and the `store_throughput` and `math_kernels` gates.
 
 pub mod experiments;
 
@@ -35,7 +35,7 @@ pub fn sci(x: f64) -> String {
     }
 }
 
-/// Deterministic pseudo-random 64-byte payload for benches/demos.
+/// Deterministic pseudo-random 64-byte payload for experiments and demos.
 pub fn payload(seed: u8) -> Vec<u8> {
     (0..64u32)
         .map(|i| (i as u8).wrapping_mul(37).wrapping_add(seed).rotate_left(3))

@@ -1,4 +1,4 @@
-//! Exit-code propagation tests for the bench-gate binaries.
+//! Exit-code propagation tests for the bench-gate binaries and `repro`.
 //!
 //! CI trusts these binaries' exit status: a gate that prints a
 //! divergence but exits 0 silently stops gating. The negative test
@@ -101,6 +101,37 @@ fn store_throughput_rejects_invalid_theta() {
         stderr.contains("theta"),
         "stderr names the bad skew:\n{stderr}"
     );
+}
+
+fn repro() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+}
+
+#[test]
+fn repro_unknown_experiment_fails_before_any_runs() {
+    // The known name comes first: it must not run (and write its CSV)
+    // before the unknown one is rejected.
+    let dir = std::env::temp_dir().join("repro_exit_code_unknown_test");
+    let _ = std::fs::remove_dir_all(&dir);
+    let output = repro()
+        .args(["table3", "fig99", "--out", dir.to_str().unwrap()])
+        .output()
+        .expect("spawn repro");
+    assert_eq!(output.status.code(), Some(2), "unknown names exit 2");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("fig99"), "stderr names it:\n{stderr}");
+    assert!(stderr.contains("usage: repro"), "usage:\n{stderr}");
+    assert!(!dir.join("table3.csv").exists(), "no experiment ran");
+}
+
+#[test]
+fn repro_bad_flag_value_is_a_usage_error() {
+    for args in [&["table3", "--seed", "x"][..], &["--samples"][..]] {
+        let output = repro().args(args).output().expect("spawn repro");
+        assert_eq!(output.status.code(), Some(2), "{args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("needs an integer"), "{args:?}:\n{stderr}");
+    }
 }
 
 #[test]

@@ -291,16 +291,7 @@ impl ShardedPcmDevice {
 
     /// Write 64 bytes to a block (locks only that block's bank).
     pub fn write_block(&self, block: usize, data: &[u8]) -> Result<WriteReport, PcmError> {
-        let (shard, local) = self.locate(block)?;
-        let now = self.now();
-        let cells = self.cells_per_block as u64;
-        let mut bank = lock_bank(&self.shards[shard]);
-        let ctx = self.demand_ctx(shard);
-        let r = bank.write(local, now, data).map_err(PcmError::from);
-        self.trace_write(shard, block, now, cells, &r, ctx);
-        drop(bank);
-        self.note_write(shard, cells, &r);
-        r
+        self.write_impl(block, data, None).map(|(rep, _)| rep)
     }
 
     /// [`ShardedPcmDevice::write_block`] with a caller-supplied
@@ -315,11 +306,42 @@ impl ShardedPcmDevice {
         data: &[u8],
         ctx: u64,
     ) -> Result<(WriteReport, u64), PcmError> {
+        self.write_impl(block, data, Some(ctx))
+    }
+
+    /// Read 64 bytes from a block (locks only that block's bank).
+    pub fn read_block(&self, block: usize) -> Result<ReadReport, PcmError> {
+        self.read_impl(block, None).map(|(rep, _)| rep)
+    }
+
+    /// [`ShardedPcmDevice::read_block`] with a caller-supplied
+    /// correlation id; same scrub-debt drain semantics as
+    /// [`ShardedPcmDevice::write_block_ctx`].
+    pub fn read_block_ctx(&self, block: usize, ctx: u64) -> Result<(ReadReport, u64), PcmError> {
+        self.read_impl(block, Some(ctx))
+    }
+
+    /// Under the bank's lock, resolve the op's correlation id: `None` is
+    /// a plain op (a fresh demand ctx, no debt drain); `Some(ctx)` drains
+    /// the scrub debt under `ctx` and returns the drained wait.
+    fn op_ctx(&self, shard: usize, block: usize, now: f64, ctx: Option<u64>) -> (u64, u64) {
+        match ctx {
+            Some(ctx) => (ctx, self.drain_debt(shard, block, now, ctx)),
+            None => (self.demand_ctx(shard), 0),
+        }
+    }
+
+    fn write_impl(
+        &self,
+        block: usize,
+        data: &[u8],
+        ctx: Option<u64>,
+    ) -> Result<(WriteReport, u64), PcmError> {
         let (shard, local) = self.locate(block)?;
         let now = self.now();
         let cells = self.cells_per_block as u64;
         let mut bank = lock_bank(&self.shards[shard]);
-        let wait_ns = self.drain_debt(shard, block, now, ctx);
+        let (ctx, wait_ns) = self.op_ctx(shard, block, now, ctx);
         let r = bank.write(local, now, data).map_err(PcmError::from);
         self.trace_write(shard, block, now, cells, &r, ctx);
         drop(bank);
@@ -327,27 +349,11 @@ impl ShardedPcmDevice {
         r.map(|rep| (rep, wait_ns))
     }
 
-    /// Read 64 bytes from a block (locks only that block's bank).
-    pub fn read_block(&self, block: usize) -> Result<ReadReport, PcmError> {
+    fn read_impl(&self, block: usize, ctx: Option<u64>) -> Result<(ReadReport, u64), PcmError> {
         let (shard, local) = self.locate(block)?;
         let now = self.now();
         let mut bank = lock_bank(&self.shards[shard]);
-        let ctx = self.demand_ctx(shard);
-        let r = bank.read(local, now).map_err(PcmError::from);
-        self.trace_read(shard, block, now, &r, ctx);
-        drop(bank);
-        self.note_read(shard, &r);
-        r
-    }
-
-    /// [`ShardedPcmDevice::read_block`] with a caller-supplied
-    /// correlation id; same scrub-debt drain semantics as
-    /// [`ShardedPcmDevice::write_block_ctx`].
-    pub fn read_block_ctx(&self, block: usize, ctx: u64) -> Result<(ReadReport, u64), PcmError> {
-        let (shard, local) = self.locate(block)?;
-        let now = self.now();
-        let mut bank = lock_bank(&self.shards[shard]);
-        let wait_ns = self.drain_debt(shard, block, now, ctx);
+        let (ctx, wait_ns) = self.op_ctx(shard, block, now, ctx);
         let r = bank.read(local, now).map_err(PcmError::from);
         self.trace_read(shard, block, now, &r, ctx);
         drop(bank);

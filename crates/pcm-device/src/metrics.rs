@@ -87,12 +87,11 @@ impl LogHistogram {
         }
     }
 
-    /// Inclusive lower bound of bucket `i` (0 for buckets 0 and 1).
+    /// Inclusive lower bound of bucket `i` (0 for buckets 0 and 1); the
+    /// telemetry layer's [`pcm_telemetry::bucket_floor`], so
+    /// quantile floors agree across the two.
     pub fn bucket_floor(i: usize) -> u64 {
-        match i {
-            0 | 1 => 0,
-            i => 1u64 << (i - 1),
-        }
+        pcm_telemetry::bucket_floor(i)
     }
 
     /// Record one sample.

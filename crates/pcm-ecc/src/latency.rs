@@ -22,7 +22,8 @@
 //!   t = 10 and interpolates/extrapolates elsewhere.
 //!
 //! Only Table 3 consumes these numbers; everything else in the reproduction
-//! measures real (software) decode latency via the Criterion benches.
+//! measures real (software) decode latency with the `math_kernels` gate
+//! and perfbench's `ecc.bch10_*` rows.
 
 /// FO4 delay of one XOR2 gate stage (standard-cell rule of thumb).
 pub const XOR2_FO4: f64 = 2.0;

@@ -28,6 +28,7 @@
 //! function of the input text: reports, folded stacks, and JSONL
 //! exports are byte-stable for a given trace.
 
+use pcm_trace::jsonl::{fail, str_field, u64_field};
 use pcm_trace::{ctx_base, ctx_is_index, jsonl, OpKind, Phase, TraceDecodeError, NO_CTX};
 use std::collections::BTreeMap;
 
@@ -392,25 +393,6 @@ impl Profile {
         }
         out
     }
-}
-
-fn fail(line: usize, what: &'static str) -> TraceDecodeError {
-    TraceDecodeError { line, what }
-}
-
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    rest.get(..digits)?.parse().ok()
-}
-
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    rest.find('"').and_then(|end| rest.get(..end))
 }
 
 /// Parse a profile JSONL export back into a [`Profile`] (children are

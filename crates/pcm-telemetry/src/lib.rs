@@ -49,7 +49,7 @@ pub use config::{DriftRiskConfig, TelemetryConfig, EWMA_SCALE};
 pub use export::{parse, BankSeriesSnapshot, TelemetryDecodeError, TelemetrySnapshot};
 pub use recorder::TelemetryRecorder;
 pub use risk::{decode_transition, transition_payload, DriftRisk, RiskState};
-pub use series::{quantile_floor_permille, BankCounters, RingSeries, SamplePoint};
+pub use series::{bucket_floor, quantile_floor_permille, BankCounters, RingSeries, SamplePoint};
 
 #[cfg(test)]
 mod tests {

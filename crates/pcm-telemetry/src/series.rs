@@ -58,9 +58,9 @@ impl BankCounters {
     }
 }
 
-/// Inclusive lower bound of log2 bucket `i` (0 for buckets 0 and 1) —
-/// mirrors pcm-device's `LogHistogram::bucket_floor` so quantile floors
-/// computed here agree with the metrics layer.
+/// Inclusive lower bound of log2 bucket `i` (0 for buckets 0 and 1).
+/// pcm-device's `LogHistogram::bucket_floor` calls this, so quantile
+/// floors computed here agree with the metrics layer.
 pub fn bucket_floor(i: usize) -> u64 {
     match i {
         0 | 1 => 0,

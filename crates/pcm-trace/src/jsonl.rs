@@ -92,12 +92,15 @@ impl std::fmt::Display for TraceDecodeError {
 
 impl std::error::Error for TraceDecodeError {}
 
-fn fail(line: usize, what: &'static str) -> TraceDecodeError {
+/// A [`TraceDecodeError`] at 1-based `line`; shared by every JSONL
+/// parser in the workspace (trace, profile).
+pub fn fail(line: usize, what: &'static str) -> TraceDecodeError {
     TraceDecodeError { line, what }
 }
 
-/// Extract an unquoted integer field (`"key":123`).
-fn u64_field(line: &str, key: &str) -> Option<u64> {
+/// Extract an unquoted integer field (`"key":123`) from one JSONL line;
+/// `None` if the key is absent or its value is not a `u64`.
+pub fn u64_field(line: &str, key: &str) -> Option<u64> {
     let pat = format!("\"{key}\":");
     let at = line.find(&pat)? + pat.len();
     let rest = &line[at..];
@@ -105,9 +108,9 @@ fn u64_field(line: &str, key: &str) -> Option<u64> {
     rest.get(..digits)?.parse().ok()
 }
 
-/// Extract a quoted string field (`"key":"value"`); values never
-/// contain escapes in this format.
-fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+/// Extract a quoted string field (`"key":"value"`) from one JSONL
+/// line; values never contain escapes in this format.
+pub fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     let pat = format!("\"{key}\":\"");
     let at = line.find(&pat)? + pat.len();
     let rest = &line[at..];
