@@ -12,8 +12,8 @@
 //!
 //! * **media** — unflagged device busy windows (value data traffic);
 //! * **ecc_decode** — BCH decode work carved out of read windows;
-//! * **alloc_index** — index-flagged busy windows (directory walks,
-//!   free-list and superblock traffic);
+//! * **alloc_index** — index-flagged busy windows (directory walks and
+//!   directory slot writes);
 //! * **scrub_wait** — accumulated scrub debt the request drained;
 //! * **queue_wait** — the remainder of the request's span not covered
 //!   by any child (scheduling slack; exactly 0 for KV requests, whose

@@ -1,41 +1,42 @@
-//! Page allocation: an on-device free list rooted in the superblock.
+//! Page allocation: free space is whatever the page graph does not reach.
 //!
-//! Free pages form a singly linked list threaded through their `next`
-//! fields; the head and count live in the superblock (page 0), which is
-//! rewritten on every allocate/free (write-through, like the BlockFile
-//! exemplar's header). A `Mutex` over the in-memory superblock mirror
-//! makes pop/push atomic across threads: two concurrent allocations can
-//! never observe the same head, so a page is handed out at most once —
-//! the property `tests/store_crash.rs` hammers at 1/2/8 sessions.
+//! Nothing on the device records which pages are free. `open` walks the
+//! directory and every value chain (`PcmStore::fsck`'s walk) and builds
+//! an in-memory bitmap from the pages it did not reach; from then on the
+//! [`Allocator`] hands out and takes back pages in memory only. A put
+//! writes its new chain into free pages, flips one directory slot, and
+//! only then frees the old chain in memory, so a crash at any point
+//! leaves at most unreachable pages — which the next `open` reclaims.
+//! This is the crash-consistency argument of a persistent allocator
+//! whose free state is rebuilt on recovery, with the explicit,
+//! CRC-first page allocation of a block file.
 //!
-//! Lock order: callers may hold a directory stripe lock when calling in
-//! here; the allocator lock nests inside stripes and outside bank locks
-//! (taken by the device calls below). Nothing ever acquires a stripe
-//! while holding the allocator lock, so the order is acyclic.
+//! A `Mutex` over the bitmap makes allocate/free atomic across threads:
+//! two concurrent allocations never see the same free bit, so a page is
+//! handed out at most once — the property `tests/store_crash.rs`
+//! hammers at 1/2/8 sessions. The allocator does no device I/O, so its
+//! lock is a leaf: callers may hold a directory stripe when calling in,
+//! and nothing is acquired while it is held.
 
-use crate::error::{read_failure, StoreError};
-use crate::page::{Page, PageDefect, PageType, NO_PAGE};
-use crate::store::OpCost;
-use pcm_device::ShardedPcmDevice;
-use pcm_trace::NO_CTX;
+use crate::error::StoreError;
+use crate::page::{Page, PageDefect, PageType};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Magic ("PCMSTOR1", little-endian) identifying a formatted device.
 pub const MAGIC: u64 = u64::from_le_bytes(*b"PCMSTOR1");
-/// On-device format version.
-pub const VERSION: u32 = 1;
+/// On-device format version. Version 1 kept a free list rooted in the
+/// superblock; version 2 keeps no free-space state on the device.
+pub const VERSION: u32 = 2;
+/// Payload bytes the version-2 superblock uses.
+const SUPER_LEN: u16 = 20;
 
-/// The superblock contents (page 0 payload).
+/// The superblock contents (page 0 payload), written once by `format`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Superblock {
     /// Total pages (= device blocks).
     pub pages: u32,
     /// Hash-directory bucket count (bucket `b` lives at page `1 + b`).
     pub dir_buckets: u32,
-    /// Head of the free list ([`NO_PAGE`] when full).
-    pub free_head: u32,
-    /// Free pages on the list.
-    pub free_count: u32,
 }
 
 impl Superblock {
@@ -46,16 +47,16 @@ impl Superblock {
         p.payload[8..12].copy_from_slice(&VERSION.to_le_bytes());
         p.payload[12..16].copy_from_slice(&self.pages.to_le_bytes());
         p.payload[16..20].copy_from_slice(&self.dir_buckets.to_le_bytes());
-        p.payload[20..24].copy_from_slice(&self.free_head.to_le_bytes());
-        p.payload[24..28].copy_from_slice(&self.free_count.to_le_bytes());
-        p.len = 28;
+        p.len = SUPER_LEN;
         p
     }
 
     /// Parse from a decoded page (which must be [`PageType::Super`]).
+    /// The version is checked before the layout, so an image of another
+    /// version is reported as [`StoreError::BadVersion`].
     pub fn from_page(p: &Page) -> Result<Superblock, StoreError> {
         let corrupt = |defect| StoreError::CorruptPage { page: 0, defect };
-        if p.page_type != PageType::Super || p.len != 28 {
+        if p.page_type != PageType::Super {
             return Err(corrupt(PageDefect::WrongPage));
         }
         let word = |at: usize| {
@@ -75,215 +76,113 @@ impl Superblock {
         if version != VERSION {
             return Err(StoreError::BadVersion(version));
         }
+        if p.len != SUPER_LEN {
+            return Err(corrupt(PageDefect::WrongPage));
+        }
         Ok(Superblock {
             pages: word(12),
             dir_buckets: word(16),
-            free_head: word(20),
-            free_count: word(24),
         })
     }
 }
 
-/// The page allocator: a mutex-guarded mirror of the superblock, written
-/// through to page 0 on every mutation.
+/// The free set: one bit per page, set when the page is free.
+#[derive(Debug)]
+struct FreeMap {
+    bits: Vec<u64>,
+    count: u32,
+}
+
+/// The page allocator: a mutex-guarded in-memory free bitmap.
 #[derive(Debug)]
 pub struct Allocator {
-    state: Mutex<Superblock>,
+    state: Mutex<FreeMap>,
 }
 
 impl Allocator {
-    /// Wrap an already-valid superblock (from `format` or `open`).
-    pub fn new(sb: Superblock) -> Allocator {
+    /// An allocator whose free set is `bits` (bit `p % 64` of word
+    /// `p / 64` set when page `p` is free).
+    pub fn new(bits: Vec<u64>) -> Allocator {
+        let count = bits.iter().map(|w| w.count_ones()).sum();
         Allocator {
-            state: Mutex::new(sb),
+            state: Mutex::new(FreeMap { bits, count }),
         }
     }
 
     /// The single allocator-lock acquisition site. Poisoning is
-    /// recovered by taking the inner state: every mutation commits to
-    /// memory only after its superblock write succeeded, so the state a
-    /// panicking thread left behind is the last committed one.
-    fn lock_state(&self) -> MutexGuard<'_, Superblock> {
+    /// recovered by taking the inner state: every mutation updates the
+    /// bits and the count together with no call in between.
+    fn lock_state(&self) -> MutexGuard<'_, FreeMap> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Current superblock mirror.
-    pub fn superblock(&self) -> Superblock {
-        *self.lock_state()
-    }
-
-    /// Free pages currently on the list.
+    /// Free pages available.
     pub fn free_pages(&self) -> u32 {
-        self.lock_state().free_count
+        self.lock_state().count
     }
 
-    /// Pop one page off the free list.
-    pub fn allocate(&self, dev: &ShardedPcmDevice) -> Result<u32, StoreError> {
-        self.allocate_ctx(dev, NO_CTX, &mut OpCost::default())
+    /// Whether `page` is in the free set.
+    #[cfg(test)]
+    pub(crate) fn is_free(&self, page: u32) -> bool {
+        let st = self.lock_state();
+        let (word, bit) = slot(page);
+        // Indexed rather than `.get(..)`: the lock-order analysis
+        // resolves a `get` call to every method of that name.
+        word < st.bits.len() && st.bits[word] & bit != 0
     }
 
-    /// [`Allocator::allocate`] under a correlation id: the free-list
-    /// node read and the superblock write-through carry `ctx` and are
-    /// charged to `cost` (index traffic if `ctx` is index-flagged).
-    pub(crate) fn allocate_ctx(
-        &self,
-        dev: &ShardedPcmDevice,
-        ctx: u64,
-        cost: &mut OpCost,
-    ) -> Result<u32, StoreError> {
+    /// Take the `n` lowest free pages, in ascending order, or
+    /// [`StoreError::StoreFull`] (taking nothing) if fewer are free.
+    pub fn allocate_chain(&self, n: usize) -> Result<Vec<u32>, StoreError> {
         let mut st = self.lock_state();
-        let page = pop_free(dev, &mut st, ctx, cost)?;
-        write_super(dev, *st, ctx, cost)?;
-        Ok(page)
-    }
-
-    /// Pop `n` pages in one critical section. On exhaustion the pages
-    /// already popped are pushed back and `StoreFull` is returned, so a
-    /// failed allocation leaks nothing.
-    pub fn allocate_chain(&self, dev: &ShardedPcmDevice, n: usize) -> Result<Vec<u32>, StoreError> {
-        self.allocate_chain_ctx(dev, n, NO_CTX, &mut OpCost::default())
-    }
-
-    /// [`Allocator::allocate_chain`] under a correlation id.
-    pub(crate) fn allocate_chain_ctx(
-        &self,
-        dev: &ShardedPcmDevice,
-        n: usize,
-        ctx: u64,
-        cost: &mut OpCost,
-    ) -> Result<Vec<u32>, StoreError> {
-        let mut st = self.lock_state();
-        if (st.free_count as usize) < n {
+        if (st.count as usize) < n {
             return Err(StoreError::StoreFull);
         }
         let mut pages = Vec::with_capacity(n);
-        for _ in 0..n {
-            match pop_free(dev, &mut st, ctx, cost) {
-                Ok(p) => pages.push(p),
-                Err(e) => {
-                    for &p in pages.iter().rev() {
-                        push_free(dev, &mut st, p, ctx, cost)?;
-                    }
-                    write_super(dev, *st, ctx, cost)?;
-                    return Err(e);
-                }
+        for (w, word) in st.bits.iter_mut().enumerate() {
+            while *word != 0 && pages.len() < n {
+                let bit = word.trailing_zeros();
+                *word &= *word - 1;
+                pages.push(w as u32 * 64 + bit);
+            }
+            if pages.len() == n {
+                break;
             }
         }
-        write_super(dev, *st, ctx, cost)?;
+        st.count -= n as u32;
         Ok(pages)
     }
 
-    /// Push a page back onto the free list.
-    pub fn free(&self, dev: &ShardedPcmDevice, page: u32) -> Result<(), StoreError> {
-        let mut st = self.lock_state();
-        let cost = &mut OpCost::default();
-        push_free(dev, &mut st, page, NO_CTX, cost)?;
-        write_super(dev, *st, NO_CTX, cost)?;
-        Ok(())
+    /// Take the lowest free page.
+    pub fn allocate(&self) -> Result<u32, StoreError> {
+        self.allocate_chain(1)?
+            .first()
+            .copied()
+            .ok_or(StoreError::StoreFull)
     }
 
-    /// Push a whole chain of pages back in one critical section.
-    pub fn free_chain(&self, dev: &ShardedPcmDevice, pages: &[u32]) -> Result<(), StoreError> {
-        self.free_chain_ctx(dev, pages, NO_CTX, &mut OpCost::default())
-    }
-
-    /// [`Allocator::free_chain`] under a correlation id.
-    pub(crate) fn free_chain_ctx(
-        &self,
-        dev: &ShardedPcmDevice,
-        pages: &[u32],
-        ctx: u64,
-        cost: &mut OpCost,
-    ) -> Result<(), StoreError> {
+    /// Return pages to the free set. Freeing a page that is already
+    /// free changes nothing.
+    pub fn free_chain(&self, pages: &[u32]) {
         if pages.is_empty() {
-            return Ok(());
+            return;
         }
         let mut st = self.lock_state();
-        for &p in pages {
-            push_free(dev, &mut st, p, ctx, cost)?;
+        for &page in pages {
+            let (word, bit) = slot(page);
+            if let Some(w) = st.bits.get_mut(word) {
+                if *w & bit == 0 {
+                    *w |= bit;
+                    st.count += 1;
+                }
+            }
         }
-        write_super(dev, *st, ctx, cost)?;
-        Ok(())
     }
 }
 
-/// Pop the head free page, following its on-device `next` link.
-fn pop_free(
-    dev: &ShardedPcmDevice,
-    st: &mut Superblock,
-    ctx: u64,
-    cost: &mut OpCost,
-) -> Result<u32, StoreError> {
-    let head = st.free_head;
-    if head == NO_PAGE || st.free_count == 0 {
-        return Err(StoreError::StoreFull);
-    }
-    let (report, wait_ns) = dev
-        .read_block_ctx(head as usize, ctx)
-        .map_err(|e| read_failure(head, e))?;
-    cost.charge_read(ctx, wait_ns);
-    let node = Page::decode(&report.data)
-        .map_err(|defect| StoreError::CorruptPage { page: head, defect })?;
-    if node.page_type != PageType::Free {
-        return Err(StoreError::CorruptPage {
-            page: head,
-            defect: PageDefect::WrongPage,
-        });
-    }
-    st.free_head = node.next;
-    st.free_count -= 1;
-    Ok(head)
-}
-
-/// Write `page` as a free-list node pointing at the current head, then
-/// advance the head.
-fn push_free(
-    dev: &ShardedPcmDevice,
-    st: &mut Superblock,
-    page: u32,
-    ctx: u64,
-    cost: &mut OpCost,
-) -> Result<(), StoreError> {
-    let mut node = Page::empty(PageType::Free);
-    node.next = st.free_head;
-    let (rep, wait_ns) = dev
-        .write_block_ctx(page as usize, &node.encode(), ctx)
-        .map_err(StoreError::from)?;
-    cost.charge_write(ctx, wait_ns, dev.write_busy_window_ns(&rep));
-    st.free_head = page;
-    st.free_count += 1;
-    Ok(())
-}
-
-/// Write-through: seal the superblock mirror onto page 0.
-fn write_super(
-    dev: &ShardedPcmDevice,
-    sb: Superblock,
-    ctx: u64,
-    cost: &mut OpCost,
-) -> Result<(), StoreError> {
-    let (rep, wait_ns) = dev
-        .write_block_ctx(0, &sb.to_page().encode(), ctx)
-        .map_err(StoreError::from)?;
-    cost.charge_write(ctx, wait_ns, dev.write_busy_window_ns(&rep));
-    Ok(())
-}
-
-/// Chain pages `first..pages` into a fresh free list on the device and
-/// return the matching superblock fields (used by `format`).
-pub(crate) fn format_free_list(
-    dev: &ShardedPcmDevice,
-    first: u32,
-    pages: u32,
-) -> Result<(u32, u32), StoreError> {
-    for i in first..pages {
-        let mut node = Page::empty(PageType::Free);
-        node.next = if i + 1 < pages { i + 1 } else { NO_PAGE };
-        dev.write_block(i as usize, &node.encode())
-            .map_err(StoreError::from)?;
-    }
-    let head = if first < pages { first } else { NO_PAGE };
-    Ok((head, pages.saturating_sub(first)))
+/// Word index and bit mask of `page` in a free bitmap.
+pub(crate) fn slot(page: u32) -> (usize, u64) {
+    (page as usize / 64, 1u64 << (page % 64))
 }
 
 #[cfg(test)]
@@ -295,8 +194,6 @@ mod tests {
         let sb = Superblock {
             pages: 128,
             dir_buckets: 16,
-            free_head: 17,
-            free_count: 110,
         };
         let page = sb.to_page();
         let decoded = Page::decode(&page.encode()).unwrap();
@@ -308,8 +205,6 @@ mod tests {
         let sb = Superblock {
             pages: 8,
             dir_buckets: 2,
-            free_head: NO_PAGE,
-            free_count: 0,
         };
         let mut page = sb.to_page();
         page.payload[0] ^= 0xFF;
@@ -324,5 +219,36 @@ mod tests {
             Superblock::from_page(&page),
             Err(StoreError::BadVersion(99))
         );
+
+        // A version-1 image: magic, version, pages, buckets, then the
+        // free-list head and count it kept in the superblock.
+        let mut v1 = Page::empty(PageType::Super);
+        v1.payload[0..8].copy_from_slice(&MAGIC.to_le_bytes());
+        for (i, word) in [1u32, 128, 16, 17, 110].into_iter().enumerate() {
+            v1.payload[8 + 4 * i..12 + 4 * i].copy_from_slice(&word.to_le_bytes());
+        }
+        v1.len = 28;
+        let v1 = Page::decode(&v1.encode()).unwrap();
+        assert_eq!(Superblock::from_page(&v1), Err(StoreError::BadVersion(1)));
+    }
+
+    #[test]
+    fn allocates_lowest_pages_and_frees_in_memory() {
+        let mut bits = vec![0u64; 3];
+        for p in [5u32, 70, 71, 130] {
+            let (w, b) = slot(p);
+            bits[w] |= b;
+        }
+        let a = Allocator::new(bits);
+        assert_eq!(a.free_pages(), 4);
+        assert_eq!(a.allocate_chain(3), Ok(vec![5, 70, 71]));
+        assert_eq!(a.allocate_chain(2), Err(StoreError::StoreFull));
+        assert_eq!(a.free_pages(), 1);
+        a.free_chain(&[70, 5, 70]);
+        assert_eq!(a.free_pages(), 3);
+        assert!(a.is_free(5) && a.is_free(70) && !a.is_free(71));
+        assert_eq!(a.allocate(), Ok(5));
+        assert_eq!(a.allocate_chain(2), Ok(vec![70, 130]));
+        assert_eq!(a.allocate(), Err(StoreError::StoreFull));
     }
 }

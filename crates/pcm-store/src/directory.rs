@@ -4,10 +4,11 @@
 //! (right after the superblock), so lookups start with one page read
 //! and no indirection. Each index page packs up to
 //! [`ENTRIES_PER_PAGE`] `(key, head)` entries into its payload; when a
-//! bucket overflows, further index pages are allocated from the free
-//! list and chained via `next` — the B+Tree-page exemplar's compact
+//! bucket overflows, a further index page is allocated like a value
+//! page and chained via `next` — the B+Tree-page exemplar's compact
 //! header, without the ordering machinery a hash directory doesn't
-//! need.
+//! need. The buckets are the roots of the page graph: a page no bucket
+//! reaches is free (see [`crate::fsck`]).
 //!
 //! The bucket hash is SplitMix64, a fixed bijective mixer: deterministic
 //! across runs and platforms (a seeded `HashMap` would not be), and

@@ -24,7 +24,7 @@ pub enum StoreError {
     },
     /// A device-layer failure (wraps the unified device error).
     Device(pcm_device::Error),
-    /// The free list is exhausted.
+    /// No free page is left.
     StoreFull,
     /// The value does not fit the page-chain limit.
     ValueTooLarge {
@@ -53,7 +53,7 @@ impl std::fmt::Display for StoreError {
                 write!(f, "page {page} is corrupt: {defect}")
             }
             StoreError::Device(e) => write!(f, "device error: {e}"),
-            StoreError::StoreFull => write!(f, "store is full (free list exhausted)"),
+            StoreError::StoreFull => write!(f, "store is full (no free pages)"),
             StoreError::ValueTooLarge { len, max } => {
                 write!(f, "value of {len} bytes exceeds the {max}-byte limit")
             }

@@ -8,10 +8,13 @@
 //! * [`page`] — fixed 64-byte pages (one per device block) with a
 //!   CRC32-checked header, so a drifted codeword that slips past the
 //!   block layer's ECC is still caught before bytes reach a caller;
-//! * [`alloc`] — explicit allocation from an on-device free list
-//!   rooted in the superblock (writes never implicitly allocate);
+//! * [`alloc`] — explicit allocation from an in-memory free bitmap
+//!   (writes never implicitly allocate); nothing on the device records
+//!   free space — a page is free when the directory does not reach it;
+//! * [`fsck`] — the reachability walk `open` rebuilds the free bitmap
+//!   from, also exposed as [`PcmStore::fsck`];
 //! * [`directory`] — a hash-directory index at fixed page ids, with
-//!   free-list-backed overflow chains;
+//!   overflow index pages allocated like value pages;
 //! * [`store`] — [`PcmStore`]: the serving surface, striped bucket
 //!   locks over concurrent sessions, every failure a typed
 //!   [`StoreError`] (corruption is [`StoreError::CorruptPage`] — the
@@ -40,12 +43,14 @@ pub mod alloc;
 pub mod crc;
 pub mod directory;
 pub mod error;
+pub mod fsck;
 pub mod page;
 pub mod store;
 pub mod workload;
 
 pub use alloc::{Allocator, Superblock};
 pub use error::StoreError;
+pub use fsck::FsckReport;
 pub use page::{Page, PageDefect, PageType, NO_PAGE, PAGE_BYTES, PAGE_PAYLOAD_BYTES};
 pub use store::{
     pages_for_value, PcmStore, StoreConfig, StoreSession, ANON_KV_STREAM, MAX_VALUE_BYTES,

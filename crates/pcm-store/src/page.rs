@@ -35,7 +35,9 @@ pub const FLAG_CHAIN_HEAD: u8 = 1;
 /// What a page is used for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PageType {
-    /// A member of the free list (`next` = next free page).
+    /// A page `format` programmed and nothing has used yet. Free space
+    /// is defined by reachability, not by this type: a freed page keeps
+    /// whatever it last held.
     Free,
     /// The superblock (page 0).
     Super,

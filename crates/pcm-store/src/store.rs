@@ -2,10 +2,14 @@
 //!
 //! Layout (page = device block):
 //!
-//! * page 0 — superblock (see [`crate::alloc::Superblock`]);
+//! * page 0 — superblock (see [`crate::alloc::Superblock`]), written
+//!   once by `format`;
 //! * pages `1 ..= dir_buckets` — fixed hash-directory bucket pages;
-//! * everything else — free-list / data / overflow-index pages,
-//!   explicitly allocated ([`crate::alloc::Allocator`]); a write never
+//! * everything else — data and overflow-index pages, or free. A page
+//!   is free exactly when the directory does not reach it: `open`
+//!   rebuilds the free set by walking the page graph
+//!   ([`PcmStore::fsck`]), and the [`crate::alloc::Allocator`] keeps it
+//!   in memory from then on. Allocation is explicit; a write never
 //!   implicitly allocates.
 //!
 //! Values span `ceil(len / 44)` data pages chained via `next`; the head
@@ -13,18 +17,27 @@
 //! before any field is trusted, so the store returns the written value
 //! or a typed [`StoreError::CorruptPage`] — never silently wrong bytes.
 //!
+//! A put writes its new chain tail-first into free pages, flips the
+//! key's directory slot with one index-page write, and then frees the
+//! old chain in memory. A crash at any point therefore leaves the old
+//! or the new value reachable and everything else unreachable, which
+//! the next `open` counts as free.
+//!
 //! ## Concurrency
 //!
 //! A directory op locks exactly one bucket **stripe** (bucket id modulo
-//! the stripe count); the allocator lock nests inside a stripe, and the
-//! device's bank locks nest innermost. No path acquires a second stripe
-//! or a stripe from inside the allocator, so the lock order is acyclic.
-//! Within a stripe, ops on its buckets serialize; ops on different
-//! stripes proceed concurrently bank-contention permitting.
+//! the stripe count); the allocator lock is a leaf taken inside a
+//! stripe with no device call under it, and the device's bank locks are
+//! taken by page reads and writes under the stripe alone. No path
+//! acquires a second stripe or a stripe from inside the allocator, so
+//! the lock order is acyclic. Within a stripe, ops on its buckets
+//! serialize; ops on different stripes proceed concurrently
+//! bank-contention permitting.
 
-use crate::alloc::{format_free_list, Allocator, Superblock};
+use crate::alloc::{Allocator, Superblock};
 use crate::directory::{bucket_of, bucket_page, entries, mix64, set_entries, ENTRIES_PER_PAGE};
 use crate::error::{read_failure, StoreError};
+use crate::fsck::{fits_chain, formatted_free_bits, walk, FsckReport};
 use crate::page::{Page, PageDefect, PageType, FLAG_CHAIN_HEAD, NO_PAGE, PAGE_PAYLOAD_BYTES};
 use pcm_device::metrics::READ_BUSY_NS;
 use pcm_device::ShardedPcmDevice;
@@ -71,17 +84,17 @@ pub const ANON_KV_STREAM: u64 = 0x1FFF_FFFF;
 
 /// Device reads/writes one KV op issued (drives span durations and the
 /// "pages touched" trace payload), split by what the pages were for:
-/// index (directory walks, allocator superblock/free-list traffic)
-/// versus value data, plus the scrub-debt stall the op drained.
+/// index (directory walks and slot writes) versus value data, plus the
+/// scrub-debt stall the op drained.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct OpCost {
+struct OpCost {
     /// Value-chain page reads.
     pub data_reads: u64,
     /// Value-chain page writes.
     pub data_writes: u64,
-    /// Directory/allocator page reads.
+    /// Directory page reads.
     pub index_reads: u64,
-    /// Directory/allocator page writes (incl. superblock, free list).
+    /// Directory page writes.
     pub index_writes: u64,
     /// Busy ns of the write spans issued. Accumulated (not derived
     /// from the count) because a retried program runs longer than the
@@ -98,7 +111,7 @@ impl OpCost {
 
     /// Record one page read/write against the right class, as named by
     /// the ctx's index flag, plus any scrub stall the device drained.
-    pub(crate) fn charge_read(&mut self, ctx: u64, wait_ns: u64) {
+    fn charge_read(&mut self, ctx: u64, wait_ns: u64) {
         if ctx_is_index(ctx) {
             self.index_reads += 1;
         } else {
@@ -110,7 +123,7 @@ impl OpCost {
     /// Write-side counterpart of [`OpCost::charge_read`]. `busy_ns` is
     /// the write's traced busy window
     /// ([`ShardedPcmDevice::write_busy_window_ns`]).
-    pub(crate) fn charge_write(&mut self, ctx: u64, wait_ns: u64, busy_ns: u64) {
+    fn charge_write(&mut self, ctx: u64, wait_ns: u64, busy_ns: u64) {
         if ctx_is_index(ctx) {
             self.index_writes += 1;
         } else {
@@ -160,10 +173,15 @@ enum Slot {
     },
 }
 
+/// A put step that failed after the put allocated pages: the page
+/// whose write failed (if a write did), and the error.
+type StepError = (Option<u32>, StoreError);
+
 /// A key-value store on a sharded PCM device.
 pub struct PcmStore {
     dev: ShardedPcmDevice,
     alloc: Allocator,
+    pages: u32,
     dir_buckets: u32,
     stripes: Vec<Mutex<()>>,
     /// Sequence counter for the [`ANON_KV_STREAM`] correlation stream.
@@ -233,20 +251,28 @@ impl PcmStore {
             dev.write_block(bucket_page(b) as usize, &p.encode())
                 .map_err(StoreError::from)?;
         }
-        let first_free = 1 + dir_buckets;
-        let (free_head, free_count) = format_free_list(&dev, first_free, pages)?;
-        let sb = Superblock {
-            pages,
-            dir_buckets,
-            free_head,
-            free_count,
-        };
+        // Program every other page once, so scrub sees the whole device
+        // populated; nothing links these pages, which makes them free.
+        let free = Page::empty(PageType::Free).encode();
+        for page in 1 + dir_buckets..pages {
+            dev.write_block(page as usize, &free)
+                .map_err(StoreError::from)?;
+        }
+        let sb = Superblock { pages, dir_buckets };
         dev.write_block(0, &sb.to_page().encode())
             .map_err(StoreError::from)?;
-        Ok(Self::assemble(dev, sb, config.stripes))
+        Ok(Self::assemble(
+            dev,
+            sb,
+            formatted_free_bits(sb),
+            config.stripes,
+        ))
     }
 
-    /// Open an already-formatted device, validating the superblock.
+    /// Open an already-formatted device: validate the superblock, then
+    /// walk the directory and every value chain and take the pages it
+    /// did not reach as free space. A damaged page is counted by the
+    /// walk and kept out of the free set; it does not fail the open.
     pub fn open(dev: ShardedPcmDevice) -> Result<PcmStore, StoreError> {
         Self::open_with(dev, StoreConfig::default().stripes)
     }
@@ -263,14 +289,16 @@ impl PcmStore {
                 have: dev.blocks(),
             });
         }
-        Ok(Self::assemble(dev, sb, stripes))
+        let (_, free) = walk(&dev, sb)?;
+        Ok(Self::assemble(dev, sb, free, stripes))
     }
 
-    fn assemble(dev: ShardedPcmDevice, sb: Superblock, stripes: usize) -> PcmStore {
+    fn assemble(dev: ShardedPcmDevice, sb: Superblock, free: Vec<u64>, stripes: usize) -> PcmStore {
         let stripe_count = stripes.max(1).min(sb.dir_buckets as usize);
         PcmStore {
             dev,
-            alloc: Allocator::new(sb),
+            alloc: Allocator::new(free),
+            pages: sb.pages,
             dir_buckets: sb.dir_buckets,
             stripes: (0..stripe_count).map(|_| Mutex::new(())).collect(),
             anon_seq: AtomicU64::new(0),
@@ -315,9 +343,21 @@ impl PcmStore {
         self.alloc.free_pages()
     }
 
-    /// The current superblock mirror (free-list head, counts, shape).
+    /// The store's shape, as its superblock records it.
     pub fn superblock(&self) -> Superblock {
-        self.alloc.superblock()
+        Superblock {
+            pages: self.pages,
+            dir_buckets: self.dir_buckets,
+        }
+    }
+
+    /// Walk the page graph as `open` does and report what it found: a
+    /// clean store has no page reached twice, unreadable or of the
+    /// wrong type, and its free count equals [`PcmStore::free_pages`]
+    /// unless a failed write took a page out of service since `open`.
+    /// Takes `&mut self` so no op can run during the walk.
+    pub fn fsck(&mut self) -> Result<FsckReport, StoreError> {
+        walk(&self.dev, self.superblock()).map(|(report, _)| report)
     }
 
     /// Directory bucket count.
@@ -363,7 +403,10 @@ impl PcmStore {
 
     /// Insert or replace `key`. Allocation is explicit: the new chain is
     /// allocated and fully written before the directory flips to it, and
-    /// the old chain (if any) is freed last.
+    /// the old chain (if any) is freed in memory last. If a write fails,
+    /// the pages this put allocated return to the free set, except the
+    /// page whose write failed: it stays out of service until the store
+    /// is reopened.
     pub fn put(&self, key: u64, value: &[u8]) -> Result<(), StoreError> {
         self.put_with_ctx(key, value, self.auto_ctx())
     }
@@ -391,57 +434,16 @@ impl PcmStore {
             }
             Slot::Absent { .. } => Vec::new(),
         };
-        let chain = self.alloc.allocate_chain_ctx(
-            &self.dev,
-            pages_for_value(value.len()),
-            ictx,
-            &mut cost,
-        )?;
-        self.write_chain(key, value, &chain, ctx, &mut cost)?;
-        let new_head = chain[0];
-        match slot {
-            Slot::Found {
-                page_id,
-                mut page,
-                mut list,
-                pos,
-            } => {
-                list[pos].1 = new_head;
-                set_entries(&mut page, &list);
-                self.write_page(page_id, &page, ictx, &mut cost)?;
-            }
-            Slot::Absent {
-                page_id,
-                mut page,
-                mut list,
-            } => {
-                if list.len() < ENTRIES_PER_PAGE {
-                    list.push((key, new_head));
-                    set_entries(&mut page, &list);
-                    self.write_page(page_id, &page, ictx, &mut cost)?;
-                } else {
-                    // Chain a fresh overflow index page off the tail. If
-                    // allocation fails, return the value chain too so a
-                    // full store leaks nothing.
-                    let overflow = match self.alloc.allocate_ctx(&self.dev, ictx, &mut cost) {
-                        Ok(p) => p,
-                        Err(e) => {
-                            self.alloc
-                                .free_chain_ctx(&self.dev, &chain, ictx, &mut cost)?;
-                            return Err(e);
-                        }
-                    };
-                    let mut fresh = Page::empty(PageType::Index);
-                    set_entries(&mut fresh, &[(key, new_head)]);
-                    self.write_page(overflow, &fresh, ictx, &mut cost)?;
-                    page.next = overflow;
-                    set_entries(&mut page, &list);
-                    self.write_page(page_id, &page, ictx, &mut cost)?;
-                }
-            }
+        let mut fresh = self.alloc.allocate_chain(pages_for_value(value.len()))?;
+        let linked = self
+            .write_chain(key, value, &fresh, ctx, &mut cost)
+            .and_then(|()| self.flip_slot(key, slot, &mut fresh, ictx, &mut cost));
+        if let Err((failed, e)) = linked {
+            fresh.retain(|&p| Some(p) != failed);
+            self.alloc.free_chain(&fresh);
+            return Err(e);
         }
-        self.alloc
-            .free_chain_ctx(&self.dev, &old_pages, ictx, &mut cost)?;
+        self.alloc.free_chain(&old_pages);
         drop(guard);
         self.emit(OpKind::KvPut, key, bucket, ctx, &cost);
         Ok(())
@@ -472,8 +474,7 @@ impl PcmStore {
                 list.remove(pos);
                 set_entries(&mut page, &list);
                 self.write_page(page_id, &page, ictx, &mut cost)?;
-                self.alloc
-                    .free_chain_ctx(&self.dev, &pages, ictx, &mut cost)?;
+                self.alloc.free_chain(&pages);
                 true
             }
         };
@@ -542,7 +543,7 @@ impl PcmStore {
                 });
             }
             hops += 1;
-            if hops > self.alloc.superblock().pages {
+            if hops > self.pages {
                 // An index chain longer than the device is a cycle.
                 return Err(StoreError::CorruptPage {
                     page: page_id,
@@ -567,8 +568,7 @@ impl PcmStore {
         let mut at = head;
         loop {
             let page = self.read_page(at, ctx, cost)?;
-            let head_ok = !pages.is_empty() || page.flags & FLAG_CHAIN_HEAD != 0;
-            if page.page_type != PageType::Data || page.key != key || !head_ok {
+            if !fits_chain(&page, key, pages.is_empty()) {
                 return Err(StoreError::CorruptPage {
                     page: at,
                     defect: PageDefect::WrongPage,
@@ -598,7 +598,7 @@ impl PcmStore {
         chain: &[u32],
         ctx: u64,
         cost: &mut OpCost,
-    ) -> Result<(), StoreError> {
+    ) -> Result<(), StepError> {
         for (i, &page_id) in chain.iter().enumerate().rev() {
             let chunk_start = i * PAGE_PAYLOAD_BYTES;
             let chunk = value
@@ -612,9 +612,61 @@ impl PcmStore {
             if i == 0 {
                 p.flags |= FLAG_CHAIN_HEAD;
             }
-            self.write_page(page_id, &p, ctx, cost)?;
+            self.write_page(page_id, &p, ctx, cost)
+                .map_err(|e| (Some(page_id), e))?;
         }
         Ok(())
+    }
+
+    /// Point `key`'s directory slot at the written chain `fresh` (one
+    /// index-page write; two when the bucket needs a new overflow page,
+    /// which is allocated, pushed onto `fresh` and written before the
+    /// link to it).
+    fn flip_slot(
+        &self,
+        key: u64,
+        slot: Slot,
+        fresh: &mut Vec<u32>,
+        ictx: u64,
+        cost: &mut OpCost,
+    ) -> Result<(), StepError> {
+        let new_head = fresh[0];
+        let (page_id, mut page, list) = match slot {
+            Slot::Found {
+                page_id,
+                page,
+                mut list,
+                pos,
+            } => {
+                list[pos].1 = new_head;
+                (page_id, page, list)
+            }
+            Slot::Absent {
+                page_id,
+                page,
+                mut list,
+            } if list.len() < ENTRIES_PER_PAGE => {
+                list.push((key, new_head));
+                (page_id, page, list)
+            }
+            Slot::Absent {
+                page_id,
+                mut page,
+                list,
+            } => {
+                let overflow = self.alloc.allocate().map_err(|e| (None, e))?;
+                fresh.push(overflow);
+                let mut tail = Page::empty(PageType::Index);
+                set_entries(&mut tail, &[(key, new_head)]);
+                self.write_page(overflow, &tail, ictx, cost)
+                    .map_err(|e| (Some(overflow), e))?;
+                page.next = overflow;
+                (page_id, page, list)
+            }
+        };
+        set_entries(&mut page, &list);
+        self.write_page(page_id, &page, ictx, cost)
+            .map_err(|e| (Some(page_id), e))
     }
 
     /// Emit one KV span: begin payload is the mixed key, end payload the
@@ -641,7 +693,9 @@ impl PcmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pcm_device::DeviceBuilder;
+    use pcm_core::level::LevelDesign;
+    use pcm_device::block::THREE_LEVEL_BLOCK_CELLS;
+    use pcm_device::{BlockError, CellOrganization, DeviceBuilder, PcmError};
 
     fn store(blocks: usize, banks: usize) -> PcmStore {
         let dev = DeviceBuilder::new()
@@ -690,7 +744,7 @@ mod tests {
     }
 
     #[test]
-    fn put_delete_returns_pages_to_the_free_list() {
+    fn put_delete_returns_pages_to_the_free_set() {
         let s = store(128, 4);
         let baseline = s.free_pages();
         for k in 0..10u64 {
@@ -751,6 +805,212 @@ mod tests {
             PcmStore::format(dev, StoreConfig::default()),
             Err(StoreError::TooSmall { .. })
         ));
+    }
+
+    /// The page ids of `key`'s value chain.
+    fn chain_of(s: &PcmStore, key: u64) -> Vec<u32> {
+        let mut cost = OpCost::default();
+        let bucket = bucket_of(key, s.dir_buckets);
+        match s.find_slot(key, bucket, NO_CTX, &mut cost).unwrap() {
+            Slot::Found { list, pos, .. } => {
+                s.walk_chain(key, list[pos].1, NO_CTX, &mut cost).unwrap().0
+            }
+            Slot::Absent { .. } => Vec::new(),
+        }
+    }
+
+    /// Run `put(key, value)` with the private steps, stopping after the
+    /// chain write (`flip` false) or after the directory flip (`flip`
+    /// true), and hand back the device as a crash there leaves it.
+    fn crashed_put(s: PcmStore, key: u64, value: &[u8], flip: bool) -> ShardedPcmDevice {
+        let mut cost = OpCost::default();
+        let bucket = bucket_of(key, s.dir_buckets);
+        let slot = s.find_slot(key, bucket, NO_CTX, &mut cost).unwrap();
+        let mut fresh = s
+            .alloc
+            .allocate_chain(pages_for_value(value.len()))
+            .unwrap();
+        s.write_chain(key, value, &fresh, NO_CTX, &mut cost)
+            .unwrap();
+        if flip {
+            s.flip_slot(key, slot, &mut fresh, NO_CTX, &mut cost)
+                .unwrap();
+        }
+        s.into_device()
+    }
+
+    /// Whether a put of new key `key` would need a new overflow page.
+    fn needs_overflow(s: &PcmStore, key: u64) -> bool {
+        let mut cost = OpCost::default();
+        let bucket = bucket_of(key, s.dir_buckets);
+        matches!(
+            s.find_slot(key, bucket, NO_CTX, &mut cost).unwrap(),
+            Slot::Absent { list, .. } if list.len() == ENTRIES_PER_PAGE
+        )
+    }
+
+    #[test]
+    fn a_crash_inside_a_put_loses_no_page() {
+        let old: Vec<u8> = (0..70u8).collect();
+        let new: Vec<u8> = (0..130u8).rev().collect();
+        let setup = || {
+            let s = store(256, 4);
+            for k in 0..20u64 {
+                s.put(k, &old).unwrap();
+            }
+            s
+        };
+        let probe = setup();
+        let fresh_key = (100..).find(|&k| needs_overflow(&probe, k)).unwrap();
+        let (pages, reserved) = (probe.pages, 1 + probe.dir_buckets);
+        for (key, overflow) in [(3u64, 0u32), (fresh_key, 1)] {
+            for flip in [false, true] {
+                let s = setup();
+                let free_before = s.free_pages();
+                let mut s = PcmStore::open(crashed_put(s, key, &new, flip)).unwrap();
+                let report = s.fsck().unwrap();
+                assert!(report.is_clean(), "{report:?}");
+                assert_eq!(report.free, s.free_pages());
+                assert_eq!(report.free + report.reachable + reserved, pages);
+                let expect = if flip {
+                    let old_pages = if key == 3 {
+                        pages_for_value(old.len())
+                    } else {
+                        0
+                    };
+                    free_before + old_pages as u32 - pages_for_value(new.len()) as u32 - overflow
+                } else {
+                    free_before
+                };
+                assert_eq!(s.free_pages(), expect, "key {key}, flip {flip}");
+                let want = match (flip, key == 3) {
+                    (true, _) => Some(new.clone()),
+                    (false, true) => Some(old.clone()),
+                    (false, false) => None,
+                };
+                assert_eq!(s.get(key).unwrap(), want, "key {key}, flip {flip}");
+                for k in (0..20u64).filter(|&k| k != key) {
+                    assert_eq!(s.get(k).unwrap().as_deref(), Some(&old[..]), "key {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_page_write_returns_the_chain_but_retires_that_page() {
+        let dev = DeviceBuilder::new()
+            .organization(CellOrganization::ThreeLevel(
+                LevelDesign::three_level_naive(),
+            ))
+            .blocks(64)
+            .banks(4)
+            .seed(3)
+            .build_sharded()
+            .unwrap();
+        let s = PcmStore::format(
+            dev,
+            StoreConfig {
+                dir_buckets: 8,
+                stripes: 4,
+            },
+        )
+        .unwrap();
+        let victim = s.alloc.allocate().unwrap();
+        s.alloc.free_chain(&[victim]);
+        // Kill 8 cell pairs, beyond the 6 spares mark-and-spare has,
+        // and write the (free) page until its wearout budget runs out.
+        for pair in 0..8 {
+            s.dev
+                .inject_lifetime(victim as usize * THREE_LEVEL_BLOCK_CELLS + 2 * pair, 1);
+        }
+        let image = Page::empty(PageType::Free).encode();
+        let exhausted = (0..12).any(|_| {
+            matches!(
+                s.dev.write_block(victim as usize, &image),
+                Err(PcmError::Block(BlockError::WearoutExhausted))
+            )
+        });
+        assert!(exhausted, "page {victim} never wore out");
+
+        let free = s.free_pages();
+        let value: Vec<u8> = (0..100u8).collect(); // 3 pages, victim among them
+        let err = s.put(1, &value).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::Device(pcm_device::Error::Device(PcmError::Block(
+                    BlockError::WearoutExhausted
+                )))
+            ),
+            "{err}"
+        );
+        assert_eq!(s.free_pages(), free - 1);
+        assert!(!s.alloc.is_free(victim));
+        assert_eq!(s.get(1).unwrap(), None);
+        s.put(1, &value).unwrap();
+        assert_eq!(s.get(1).unwrap().as_deref(), Some(&value[..]));
+        assert!(!chain_of(&s, 1).contains(&victim));
+    }
+
+    #[test]
+    fn an_index_page_cycle_is_a_corrupt_page() {
+        let mut s = store(128, 4);
+        let key = 5u64;
+        let page_id = bucket_page(bucket_of(key, s.dir_buckets));
+        let mut looped = Page::empty(PageType::Index);
+        looped.next = page_id;
+        s.dev
+            .write_block(page_id as usize, &looped.encode())
+            .unwrap();
+        let corrupt = Err(StoreError::CorruptPage {
+            page: page_id,
+            defect: PageDefect::WrongPage,
+        });
+        assert_eq!(s.get(key), corrupt);
+        assert_eq!(s.put(key, b"v"), corrupt.map(|_| ()));
+        assert_eq!(s.fsck().unwrap().reached_twice, 1);
+    }
+
+    #[test]
+    fn open_keeps_damaged_pages_out_of_the_free_set() {
+        let s = store(128, 4);
+        let value = [7u8; 60]; // two pages
+        for k in 0..6u64 {
+            s.put(k, &value).unwrap();
+        }
+        // Fail one page's CRC, and point key 1's slot at key 0's chain.
+        let damaged = chain_of(&s, 2)[1];
+        let mut raw = s.dev.read_block(damaged as usize).unwrap().data;
+        raw[30] ^= 0x10;
+        s.dev.write_block(damaged as usize, &raw).unwrap();
+        let shared = chain_of(&s, 0)[0];
+        let mut cost = OpCost::default();
+        let bucket = bucket_of(1, s.dir_buckets);
+        let Slot::Found {
+            page_id,
+            mut page,
+            mut list,
+            pos,
+        } = s.find_slot(1, bucket, NO_CTX, &mut cost).unwrap()
+        else {
+            panic!("key 1 missing");
+        };
+        list[pos].1 = shared;
+        set_entries(&mut page, &list);
+        s.write_page(page_id, &page, NO_CTX, &mut cost).unwrap();
+
+        let mut s = PcmStore::open(s.into_device()).unwrap();
+        let report = s.fsck().unwrap();
+        assert_eq!(report.unreadable, 1);
+        assert_eq!(report.reached_twice + report.wrong_type, 2, "{report:?}");
+        assert_eq!(report.free, s.free_pages());
+        assert!(!s.alloc.is_free(damaged) && !s.alloc.is_free(shared));
+        assert!(matches!(
+            s.get(2),
+            Err(StoreError::CorruptPage { page, .. }) if page == damaged
+        ));
+        assert!(matches!(s.get(1), Err(StoreError::CorruptPage { .. })));
+        assert_eq!(s.get(0).unwrap().as_deref(), Some(&value[..]));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! bits 62..=63   class     (0 = none, 1 = demand, 2 = scrub, 3 = kv)
-//! bit  61        index flag (child op touched allocator/index/free-list
+//! bit  61        index flag (child op touched directory/index
 //!                            metadata rather than user data)
 //! bits 32..=60   stream    (29-bit allocation stream: actor, bank, …)
 //! bits  0..=31   seq       (per-stream split counter)
@@ -28,7 +28,7 @@
 /// any tracked request (class bits 0).
 pub const NO_CTX: u64 = 0;
 
-/// Marks a child event as allocator/index/free-list metadata work (set
+/// Marks a child event as directory/index metadata work (set
 /// on the parent's id before passing it to the device). The profile
 /// layer buckets flagged media time under `alloc_index` instead of
 /// `media`; [`ctx_base`] strips it so parent and child group together.

@@ -4,16 +4,18 @@
 //! Replaces the token-local `lock-discipline` heuristic of PR 3. That
 //! rule could only count `.lock(` calls inside one function; it could
 //! not see that `PcmStore::put` holds a directory stripe while
-//! `Allocator::allocate` — two calls away — takes the allocator lock
-//! and then a bank lock. This analysis can, and checks the whole
-//! workspace against one declared order:
+//! `Allocator::allocate_chain` — a call away — takes the allocator
+//! lock, or that the page writes under the same stripe take bank
+//! locks. This analysis can, and checks the whole workspace against
+//! one declared order:
 //!
 //! ```text
 //! stripe  →  allocator  →  bank  →  bch-registry  →  gf-registry  →  telemetry
 //! ```
 //!
-//! (`pcm-store` directory stripes outermost, then the free-list
-//! allocator, then the per-bank device locks; the ECC table
+//! (`pcm-store` directory stripes outermost, then the page allocator —
+//! a leaf that does no device I/O, so no path takes a bank lock under
+//! it — then the per-bank device locks; the ECC table
 //! registries are inner leaves — `Bch::new` builds tables while
 //! holding the BCH registry, which may populate the GF registry.
 //! The telemetry series mutex is innermost: `advance_time` takes it

@@ -5,9 +5,10 @@
 //! the `stripe → allocator → bank` lock order, the atomic-ordering
 //! gate ROADMAP item 2 needs before the per-bank `Mutex` becomes
 //! CAS/seqlock state — are *inter-procedural*: whether `PcmStore::put`
-//! may acquire a bank lock depends on what `Allocator::allocate` does
-//! three calls away. This module recovers just enough structure for
-//! that, without a real parser:
+//! may acquire a bank lock while it holds the allocator lock depends on
+//! what `Allocator::allocate_chain` calls (nothing on the device, so it
+//! may not). This module recovers just enough structure for that,
+//! without a real parser:
 //!
 //! * [`impl_spans`] — which `impl` block (and so which type) a
 //!   function belongs to, so `Gf::shared(…)` resolves to the right

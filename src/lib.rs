@@ -20,7 +20,7 @@
 //! | [`sim`] | trace-driven performance & energy simulation (Figure 16) |
 //! | [`trace`] | deterministic model-time event tracing (ring buffers, JSONL/Chrome exporters) |
 //! | [`telemetry`] | model-time series sampling, per-bank drift-risk estimators, `obs-report` analyzer |
-//! | [`store`] | KV serving layer: CRC-checked pages, free-list allocation, hash directory, deterministic YCSB-style workloads |
+//! | [`store`] | KV serving layer: CRC-checked pages, reachability-defined free space, hash directory, deterministic YCSB-style workloads |
 //!
 //! ## Quickstart
 //!

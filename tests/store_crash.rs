@@ -4,13 +4,20 @@
 //!    returns the correct value or a typed `CorruptPage` error — it
 //!    never silently returns wrong bytes (the page CRC sits above the
 //!    block stack's ECC precisely for errors that slip through).
-//! 2. The free list never hands the same page to two chains, no matter
-//!    how many concurrent sessions hammer put/delete.
+//! 2. The allocator never hands the same page to two chains, no matter
+//!    how many concurrent sessions hammer put/delete: afterwards `fsck`
+//!    finds every page reached at most once and the in-memory free count
+//!    equal to the walked one.
+//! 3. Free space is whatever the directory does not reach, so reopening
+//!    after any op — a full store's failed put included — rebuilds the
+//!    free count the live store had.
 
+use mlc_pcm::core::rng::Xoshiro256pp;
 use mlc_pcm::device::{DeviceBuilder, ShardedPcmDevice};
 use mlc_pcm::store::workload::value_for;
-use mlc_pcm::store::{Page, PageType, PcmStore, StoreConfig, StoreError, NO_PAGE};
+use mlc_pcm::store::{PcmStore, StoreConfig, StoreError};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const BLOCKS: usize = 256;
 const BANKS: usize = 4;
@@ -28,28 +35,6 @@ fn preload(store: &PcmStore, keys: u64, value_bytes: usize) {
     for k in 0..keys {
         store.put(k, &value_for(k, value_bytes)).unwrap();
     }
-}
-
-/// Walk the on-device free list, asserting it is acyclic with unique
-/// members that all decode as free pages; returns the member set.
-fn walk_free_list(store: &PcmStore) -> std::collections::BTreeSet<u32> {
-    let dev = store.device();
-    let mut seen = std::collections::BTreeSet::new();
-    let mut at = store.superblock().free_head;
-    while at != NO_PAGE {
-        assert!(seen.insert(at), "free list revisits page {at}");
-        assert!(seen.len() <= BLOCKS, "free list cycles");
-        let raw = dev.read_block(at as usize).unwrap();
-        let page = Page::decode(&raw.data).unwrap();
-        assert_eq!(page.page_type, PageType::Free, "page {at} not free");
-        at = page.next;
-    }
-    assert_eq!(
-        seen.len() as u32,
-        store.free_pages(),
-        "free count disagrees with the walked list"
-    );
-    seen
 }
 
 proptest! {
@@ -101,16 +86,17 @@ proptest! {
     }
 }
 
-/// Concurrent put/delete churn from 1, 2, and 8 sessions: afterwards the
-/// free list must be duplicate-free and consistent with its count, and
-/// every surviving key must read back exactly its own bytes (a double
+/// Concurrent put/delete churn from 1, 2, and 8 sessions: afterwards
+/// `fsck` must find no page reached twice and no damaged page, the live
+/// free count must equal the walked one and survive a reopen, and every
+/// surviving key must read back exactly its own bytes (a double
 /// allocation would splice one key's page into another's chain, which
 /// the per-page key field and CRC would expose).
 #[test]
 fn free_list_never_double_allocates_under_concurrency() {
     for sessions in [1usize, 2, 8] {
         let dev = device(11 + sessions as u64);
-        let store = PcmStore::format(
+        let mut store = PcmStore::format(
             dev,
             StoreConfig {
                 dir_buckets: 8,
@@ -129,7 +115,7 @@ fn free_list_never_double_allocates_under_concurrency() {
                     for round in 0..rounds {
                         for k in base..base + keys_per_session {
                             // Vary value size so chains grow and shrink,
-                            // forcing constant free-list traffic.
+                            // forcing constant allocator traffic.
                             let len = 20 + ((k + round) % 3) as usize * 44;
                             store.put(k, &value_for(k ^ round, len)).unwrap();
                             if (k + round) % 3 == 0 {
@@ -141,7 +127,9 @@ fn free_list_never_double_allocates_under_concurrency() {
             }
         });
 
-        let free = walk_free_list(&store);
+        let report = store.fsck().unwrap();
+        assert!(report.is_clean(), "{sessions} sessions: {report:?}");
+        assert_eq!(report.free, store.free_pages(), "{sessions} sessions");
         // Every key that survived the final round reads back its exact
         // final bytes; a cross-linked chain could not do this.
         let last = rounds - 1;
@@ -160,10 +148,59 @@ fn free_list_never_double_allocates_under_concurrency() {
                 }
             }
         }
-        // Nothing on the free list is reachable as live data: every
-        // bucket page is fixed (1..=8) and not in the free set.
-        for b in 1..=store.dir_buckets() {
-            assert!(!free.contains(&b), "bucket page {b} leaked to free list");
+        let free = store.free_pages();
+        let store = PcmStore::open(store.into_device()).unwrap();
+        assert_eq!(store.free_pages(), free, "{sessions} sessions: reopen");
+    }
+}
+
+/// A seeded put/delete sequence that runs the store full, reopened after
+/// every op: each reopen rebuilds exactly the free count the live store
+/// had, so no op — a put refused for lack of space included — leaks or
+/// double-counts a page, and the reopened store serves the right bytes.
+#[test]
+fn reopen_after_every_op_keeps_the_free_count() {
+    let mut rng = Xoshiro256pp::seed_from_u64(0x5EED_F5C4);
+    let dev = DeviceBuilder::new()
+        .blocks(48)
+        .banks(BANKS)
+        .seed(5)
+        .build_sharded()
+        .unwrap();
+    let config = StoreConfig {
+        dir_buckets: 4,
+        stripes: 2,
+    };
+    let mut store = PcmStore::format(dev, config).unwrap();
+    let mut model = BTreeMap::new();
+    let mut refused = 0;
+    for op in 0..120u64 {
+        let key = rng.next_u64() % 24;
+        if rng.next_u64().is_multiple_of(4) {
+            assert_eq!(store.delete(key).unwrap(), model.remove(&key).is_some());
+        } else {
+            let value = value_for(key ^ op, (rng.next_u64() % 180) as usize);
+            match store.put(key, &value) {
+                Ok(()) => {
+                    model.insert(key, value);
+                }
+                Err(StoreError::StoreFull) => refused += 1,
+                Err(e) => panic!("op {op}: put of key {key} failed: {e}"),
+            }
         }
+        let free = store.free_pages();
+        store = PcmStore::open_with(store.into_device(), config.stripes).unwrap();
+        assert_eq!(
+            store.free_pages(),
+            free,
+            "op {op}: reopen changed the free count"
+        );
+        assert_eq!(store.get(key).unwrap().as_ref(), model.get(&key), "op {op}");
+    }
+    assert!(refused > 0, "the sequence never filled the store");
+    let report = store.fsck().unwrap();
+    assert!(report.is_clean(), "{report:?}");
+    for (key, value) in &model {
+        assert_eq!(store.get(*key).unwrap().as_ref(), Some(value), "key {key}");
     }
 }
