@@ -12,6 +12,11 @@
 //! count: a bank's outcomes depend only on the sequence of operations
 //! applied *to that bank*, never on how operations interleave across
 //! banks or which thread executed them.
+//!
+//! A bank also carries the device engine's causal-profiling state, for
+//! the same reason: its demand correlation-id counter and its scrub
+//! debt are touched only under the bank's lock, so they too evolve as a
+//! pure function of the bank's operation order.
 
 use crate::array::CellArray;
 use crate::block::{BlockError, FourLevelBlock, ReadReport, ThreeLevelBlock, WriteReport};
@@ -118,6 +123,15 @@ pub struct PcmBank {
     blocks: Vec<AnyBlock>,
     cells_per_block: usize,
     stats: DeviceStats,
+    /// Sequence number of the next demand correlation id handed to a
+    /// plain (ctx-less) op on this bank; advanced only while tracing.
+    pub(crate) demand_seq: u64,
+    /// Modeled ns of refresh work this bank performed that no
+    /// ctx-carrying demand op has yet paid for. A successful refresh
+    /// deposits its busy window; the next `*_block_ctx` read or write
+    /// drains the whole balance as a `scrub_stall` span. Deposited only
+    /// while tracing, so untraced runs always read 0.
+    pub(crate) scrub_debt: u64,
 }
 
 impl PcmBank {
@@ -145,6 +159,8 @@ impl PcmBank {
             blocks,
             cells_per_block,
             stats: DeviceStats::default(),
+            demand_seq: 0,
+            scrub_debt: 0,
         }
     }
 

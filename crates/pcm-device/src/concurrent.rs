@@ -18,6 +18,15 @@
 //! one thread whenever the per-bank operation order matches
 //! (cross-validated in `tests/proptests.rs` and `tests/concurrent_scrub.rs`).
 //!
+//! ## One record point per op
+//!
+//! Every bank op (read, write, refresh) ends in one record step, run
+//! under its bank's lock: it computes the op's modeled busy window
+//! once, records it in the metrics registry, and — when tracing —
+//! emits the op's events and settles the bank's causal state (demand
+//! ids and scrub debt, kept on [`PcmBank`]). Metrics, trace spans and
+//! the duration the `*_block_ctx` ops return therefore always agree.
+//!
 //! ## Example
 //!
 //! ```
@@ -40,14 +49,11 @@
 //! ```
 
 use crate::bank::{DeviceStats, PcmBank};
-use crate::block::{ReadReport, WriteReport, BLOCK_BYTES};
-use crate::causal::{self, CausalState};
+use crate::block::{BlockError, ReadReport, WriteReport, BLOCK_BYTES};
 use crate::error::PcmError;
 use crate::metrics::{self, DeviceMetrics};
-use crate::telemetry_hooks;
-use crate::trace_hooks;
 use pcm_telemetry::TelemetryRecorder;
-use pcm_trace::{Recorder, NO_CTX};
+use pcm_trace::{pack_ctx, secs_to_ns, CtxClass, OpKind, Recorder};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -56,11 +62,20 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// A poisoned bank lock means a sibling thread panicked mid-operation;
 /// the bank's cell state is unknowable and no typed error could make it
 /// usable again, so propagating the panic is the only sound option.
-/// Every single-bank acquisition in this module routes through here so
-/// that reasoning lives in exactly one place.
+/// Every bank acquisition in this module routes through here so that
+/// reasoning lives in exactly one place.
 fn lock_bank(shard: &Mutex<PcmBank>) -> MutexGuard<'_, PcmBank> {
     // pcm-lint: allow(no-panic-lib) — poisoning implies a sibling thread already panicked.
     shard.lock().expect("bank lock poisoned")
+}
+
+/// Stable failure-event payload codes (documented in DESIGN.md §12).
+fn failure_code(e: BlockError) -> u64 {
+    match e {
+        BlockError::Uncorrectable => 1,
+        BlockError::WearoutExhausted => 2,
+        BlockError::WriteFailed => 3,
+    }
 }
 
 /// A PCM device sharing its banks across threads behind per-bank locks.
@@ -79,7 +94,6 @@ pub struct ShardedPcmDevice {
     metrics: DeviceMetrics,
     trace: Recorder,
     telemetry: Option<Arc<TelemetryRecorder>>,
-    causal: CausalState,
 }
 
 impl ShardedPcmDevice {
@@ -89,7 +103,6 @@ impl ShardedPcmDevice {
         telemetry: Option<Arc<TelemetryRecorder>>,
     ) -> Self {
         let metrics = DeviceMetrics::new(banks.len());
-        let causal = CausalState::new(banks.len());
         let blocks = banks.iter().map(PcmBank::blocks).sum();
         let cells_per_block = banks.first().map_or(0, PcmBank::cells_per_block);
         Self {
@@ -100,12 +113,11 @@ impl ShardedPcmDevice {
             metrics,
             trace,
             telemetry,
-            causal,
         }
     }
 
     /// The observability registry: per-bank atomic counters and latency
-    /// histograms, recorded lock-free on every operation.
+    /// histograms, recorded on every operation.
     pub fn metrics(&self) -> &DeviceMetrics {
         &self.metrics
     }
@@ -166,6 +178,11 @@ impl ShardedPcmDevice {
 
     /// Advance the global clock (drift accrues on every written cell).
     /// Safe to call concurrently; advances are atomic and cumulative.
+    ///
+    /// With telemetry on, the recorder then claims every sample tick
+    /// the new time made due, reading the metrics registry. Sampling
+    /// only here keeps the series thread-count invariant as long as the
+    /// clock moves only at quiesced points.
     pub fn advance_time(&self, secs: f64) {
         // pcm-lint: allow(no-panic-lib) — documented precondition; a negative advance is a caller bug that must not silently corrupt drift state.
         assert!(secs >= 0.0, "time flows forward");
@@ -175,12 +192,13 @@ impl ShardedPcmDevice {
             })
             // pcm-lint: allow(no-panic-lib) — infallible: the closure above always returns Some.
             .expect("fetch_update closure never fails");
-        telemetry_hooks::poll_telemetry(
-            self.telemetry.as_ref(),
-            self.now(),
-            &self.metrics,
-            &self.trace,
-        );
+        if let Some(tel) = &self.telemetry {
+            // Gather the counters only when a tick will be claimed.
+            let now_ns = secs_to_ns(self.now());
+            if tel.due_before(now_ns) {
+                tel.sample_up_to(now_ns, &self.metrics.snapshot().per_bank, &self.trace);
+            }
+        }
     }
 
     /// Route a global block index to `(shard, local_block)`.
@@ -194,99 +212,109 @@ impl ShardedPcmDevice {
         Ok((block % self.shards.len(), block / self.shards.len()))
     }
 
-    /// Record a write outcome into the metrics registry.
-    fn note_write(&self, shard: usize, cells: u64, r: &Result<WriteReport, PcmError>) {
-        match r {
-            Ok(rep) => self.metrics.bank(shard).record_write(
-                rep.new_faults as u64,
-                metrics::write_busy_ns(rep.attempts, cells),
-            ),
-            Err(_) => self.metrics.bank(shard).record_failure(),
-        }
-    }
-
-    /// Record a read outcome into the metrics registry.
-    fn note_read(&self, shard: usize, r: &Result<ReadReport, PcmError>) {
-        match r {
-            Ok(rep) => self
-                .metrics
-                .bank(shard)
-                .record_read(rep.corrected_bits as u64, metrics::READ_BUSY_NS),
-            Err(_) => self.metrics.bank(shard).record_failure(),
-        }
-    }
-
-    /// Next demand correlation id for `shard`. Call while holding the
-    /// bank's lock so per-bank allocation order equals op order;
-    /// [`NO_CTX`] when tracing is disabled.
-    fn demand_ctx(&self, shard: usize) -> u64 {
-        if self.trace.is_enabled() {
-            self.causal.next_demand(shard)
-        } else {
-            NO_CTX
-        }
-    }
-
-    /// Drain `shard`'s scrub debt at issue time, emitting the stall span
-    /// under the requester's ctx. Call while holding the bank's lock.
-    fn drain_debt(&self, shard: usize, block: usize, now: f64, ctx: u64) -> u64 {
-        if !self.trace.is_enabled() {
-            return 0;
-        }
-        let wait_ns = self.causal.take_debt(shard);
-        trace_hooks::scrub_stall_event(&self.trace, shard, block, now, wait_ns, ctx);
-        wait_ns
-    }
-
-    /// Trace a write outcome. Must be called while the bank's lock is
-    /// still held so the bank's event order equals its op order.
-    fn trace_write(
+    /// The record step every bank op ends with, run under the bank's
+    /// lock so the bank's metrics, events and causal state follow its
+    /// operation order. `kind` is the op (`Read`, `Write` or `Refresh`);
+    /// a successful `outcome` is `(attempts, count)`: program attempts
+    /// and new wearout faults for a write, `(0, corrected symbols)` for
+    /// a read or refresh.
+    ///
+    /// It computes the op's modeled busy window (§7: a read holds its
+    /// bank 200 ns, a write 1 µs scaled by its verify attempts, a
+    /// refresh one nominal read plus write) and records it in the
+    /// bank's [`metrics::BankMetrics`]. When tracing, it then emits the
+    /// op's events in order — the scrub stall a ctx-carrying read or
+    /// write drains from the bank's debt, the op span (or a failure
+    /// instant), and the ECC-decode span nested at a correcting read's
+    /// tail — and a successful refresh deposits its window as debt. A
+    /// plain op (`ctx = None`) takes the bank's next demand id.
+    ///
+    /// Returns the op's modeled duration: the drained stall plus the
+    /// busy window, which is exactly what its spans cover.
+    fn record(
         &self,
-        shard: usize,
+        bank: &mut PcmBank,
         block: usize,
         now: f64,
-        cells: u64,
-        r: &Result<WriteReport, PcmError>,
-        ctx: u64,
-    ) {
-        let outcome = match r {
-            Ok(rep) => Ok((rep.attempts, rep.new_faults as u64)),
-            Err(e) => match trace_hooks::pcm_error_code(e) {
-                Some(code) => Err(code),
-                None => return,
-            },
+        ctx: Option<u64>,
+        kind: OpKind,
+        outcome: Result<(u64, u64), BlockError>,
+    ) -> u64 {
+        let shard = bank.id();
+        let m = self.metrics.bank(shard);
+        let busy_ns = match (kind, outcome) {
+            (_, Err(_)) => {
+                m.record_failure();
+                0
+            }
+            (OpKind::Write, Ok((attempts, new_faults))) => {
+                let busy = metrics::write_busy_ns(attempts, self.cells_per_block as u64);
+                m.record_write(new_faults, busy);
+                busy
+            }
+            (OpKind::Read, Ok((_, corrected))) => {
+                m.record_read(corrected, metrics::READ_BUSY_NS);
+                metrics::READ_BUSY_NS
+            }
+            (_, Ok((_, corrected))) => {
+                let busy = metrics::READ_BUSY_NS + metrics::WRITE_BUSY_NS;
+                m.record_scrub(corrected, busy);
+                busy
+            }
         };
-        trace_hooks::write_event(&self.trace, shard, block, now, cells, outcome, ctx);
-    }
-
-    /// Trace a read outcome (same under-the-lock rule as
-    /// [`Self::trace_write`]).
-    fn trace_read(
-        &self,
-        shard: usize,
-        block: usize,
-        now: f64,
-        r: &Result<ReadReport, PcmError>,
-        ctx: u64,
-    ) {
-        let outcome = match r {
-            Ok(rep) => Ok(rep.corrected_bits as u64),
-            Err(e) => match trace_hooks::pcm_error_code(e) {
-                Some(code) => Err(code),
-                None => return,
-            },
+        let rec = &self.trace;
+        if !rec.is_enabled() {
+            return busy_ns;
+        }
+        let (ctx, wait_ns) = match ctx {
+            Some(ctx) if kind == OpKind::Refresh => (ctx, 0),
+            Some(ctx) => (ctx, std::mem::take(&mut bank.scrub_debt)),
+            None => {
+                let seq = bank.demand_seq;
+                bank.demand_seq += 1;
+                (pack_ctx(CtxClass::Demand, shard as u64, seq as u32), 0)
+            }
         };
-        trace_hooks::read_event(&self.trace, shard, block, now, outcome, ctx);
-    }
-
-    /// The model-time busy window the trace records for a completed
-    /// write: [`metrics::write_busy_ns`] of its program attempts over
-    /// this device's cells per block. Callers that model request
-    /// durations (the KV store's per-op spans) charge this, so a
-    /// retried write costs its request exactly what its trace span
-    /// covers.
-    pub fn write_busy_window_ns(&self, rep: &WriteReport) -> u64 {
-        metrics::write_busy_ns(rep.attempts, self.cells_per_block as u64)
+        let (b, blk, t) = (shard as u32, block as u32, secs_to_ns(now));
+        if wait_ns > 0 {
+            rec.span_ctx(
+                OpKind::ScrubStall,
+                b,
+                blk,
+                (t, t + wait_ns),
+                (wait_ns, wait_ns),
+                ctx,
+            );
+        }
+        match outcome {
+            Ok((attempts, count)) => {
+                let payload = match kind {
+                    OpKind::Refresh => (0, 0),
+                    _ => (attempts, count),
+                };
+                rec.span_ctx(kind, b, blk, (t, t + busy_ns), payload, ctx);
+                if kind == OpKind::Read && count > 0 {
+                    // Decode work rides inside the read window (the BCH
+                    // pipeline overlaps the array access): carve it from
+                    // the tail, clamped to the window.
+                    let decode_ns = (count * metrics::ECC_DECODE_NS_PER_SYMBOL).min(busy_ns);
+                    let end = t + busy_ns;
+                    rec.span_ctx(
+                        OpKind::EccDecode,
+                        b,
+                        blk,
+                        (end - decode_ns, end),
+                        (count, count),
+                        ctx,
+                    );
+                }
+                if kind == OpKind::Refresh {
+                    bank.scrub_debt += busy_ns;
+                }
+            }
+            Err(e) => rec.instant_ctx(OpKind::Failure, b, blk, t, failure_code(e), ctx),
+        }
+        wait_ns + busy_ns
     }
 
     /// Write 64 bytes to a block (locks only that block's bank).
@@ -295,11 +323,13 @@ impl ShardedPcmDevice {
     }
 
     /// [`ShardedPcmDevice::write_block`] with a caller-supplied
-    /// correlation id (e.g. a KV request's). Drains the bank's
-    /// accumulated scrub debt first — emitted as a `scrub_stall` span
-    /// under the caller's ctx — and returns the drained wait alongside
-    /// the report. Plain ops never drain, so debt only surfaces on
-    /// attributed requests.
+    /// correlation id (e.g. a KV request's). When tracing, drains the
+    /// bank's accumulated scrub debt first, emitted as a `scrub_stall`
+    /// span under the caller's ctx. Returns the op's modeled duration
+    /// alongside the report: the drained stall plus the write's busy
+    /// window (retries included), the sum of the spans it emitted.
+    /// Plain ops never drain, so debt only surfaces on attributed
+    /// requests.
     pub fn write_block_ctx(
         &self,
         block: usize,
@@ -315,20 +345,10 @@ impl ShardedPcmDevice {
     }
 
     /// [`ShardedPcmDevice::read_block`] with a caller-supplied
-    /// correlation id; same scrub-debt drain semantics as
+    /// correlation id; same scrub-debt drain and returned duration as
     /// [`ShardedPcmDevice::write_block_ctx`].
     pub fn read_block_ctx(&self, block: usize, ctx: u64) -> Result<(ReadReport, u64), PcmError> {
         self.read_impl(block, Some(ctx))
-    }
-
-    /// Under the bank's lock, resolve the op's correlation id: `None` is
-    /// a plain op (a fresh demand ctx, no debt drain); `Some(ctx)` drains
-    /// the scrub debt under `ctx` and returns the drained wait.
-    fn op_ctx(&self, shard: usize, block: usize, now: f64, ctx: Option<u64>) -> (u64, u64) {
-        match ctx {
-            Some(ctx) => (ctx, self.drain_debt(shard, block, now, ctx)),
-            None => (self.demand_ctx(shard), 0),
-        }
     }
 
     fn write_impl(
@@ -339,26 +359,28 @@ impl ShardedPcmDevice {
     ) -> Result<(WriteReport, u64), PcmError> {
         let (shard, local) = self.locate(block)?;
         let now = self.now();
-        let cells = self.cells_per_block as u64;
         let mut bank = lock_bank(&self.shards[shard]);
-        let (ctx, wait_ns) = self.op_ctx(shard, block, now, ctx);
-        let r = bank.write(local, now, data).map_err(PcmError::from);
-        self.trace_write(shard, block, now, cells, &r, ctx);
-        drop(bank);
-        self.note_write(shard, cells, &r);
-        r.map(|rep| (rep, wait_ns))
+        let r = bank.write(local, now, data);
+        let outcome = r.map(|rep| (rep.attempts, rep.new_faults as u64));
+        let ns = self.record(&mut bank, block, now, ctx, OpKind::Write, outcome);
+        Ok((r?, ns))
     }
 
     fn read_impl(&self, block: usize, ctx: Option<u64>) -> Result<(ReadReport, u64), PcmError> {
         let (shard, local) = self.locate(block)?;
         let now = self.now();
         let mut bank = lock_bank(&self.shards[shard]);
-        let (ctx, wait_ns) = self.op_ctx(shard, block, now, ctx);
-        let r = bank.read(local, now).map_err(PcmError::from);
-        self.trace_read(shard, block, now, &r, ctx);
-        drop(bank);
-        self.note_read(shard, &r);
-        r.map(|rep| (rep, wait_ns))
+        let r = bank.read(local, now);
+        let outcome = r.as_ref().map(|rep| (0, rep.corrected_bits as u64));
+        let ns = self.record(
+            &mut bank,
+            block,
+            now,
+            ctx,
+            OpKind::Read,
+            outcome.map_err(|e| *e),
+        );
+        Ok((r?, ns))
     }
 
     /// Refresh (scrub) one block: read, correct, rewrite — the §1
@@ -380,168 +402,11 @@ impl ShardedPcmDevice {
         let (shard, local) = self.locate(block)?;
         let now = self.now();
         let mut bank = lock_bank(&self.shards[shard]);
-        let ctx = ctx.unwrap_or_else(|| self.demand_ctx(shard));
-        let r = bank.refresh(local, now).map_err(PcmError::from);
-        match &r {
-            Ok(_) => {
-                trace_hooks::refresh_event(&self.trace, shard, block, now, Ok(()), ctx);
-                // A successful refresh owes the next attributed demand
-                // op its busy window (see `causal`).
-                if self.trace.is_enabled() {
-                    self.causal.add_debt(shard, causal::refresh_debt_ns());
-                }
-            }
-            Err(e) => {
-                if let Some(code) = trace_hooks::pcm_error_code(e) {
-                    trace_hooks::refresh_event(&self.trace, shard, block, now, Err(code), ctx);
-                }
-            }
-        }
-        drop(bank);
-        match &r {
-            Ok(corrected) => self
-                .metrics
-                .bank(shard)
-                .record_scrub(*corrected, metrics::READ_BUSY_NS + metrics::WRITE_BUSY_NS),
-            Err(_) => self.metrics.bank(shard).record_failure(),
-        }
-        r.map(|_| ())
-    }
-
-    /// The canonical multi-bank acquisition: guards are always taken in
-    /// ascending bank-id order, so any two threads locking the same pair
-    /// agree on the order and cannot deadlock. Returns the guards in the
-    /// caller's `(a, b)` order. `pcm-lint`'s `lock-order` analysis flags
-    /// any function holding two or more bank guards that does not route
-    /// through here.
-    fn lock_pair_ordered(
-        &self,
-        a: usize,
-        b: usize,
-    ) -> (MutexGuard<'_, PcmBank>, MutexGuard<'_, PcmBank>) {
-        debug_assert_ne!(a, b, "a pair means two distinct banks");
-        let lo_guard = lock_bank(&self.shards[a.min(b)]);
-        let hi_guard = lock_bank(&self.shards[a.max(b)]);
-        if a < b {
-            (lo_guard, hi_guard)
-        } else {
-            (hi_guard, lo_guard)
-        }
-    }
-
-    /// Copy one block's stored data onto another, atomically with
-    /// respect to both banks — the wear-leveling migration primitive.
-    /// Source read and destination write happen under simultaneously
-    /// held bank locks (sorted acquisition via
-    /// `lock_pair_ordered`), so no concurrent write can slip
-    /// between the two halves.
-    ///
-    /// Returns the destination's write report; metrics record one read
-    /// on the source bank and one write on the destination bank, and the
-    /// outcome is bit-identical to a [`Self::read_block`] of `src`
-    /// followed by a [`Self::write_block`] of its data to `dst`.
-    pub fn copy_block(&self, src: usize, dst: usize) -> Result<WriteReport, PcmError> {
-        let (s_shard, s_local) = self.locate(src)?;
-        let (d_shard, d_local) = self.locate(dst)?;
-        let now = self.now();
-        let cells = self.cells_per_block as u64;
-        let write = if s_shard == d_shard {
-            let mut bank = lock_bank(&self.shards[s_shard]);
-            let read_ctx = self.demand_ctx(s_shard);
-            let read = bank.read(s_local, now).map_err(PcmError::from);
-            self.note_read(s_shard, &read);
-            self.trace_read(s_shard, src, now, &read, read_ctx);
-            let data = read?.data;
-            let write_ctx = self.demand_ctx(d_shard);
-            let w = bank.write(d_local, now, &data).map_err(PcmError::from);
-            self.trace_write(d_shard, dst, now, cells, &w, write_ctx);
-            w
-        } else {
-            let (mut s_bank, mut d_bank) = self.lock_pair_ordered(s_shard, d_shard);
-            let read_ctx = self.demand_ctx(s_shard);
-            let read = s_bank.read(s_local, now).map_err(PcmError::from);
-            self.note_read(s_shard, &read);
-            self.trace_read(s_shard, src, now, &read, read_ctx);
-            let data = read?.data;
-            let write_ctx = self.demand_ctx(d_shard);
-            let w = d_bank.write(d_local, now, &data).map_err(PcmError::from);
-            self.trace_write(d_shard, dst, now, cells, &w, write_ctx);
-            w
-        };
-        self.note_write(d_shard, cells, &write);
-        write
-    }
-
-    /// Bulk write path: requests are grouped by bank *before* any lock is
-    /// taken, so each bank is locked exactly once per call and requests
-    /// to a bank apply in submission order. Results come back in
-    /// submission order.
-    pub fn write_batch(&self, requests: &[(usize, &[u8])]) -> Vec<Result<WriteReport, PcmError>> {
-        let now = self.now();
-        let mut results: Vec<Option<Result<WriteReport, PcmError>>> =
-            (0..requests.len()).map(|_| None).collect();
-        // Group indices by bank, preserving submission order within each.
-        let mut by_bank: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, (block, _)) in requests.iter().enumerate() {
-            match self.locate(*block) {
-                Ok((shard, _)) => by_bank[shard].push(i),
-                Err(e) => results[i] = Some(Err(e)),
-            }
-        }
-        for (shard, idxs) in by_bank.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut bank = lock_bank(&self.shards[shard]);
-            let cells = self.cells_per_block as u64;
-            for &i in idxs {
-                let (block, data) = requests[i];
-                let local = block / self.shards.len();
-                let ctx = self.demand_ctx(shard);
-                let r = bank.write(local, now, data).map_err(PcmError::from);
-                self.note_write(shard, cells, &r);
-                self.trace_write(shard, block, now, cells, &r, ctx);
-                results[i] = Some(r);
-            }
-        }
-        results
-            .into_iter()
-            // pcm-lint: allow(no-panic-lib) — infallible: locate() either grouped index i by bank or filled results[i] with Err.
-            .map(|r| r.expect("every request routed"))
-            .collect()
-    }
-
-    /// Bulk read path; same grouping rule as [`Self::write_batch`].
-    pub fn read_batch(&self, blocks: &[usize]) -> Vec<Result<ReadReport, PcmError>> {
-        let now = self.now();
-        let mut results: Vec<Option<Result<ReadReport, PcmError>>> =
-            (0..blocks.len()).map(|_| None).collect();
-        let mut by_bank: Vec<Vec<usize>> = vec![Vec::new(); self.shards.len()];
-        for (i, block) in blocks.iter().enumerate() {
-            match self.locate(*block) {
-                Ok((shard, _)) => by_bank[shard].push(i),
-                Err(e) => results[i] = Some(Err(e)),
-            }
-        }
-        for (shard, idxs) in by_bank.iter().enumerate() {
-            if idxs.is_empty() {
-                continue;
-            }
-            let mut bank = lock_bank(&self.shards[shard]);
-            for &i in idxs {
-                let local = blocks[i] / self.shards.len();
-                let ctx = self.demand_ctx(shard);
-                let r = bank.read(local, now).map_err(PcmError::from);
-                self.note_read(shard, &r);
-                self.trace_read(shard, blocks[i], now, &r, ctx);
-                results[i] = Some(r);
-            }
-        }
-        results
-            .into_iter()
-            // pcm-lint: allow(no-panic-lib) — infallible: locate() either grouped index i by bank or filled results[i] with Err.
-            .map(|r| r.expect("every request routed"))
-            .collect()
+        let r = bank.refresh(local, now);
+        let outcome = r.map(|corrected| (0, corrected));
+        self.record(&mut bank, block, now, ctx, OpKind::Refresh, outcome);
+        r?;
+        Ok(())
     }
 
     /// Cumulative statistics aggregated across all banks. Locks each bank
@@ -562,14 +427,13 @@ impl ShardedPcmDevice {
 
     /// Fault-injection hook: force a cell's lifetime. Cell indices use
     /// the device-wide layout (block-major: block `b` owns cells
-    /// `[b*cells_per_block, (b+1)*cells_per_block)`).
-    pub fn inject_lifetime(&self, cell: usize, cycles: u64) {
+    /// `[b*cells_per_block, (b+1)*cells_per_block)`). A cell past the
+    /// last block is [`PcmError::BlockOutOfRange`], naming its block.
+    pub fn inject_lifetime(&self, cell: usize, cycles: u64) -> Result<(), PcmError> {
         let cpb = self.cells_per_block;
-        let block = cell / cpb;
-        let within = cell % cpb;
-        let shard = block % self.shards.len();
-        let local_block = block / self.shards.len();
-        lock_bank(&self.shards[shard]).set_lifetime(local_block * cpb + within, cycles);
+        let (shard, local_block) = self.locate(cell / cpb)?;
+        lock_bank(&self.shards[shard]).set_lifetime(local_block * cpb + cell % cpb, cycles);
+        Ok(())
     }
 }
 
@@ -631,28 +495,6 @@ impl<'d> Session<'d> {
     pub fn refresh_block(&mut self, block: usize) -> Result<(), PcmError> {
         self.stats.refreshes += 1;
         self.dev.refresh_block(block)
-    }
-
-    /// Copy one block onto another (counts as one read and one write).
-    pub fn copy_block(&mut self, src: usize, dst: usize) -> Result<WriteReport, PcmError> {
-        self.stats.reads += 1;
-        self.stats.writes += 1;
-        self.dev.copy_block(src, dst)
-    }
-
-    /// Bulk write; counts as one write per request.
-    pub fn write_batch(
-        &mut self,
-        requests: &[(usize, &[u8])],
-    ) -> Vec<Result<WriteReport, PcmError>> {
-        self.stats.writes += requests.len() as u64;
-        self.dev.write_batch(requests)
-    }
-
-    /// Bulk read; counts as one read per request.
-    pub fn read_batch(&mut self, blocks: &[usize]) -> Vec<Result<ReadReport, PcmError>> {
-        self.stats.reads += blocks.len() as u64;
-        self.dev.read_batch(blocks)
     }
 }
 
@@ -757,34 +599,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_paths_match_singles() {
-        let singles = builder().build_sharded().unwrap();
-        let batched = builder().build_sharded().unwrap();
-        let payloads: Vec<Vec<u8>> = (0..32).map(|b| vec![b as u8 ^ 0x99; 64]).collect();
-        for (b, p) in payloads.iter().enumerate() {
-            singles.write_block(b, p).unwrap();
-        }
-        let requests: Vec<(usize, &[u8])> = payloads
-            .iter()
-            .enumerate()
-            .map(|(b, p)| (b, p.as_slice()))
-            .collect();
-        for r in batched.write_batch(&requests) {
-            r.unwrap();
-        }
-        let blocks: Vec<usize> = (0..32).collect();
-        let a = singles.read_batch(&blocks);
-        for (b, r) in batched.read_batch(&blocks).into_iter().enumerate() {
-            assert_eq!(
-                r.as_ref().unwrap(),
-                a[b].as_ref().unwrap(),
-                "batch read diverged at block {b}"
-            );
-        }
-        assert_eq!(singles.stats(), batched.stats());
-    }
-
-    #[test]
     fn concurrent_writes_scale_across_banks_deterministically() {
         // Run the same per-bank op streams under 1 thread and 8 threads:
         // outputs must be identical.
@@ -806,12 +620,7 @@ mod tests {
                     });
                 }
             });
-            let blocks: Vec<usize> = (0..32).collect();
-            let reads: Vec<Vec<u8>> = dev
-                .read_batch(&blocks)
-                .into_iter()
-                .map(|r| r.unwrap().data)
-                .collect();
+            let reads: Vec<Vec<u8>> = (0..32).map(|b| dev.read_block(b).unwrap().data).collect();
             (reads, dev.stats())
         };
         let (data1, stats1) = run(1);
@@ -819,97 +628,6 @@ mod tests {
         assert_eq!(data1, data8);
         assert_eq!(stats1, stats8);
         assert_eq!(stats1.writes, 128);
-    }
-
-    #[test]
-    fn copy_block_equals_read_then_write() {
-        // `copy_block` is a read of the source and a write of its data,
-        // under both bank locks at once: a second same-seed device doing
-        // the two halves as separate ops must agree bit for bit.
-        let copied = builder().build_sharded().unwrap();
-        let split = builder().build_sharded().unwrap();
-        for b in 0..8 {
-            let data = vec![(b as u8).wrapping_mul(31); 64];
-            copied.write_block(b, &data).unwrap();
-            split.write_block(b, &data).unwrap();
-        }
-        // Cross-bank (0 → 13), same-bank (2 → 10 with 8 banks), and
-        // reversed-order (13 → 0) copies must all agree.
-        for (src, dst) in [(0, 13), (2, 10), (13, 0)] {
-            let a = copied.copy_block(src, dst).unwrap();
-            let data = split.read_block(src).unwrap().data;
-            let b = split.write_block(dst, &data).unwrap();
-            assert_eq!(a, b, "copy report diverged for {src}->{dst}");
-            assert_eq!(
-                copied.read_block(dst).unwrap(),
-                split.read_block(dst).unwrap()
-            );
-        }
-        assert_eq!(copied.stats(), split.stats());
-        assert_eq!(copied.metrics().snapshot(), split.metrics().snapshot());
-    }
-
-    #[test]
-    fn copy_block_is_atomic_and_deadlock_free_under_contention() {
-        // Two threads copy in opposite directions between the same bank
-        // pair for many iterations. Unordered double-locking would
-        // deadlock here almost immediately; sorted acquisition cannot.
-        let dev = builder().build_sharded().unwrap();
-        dev.write_block(0, &[0xAA; 64]).unwrap(); // bank 0
-        dev.write_block(1, &[0x55; 64]).unwrap(); // bank 1
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                for _ in 0..500 {
-                    dev.copy_block(0, 1).unwrap();
-                }
-            });
-            s.spawn(|| {
-                for _ in 0..500 {
-                    dev.copy_block(1, 0).unwrap();
-                }
-            });
-        });
-        // Atomicity: both blocks must hold one of the two payloads, and
-        // every copy recorded exactly one read + one write.
-        let stats = dev.stats();
-        assert_eq!(stats.writes, 2 + 1000);
-        assert_eq!(stats.reads, 1000);
-        for b in [0, 1] {
-            let data = dev.read_block(b).unwrap().data;
-            assert!(data == vec![0xAA; 64] || data == vec![0x55; 64]);
-        }
-    }
-
-    #[test]
-    fn copy_block_propagates_out_of_range() {
-        let dev = builder().build_sharded().unwrap();
-        assert!(matches!(
-            dev.copy_block(0, 99),
-            Err(PcmError::BlockOutOfRange { block: 99, .. })
-        ));
-        assert!(matches!(
-            dev.copy_block(99, 0),
-            Err(PcmError::BlockOutOfRange { block: 99, .. })
-        ));
-        // Failed copies record no read/write.
-        assert_eq!(dev.stats().writes, 0);
-    }
-
-    #[test]
-    fn session_copy_counts_one_read_and_one_write() {
-        let dev = builder().build_sharded().unwrap();
-        let mut s = dev.session();
-        s.write_block(0, &[7u8; 64]).unwrap();
-        s.copy_block(0, 5).unwrap();
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                writes: 2,
-                reads: 1,
-                refreshes: 0
-            }
-        );
-        assert_eq!(dev.read_block(5).unwrap().data, vec![7u8; 64]);
     }
 
     #[test]
@@ -922,9 +640,235 @@ mod tests {
             }) => {}
             other => panic!("unexpected {other:?}"),
         }
-        let res = dev.write_batch(&[(0, &[0u8; 64][..]), (500, &[0u8; 64][..])]);
-        assert!(res[0].is_ok());
-        assert!(matches!(res[1], Err(PcmError::BlockOutOfRange { .. })));
+        assert!(matches!(
+            dev.write_block(500, &[0u8; 64]),
+            Err(PcmError::BlockOutOfRange { block: 500, .. })
+        ));
+        assert!(matches!(
+            dev.refresh_block(32),
+            Err(PcmError::BlockOutOfRange { block: 32, .. })
+        ));
+        // Rejected ops never reach a bank: nothing is recorded.
+        let t = dev.metrics().snapshot().total();
+        assert_eq!(
+            (t.reads, t.writes, t.scrubs, t.uncorrectables),
+            (0, 0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn inject_lifetime_out_of_range_is_an_error_not_a_panic() {
+        let dev = builder().build_sharded().unwrap();
+        // 3LC blocks are 364 cells: the last cell of block 31 is in
+        // range, the first cell past it names block 32.
+        assert!(dev.inject_lifetime(32 * 364 - 1, 1).is_ok());
+        assert!(matches!(
+            dev.inject_lifetime(32 * 364, 1),
+            Err(PcmError::BlockOutOfRange {
+                block: 32,
+                blocks: 32
+            })
+        ));
+        assert!(matches!(
+            dev.inject_lifetime(usize::MAX, 1),
+            Err(PcmError::BlockOutOfRange { .. })
+        ));
+    }
+
+    /// A 4LC device, traced or not, with every block written.
+    fn written_4lc(traced: bool) -> ShardedPcmDevice {
+        let mut b = builder().organization(CellOrganization::FourLevel {
+            design: LevelDesign::four_level_naive(),
+            smart: false,
+        });
+        if traced {
+            b = b.trace(pcm_trace::TraceConfig::new(4096));
+        }
+        let dev = b.build_sharded().unwrap();
+        for blk in 0..32 {
+            dev.write_block(blk, &[blk as u8 ^ 0x5A; 64]).unwrap();
+        }
+        dev
+    }
+
+    /// Run `op` and return what it returned, the busy ns it added to
+    /// bank 0's metrics, and the events it emitted on bank 0.
+    fn observe<T>(
+        dev: &ShardedPcmDevice,
+        op: impl FnOnce() -> T,
+    ) -> (T, u64, Vec<pcm_trace::TraceEvent>) {
+        let events = || {
+            dev.tracer()
+                .buffer()
+                .map_or(Vec::new(), |b| b.snapshot().per_bank[0].events.clone())
+        };
+        let (busy0, seen) = (dev.metrics().bank(0).snapshot().busy_ns, events().len());
+        let out = op();
+        let busy = dev.metrics().bank(0).snapshot().busy_ns - busy0;
+        (out, busy, events().split_off(seen))
+    }
+
+    /// Summed durations of the top-level spans in `events` (begin/end
+    /// pairs). An ECC-decode span is carved from its read's window, so
+    /// it is checked to nest there and not counted again.
+    fn span_sum(events: &[pcm_trace::TraceEvent]) -> u64 {
+        let spans: Vec<_> = events
+            .chunks(2)
+            .map(|pair| {
+                assert_eq!(pair[0].phase, pcm_trace::Phase::Begin);
+                assert_eq!(pair[1].phase, pcm_trace::Phase::End);
+                (pair[0].kind, pair[0].t_ns, pair[1].t_ns)
+            })
+            .collect();
+        let mut sum = 0;
+        for &(kind, begin, end) in &spans {
+            if kind == OpKind::EccDecode {
+                let read = spans.iter().find(|s| s.0 == OpKind::Read).unwrap();
+                assert!(
+                    read.1 <= begin && end == read.2,
+                    "decode nests at the read's tail"
+                );
+            } else {
+                sum += end - begin;
+            }
+        }
+        sum
+    }
+
+    #[test]
+    fn refresh_records_one_window_and_deposits_it_as_debt() {
+        for traced in [false, true] {
+            let dev = written_4lc(traced);
+            let ((), busy, events) = observe(&dev, || dev.refresh_block(0).unwrap());
+            assert_eq!(busy, busy_of_refresh());
+            if traced {
+                let kinds: Vec<_> = events.iter().map(|e| e.kind).collect();
+                assert_eq!(kinds, [OpKind::Refresh; 2]);
+                assert_eq!(span_sum(&events), busy);
+            } else {
+                assert!(events.is_empty());
+            }
+            // A scrub-pass refresh carries its pass's ctx and drains
+            // nothing: its events hold no stall, and it deposits too.
+            let ctx = crate::trace_hooks::scrub_ctx(0, 1);
+            let (r, _, events) = observe(&dev, || dev.refresh_block_ctx(8, ctx));
+            r.unwrap();
+            assert!(events
+                .iter()
+                .all(|e| e.kind == OpKind::Refresh && e.ctx == ctx));
+            // The next ctx-carrying op pays both refreshes' windows as
+            // its stall, only when tracing.
+            let ((_, ns), busy, _) = observe(&dev, || dev.read_block_ctx(16, 7).unwrap());
+            let debt = if traced { 2 * busy_of_refresh() } else { 0 };
+            assert_eq!(ns, busy + debt, "traced = {traced}");
+        }
+    }
+
+    fn busy_of_refresh() -> u64 {
+        metrics::READ_BUSY_NS + metrics::WRITE_BUSY_NS
+    }
+
+    #[test]
+    fn write_ctx_returns_its_spans_and_its_busy_window() {
+        for traced in [false, true] {
+            let dev = written_4lc(traced);
+            dev.refresh_block(0).unwrap();
+            let debt = if traced { busy_of_refresh() } else { 0 };
+            let ((rep, ns), busy, events) =
+                observe(&dev, || dev.write_block_ctx(8, &[0xC3; 64], 11).unwrap());
+            assert_eq!(
+                busy,
+                metrics::write_busy_ns(rep.attempts, dev.cells_per_block as u64)
+            );
+            assert_eq!(ns, busy + debt, "traced = {traced}");
+            if traced {
+                let kinds: Vec<_> = events.iter().map(|e| e.kind).collect();
+                assert_eq!(kinds[..2], [OpKind::ScrubStall; 2], "stall first");
+                assert_eq!(kinds[2..], [OpKind::Write; 2]);
+                assert!(events.iter().all(|e| e.ctx == 11));
+                assert_eq!(span_sum(&events), ns);
+            } else {
+                assert!(events.is_empty());
+            }
+            // Debt is paid once: the next ctx op owes no stall.
+            let ((_, ns), busy, _) =
+                observe(&dev, || dev.write_block_ctx(8, &[1; 64], 12).unwrap());
+            assert_eq!(ns, busy);
+        }
+    }
+
+    #[test]
+    fn read_ctx_returns_its_spans_and_its_busy_window() {
+        let mut decodes = 0;
+        for traced in [false, true] {
+            let dev = written_4lc(traced);
+            // Drift for a day so reads correct symbols (4LC, no refresh).
+            dev.advance_time(86_400.0);
+            dev.refresh_block(24).unwrap();
+            let mut debt = if traced { busy_of_refresh() } else { 0 };
+            for blk in [0, 8, 16] {
+                let ((rep, ns), busy, events) =
+                    observe(&dev, || dev.read_block_ctx(blk, 21).unwrap());
+                assert_eq!(busy, metrics::READ_BUSY_NS);
+                assert_eq!(ns, busy + debt, "traced = {traced}, block {blk}");
+                if traced {
+                    assert_eq!(span_sum(&events), ns);
+                    let decode = events.iter().any(|e| e.kind == OpKind::EccDecode);
+                    assert_eq!(decode, rep.corrected_bits > 0);
+                    decodes += decode as u32;
+                } else {
+                    assert!(events.is_empty());
+                }
+                debt = 0;
+            }
+        }
+        assert!(
+            decodes > 0,
+            "no read corrected a symbol: the decode span went untested"
+        );
+    }
+
+    #[test]
+    fn plain_ops_take_per_bank_demand_ids() {
+        let dev = written_4lc(true);
+        let ((), _, events) = observe(&dev, || {
+            dev.read_block(0).unwrap();
+            dev.read_block(8).unwrap();
+        });
+        let ids: Vec<_> = events
+            .iter()
+            .filter(|e| e.kind == OpKind::Read)
+            .map(|e| (pcm_trace::ctx_class(e.ctx), pcm_trace::ctx_seq(e.ctx)))
+            .collect();
+        // Bank 0 already handed ids 0..4 to its four writes.
+        let demand = CtxClass::Demand;
+        assert_eq!(ids, [(demand, 4), (demand, 4), (demand, 5), (demand, 5)]);
+        let (_, _, events) = observe(&dev, || dev.refresh_block(16).unwrap());
+        assert_eq!(
+            pcm_trace::ctx_seq(events[0].ctx),
+            6,
+            "refreshes share the stream"
+        );
+    }
+
+    #[test]
+    fn advance_time_samples_only_due_ticks() {
+        let dev = builder()
+            .telemetry(pcm_telemetry::TelemetryConfig::new(1_000))
+            .build_sharded()
+            .unwrap();
+        let points = |dev: &ShardedPcmDevice| {
+            dev.telemetry().unwrap().snapshot().per_bank[0]
+                .points
+                .clone()
+        };
+        dev.write_block(0, &[1; 64]).unwrap();
+        dev.advance_time(5e-7);
+        assert!(points(&dev).is_empty(), "500 ns: nothing due yet");
+        dev.advance_time(2e-6);
+        let p = points(&dev);
+        assert_eq!(p.len(), 2, "2.5 µs: ticks 1 and 2 claimed");
+        assert_eq!((p[0].writes, p[1].writes), (1, 0));
     }
 
     #[test]

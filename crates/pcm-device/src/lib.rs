@@ -59,14 +59,12 @@ pub mod array;
 pub mod bank;
 pub mod block;
 pub mod builder;
-mod causal;
 pub mod concurrent;
 pub mod error;
 pub mod generic_block;
 pub mod metrics;
 pub mod remap;
 pub mod scrub;
-mod telemetry_hooks;
 mod trace_hooks;
 pub mod wear_level;
 
@@ -77,7 +75,7 @@ pub use builder::{CellOrganization, ConfigError, DeviceBuilder};
 pub use concurrent::{Session, SessionStats, ShardedPcmDevice};
 pub use error::{Error, PcmError};
 pub use generic_block::GenericBlock;
-pub use metrics::{BankMetrics, BankMetricsSnapshot, DeviceMetrics, LogHistogram, MetricsSnapshot};
+pub use metrics::{BankMetrics, DeviceMetrics, LogHistogram, MetricsSnapshot};
 pub use remap::RemappedDevice;
 pub use scrub::{BankScrubCursor, RefreshReport, ScrubScheduler, ShardedScrubber};
 // The tracing vocabulary, re-exported so device users need not depend
@@ -87,7 +85,6 @@ pub use pcm_trace::{
     ctx_base, ctx_class, ctx_is_index, ctx_seq, ctx_stream, jsonl, pack_ctx, CtxClass, CtxCounter,
     Recorder, TraceConfig, TraceDecodeError, CTX_INDEX_FLAG, NO_CTX,
 };
-pub use telemetry_hooks::telemetry_counters;
 pub use wear_level::{GapMove, StartGap, WearLeveledDevice};
 
 // Telemetry vocabulary, so embedders rarely need a direct

@@ -4,8 +4,9 @@
 //! The ROADMAP north-star asks for observability of the hot paths; this
 //! module is the lightweight layer the device engine threads its
 //! telemetry through. A [`DeviceMetrics`] holds one [`BankMetrics`] per
-//! bank — plain `AtomicU64`s, so the engine records without taking any
-//! lock. Histograms bucket by `log2(value)` ([`LogHistogram`]),
+//! bank — plain `AtomicU64`s, so recording takes no lock of its own
+//! (the engine records from each op's record step, under the bank lock
+//! it already holds) and readers snapshot while ops run. Histograms bucket by `log2(value)` ([`LogHistogram`]),
 //! which keeps them fixed-size and mergeable while still resolving the
 //! order-of-magnitude structure of latency distributions.
 //!
@@ -22,6 +23,7 @@
 //! varies with verify-loop attempts) directly comparable to the timing
 //! simulator's numbers.
 
+use pcm_telemetry::BankCounters;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Modeled bank-busy time of one array read, ns (paper: 200 ns).
@@ -36,7 +38,7 @@ pub const WRITE_BUSY_NS: u64 = 1000;
 /// *inside* the read busy window (the BCH pipeline overlaps the array
 /// access), so profile attribution carves `corrected ×` this out of the
 /// tail of the 200 ns read rather than extending it; the carve-out is
-/// clamped to the window (see `trace_hooks::read_event`).
+/// clamped to the window (see `ShardedPcmDevice`'s record step).
 pub const ECC_DECODE_NS_PER_SYMBOL: u64 = 16;
 
 /// Modeled busy time of a block write, ns: the paper's 1 µs, scaled by
@@ -237,9 +239,10 @@ impl BankMetrics {
         Self::add(&self.uncorrectables, 1);
     }
 
-    /// Point-in-time copy of the counters.
-    pub fn snapshot(&self) -> BankMetricsSnapshot {
-        BankMetricsSnapshot {
+    /// Point-in-time copy of the counters, in the telemetry layer's
+    /// vocabulary (the recorder samples exactly this).
+    pub fn snapshot(&self) -> BankCounters {
+        BankCounters {
             reads: self.reads.load(Ordering::Relaxed),
             writes: self.writes.load(Ordering::Relaxed),
             scrubs: self.scrubs.load(Ordering::Relaxed),
@@ -251,91 +254,6 @@ impl BankMetrics {
             latency_buckets: self.latency_ns.bucket_counts(),
             correction_buckets: self.correction_magnitude.bucket_counts(),
         }
-    }
-}
-
-/// A plain-data copy of one bank's metrics.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BankMetricsSnapshot {
-    /// Successful block reads.
-    pub reads: u64,
-    /// Successful block writes.
-    pub writes: u64,
-    /// Completed scrubs.
-    pub scrubs: u64,
-    /// ECC-corrected symbols.
-    pub corrected_symbols: u64,
-    /// Decodes that corrected at least one symbol.
-    pub corrections: u64,
-    /// Failed operations.
-    pub uncorrectables: u64,
-    /// Newly remapped wearout faults.
-    pub remaps: u64,
-    /// Cumulative modeled busy time, ns.
-    pub busy_ns: u64,
-    /// Latency histogram bucket counts ([`HISTOGRAM_BUCKETS`] entries).
-    pub latency_buckets: Vec<u64>,
-    /// Correction-magnitude histogram bucket counts
-    /// ([`HISTOGRAM_BUCKETS`] entries).
-    pub correction_buckets: Vec<u64>,
-}
-
-impl BankMetricsSnapshot {
-    /// Fold another snapshot into this one (device-wide aggregation).
-    pub fn accumulate(&mut self, other: &BankMetricsSnapshot) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.scrubs += other.scrubs;
-        self.corrected_symbols += other.corrected_symbols;
-        self.corrections += other.corrections;
-        self.uncorrectables += other.uncorrectables;
-        self.remaps += other.remaps;
-        self.busy_ns += other.busy_ns;
-        Self::add_buckets(&mut self.latency_buckets, &other.latency_buckets);
-        Self::add_buckets(&mut self.correction_buckets, &other.correction_buckets);
-    }
-
-    /// Element-wise bucket sum, growing `into` to `from`'s length first
-    /// so no trailing counts are dropped when the lengths differ.
-    fn add_buckets(into: &mut Vec<u64>, from: &[u64]) {
-        if into.len() < from.len() {
-            into.resize(from.len(), 0);
-        }
-        for (a, b) in into.iter_mut().zip(from) {
-            *a += b;
-        }
-    }
-
-    /// The snapshot as one JSON object with a fixed field order (no
-    /// external dependencies). Bucket arrays are emitted with trailing
-    /// zero buckets trimmed, which keeps lines compact and is
-    /// deterministic for a given snapshot.
-    pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"reads\":{},\"writes\":{},\"scrubs\":{},\"corrected_symbols\":{},\
-             \"corrections\":{},\"uncorrectables\":{},\"remaps\":{},\"busy_ns\":{},\
-             \"latency_buckets\":[{}],\"correction_buckets\":[{}]}}",
-            self.reads,
-            self.writes,
-            self.scrubs,
-            self.corrected_symbols,
-            self.corrections,
-            self.uncorrectables,
-            self.remaps,
-            self.busy_ns,
-            Self::trimmed_buckets(&self.latency_buckets),
-            Self::trimmed_buckets(&self.correction_buckets)
-        )
-    }
-
-    /// Bucket counts as a comma-joined list with trailing zeros trimmed.
-    fn trimmed_buckets(buckets: &[u64]) -> String {
-        let last = buckets.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
-        buckets[..last]
-            .iter()
-            .map(|c| c.to_string())
-            .collect::<Vec<_>>()
-            .join(",")
     }
 }
 
@@ -375,13 +293,13 @@ impl DeviceMetrics {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Per-bank snapshots, indexed by bank id.
-    pub per_bank: Vec<BankMetricsSnapshot>,
+    pub per_bank: Vec<BankCounters>,
 }
 
 impl MetricsSnapshot {
     /// Device-wide totals.
-    pub fn total(&self) -> BankMetricsSnapshot {
-        let mut total = BankMetricsSnapshot::default();
+    pub fn total(&self) -> BankCounters {
+        let mut total = BankCounters::default();
         for b in &self.per_bank {
             total.accumulate(b);
         }
@@ -550,40 +468,6 @@ mod tests {
     }
 
     #[test]
-    fn accumulate_with_unequal_bucket_counts() {
-        // A short (hand-built) bucket vec accumulating a longer one must
-        // grow, and a longer one accumulating a shorter one must keep
-        // its tail — in both orders, for both bucket arrays.
-        let short = BankMetricsSnapshot {
-            reads: 1,
-            latency_buckets: vec![0, 2],
-            correction_buckets: vec![5],
-            ..Default::default()
-        };
-        let long = BankMetricsSnapshot {
-            reads: 10,
-            latency_buckets: vec![1, 1, 0, 7],
-            correction_buckets: vec![0, 0, 0, 0, 0, 3],
-            ..Default::default()
-        };
-        let mut a = short.clone();
-        a.accumulate(&long);
-        assert_eq!(a.reads, 11);
-        assert_eq!(a.latency_buckets, vec![1, 3, 0, 7]);
-        assert_eq!(a.correction_buckets, vec![5, 0, 0, 0, 0, 3]);
-        let mut b = long.clone();
-        b.accumulate(&short);
-        assert_eq!(b.latency_buckets, vec![1, 3, 0, 7]);
-        assert_eq!(b.correction_buckets, vec![5, 0, 0, 0, 0, 3]);
-        // Totals are order-independent.
-        assert_eq!(a.latency_buckets, b.latency_buckets);
-        // Accumulating into an empty default adopts the other's vectors.
-        let mut empty = BankMetricsSnapshot::default();
-        empty.accumulate(&long);
-        assert_eq!(empty, long);
-    }
-
-    #[test]
     fn write_busy_scales_with_attempts() {
         assert_eq!(write_busy_ns(364, 364), WRITE_BUSY_NS);
         assert_eq!(write_busy_ns(728, 364), 2 * WRITE_BUSY_NS);
@@ -657,7 +541,7 @@ mod tests {
         }
         let snap = m.snapshot();
         // Folding the banks one by one must equal the built-in total.
-        let mut folded = BankMetricsSnapshot::default();
+        let mut folded = BankCounters::default();
         for b in &snap.per_bank {
             folded.accumulate(b);
         }
@@ -671,7 +555,7 @@ mod tests {
         let hist: u64 = folded.latency_buckets.iter().sum();
         assert_eq!(hist, folded.reads + folded.writes + folded.scrubs);
         // Accumulating into a fresh default grows the bucket vec.
-        let mut empty = BankMetricsSnapshot::default();
+        let mut empty = BankCounters::default();
         empty.accumulate(&snap.per_bank[3]);
         assert_eq!(empty, snap.per_bank[3]);
     }

@@ -133,7 +133,7 @@ mod tests {
 
     fn kill_block_pairs(dev: &ShardedPcmDevice, block: usize, pairs: usize) {
         for p in 0..pairs {
-            dev.inject_lifetime(block * 364 + p * 2, 1);
+            dev.inject_lifetime(block * 364 + p * 2, 1).unwrap();
         }
     }
 

@@ -34,9 +34,8 @@
 //!   reference run (cross-validated in `tests/proptests.rs` and
 //!   `tests/concurrent_scrub.rs`).
 
-use crate::causal;
 use crate::concurrent::ShardedPcmDevice;
-use crate::trace_hooks;
+use crate::trace_hooks::{self, scrub_ctx};
 
 /// What a scrub run did during a `run_until` call.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -194,7 +193,7 @@ impl BankScrubCursor {
         while self.next_due() <= t {
             let launch = self.next_tick();
             let first = pass.map_or(launch, |(f, _, _)| f);
-            match dev.refresh_block_ctx(self.next_block(), causal::scrub_ctx(self.bank, first)) {
+            match dev.refresh_block_ctx(self.next_block(), scrub_ctx(self.bank, first)) {
                 Ok(()) => report.blocks_refreshed += 1,
                 Err(_) => report.failures += 1,
             }
@@ -262,7 +261,7 @@ impl ShardedScrubber {
             let block = self.sched.block_of(self.tick);
             let bank = block % self.sched.banks;
             let first = passes[bank].map_or(self.tick, |(f, _, _)| f);
-            match dev.refresh_block_ctx(block, causal::scrub_ctx(bank, first)) {
+            match dev.refresh_block_ctx(block, scrub_ctx(bank, first)) {
                 Ok(()) => report.blocks_refreshed += 1,
                 Err(_) => report.failures += 1,
             }

@@ -11,7 +11,7 @@
 
 use crate::config::{DesignPoint, EnergyModel, SimParams};
 use crate::workload::{TraceGenerator, WorkloadProfile};
-use pcm_device::{telemetry_counters, DeviceMetrics, TelemetryRecorder};
+use pcm_device::{DeviceMetrics, TelemetryRecorder};
 use pcm_trace::{round_ns, OpKind, Recorder, NO_BLOCK};
 use std::collections::VecDeque;
 
@@ -112,7 +112,7 @@ fn poll_telemetry(
     };
     let t = round_ns(now_ns);
     if tel.due_before(t) {
-        tel.sample_up_to(t, &telemetry_counters(metrics), recorder);
+        tel.sample_up_to(t, &metrics.snapshot().per_bank, recorder);
     }
 }
 

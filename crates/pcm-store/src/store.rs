@@ -39,7 +39,6 @@ use crate::directory::{bucket_of, bucket_page, entries, mix64, set_entries, ENTR
 use crate::error::{read_failure, StoreError};
 use crate::fsck::{fits_chain, formatted_free_bits, walk, FsckReport};
 use crate::page::{Page, PageDefect, PageType, FLAG_CHAIN_HEAD, NO_PAGE, PAGE_PAYLOAD_BYTES};
-use pcm_device::metrics::READ_BUSY_NS;
 use pcm_device::ShardedPcmDevice;
 use pcm_trace::{
     ctx_is_index, pack_ctx, secs_to_ns, CtxClass, CtxCounter, OpKind, CTX_INDEX_FLAG, NO_CTX,
@@ -85,7 +84,7 @@ pub const ANON_KV_STREAM: u64 = 0x1FFF_FFFF;
 /// Device reads/writes one KV op issued (drives span durations and the
 /// "pages touched" trace payload), split by what the pages were for:
 /// index (directory walks and slot writes) versus value data, plus the
-/// scrub-debt stall the op drained.
+/// modeled time they took.
 #[derive(Debug, Clone, Copy, Default)]
 struct OpCost {
     /// Value-chain page reads.
@@ -96,12 +95,13 @@ struct OpCost {
     pub index_reads: u64,
     /// Directory page writes.
     pub index_writes: u64,
-    /// Busy ns of the write spans issued. Accumulated (not derived
-    /// from the count) because a retried program runs longer than the
-    /// nominal window and the trace span covers the retries.
-    pub write_busy_ns: u64,
-    /// Scrub-debt stall drained by this op's device calls, ns.
-    pub scrub_wait_ns: u64,
+    /// Summed modeled durations the device returned for the op's page
+    /// reads and writes: each one's busy window (a retried write runs
+    /// longer than nominal) plus any scrub-debt stall it drained. This
+    /// is exactly the sum of the op's child span durations in the
+    /// trace, which is what makes per-request bucket attribution
+    /// residual-free.
+    pub model_ns: u64,
 }
 
 impl OpCost {
@@ -109,40 +109,25 @@ impl OpCost {
         self.data_reads + self.data_writes + self.index_reads + self.index_writes
     }
 
-    /// Record one page read/write against the right class, as named by
-    /// the ctx's index flag, plus any scrub stall the device drained.
-    fn charge_read(&mut self, ctx: u64, wait_ns: u64) {
+    /// Record one page read of modeled duration `ns` against the right
+    /// class, as named by the ctx's index flag.
+    fn charge_read(&mut self, ctx: u64, ns: u64) {
         if ctx_is_index(ctx) {
             self.index_reads += 1;
         } else {
             self.data_reads += 1;
         }
-        self.scrub_wait_ns += wait_ns;
+        self.model_ns += ns;
     }
 
-    /// Write-side counterpart of [`OpCost::charge_read`]. `busy_ns` is
-    /// the write's traced busy window
-    /// ([`ShardedPcmDevice::write_busy_window_ns`]).
-    fn charge_write(&mut self, ctx: u64, wait_ns: u64, busy_ns: u64) {
+    /// Write-side counterpart of [`OpCost::charge_read`].
+    fn charge_write(&mut self, ctx: u64, ns: u64) {
         if ctx_is_index(ctx) {
             self.index_writes += 1;
         } else {
             self.data_writes += 1;
         }
-        self.write_busy_ns += busy_ns;
-        self.scrub_wait_ns += wait_ns;
-    }
-
-    /// Modeled duration: busy time of the device ops issued (reads are
-    /// a fixed window; writes accumulate their traced, retry-inclusive
-    /// windows), plus the scrub-debt stall served before them. This is
-    /// exactly the sum of the op's child span durations in the trace,
-    /// which is what makes per-request bucket attribution
-    /// residual-free.
-    fn model_ns(&self) -> u64 {
-        (self.data_reads + self.index_reads) * READ_BUSY_NS
-            + self.write_busy_ns
-            + self.scrub_wait_ns
+        self.model_ns += ns;
     }
 }
 
@@ -484,13 +469,14 @@ impl PcmStore {
     }
 
     /// Read and CRC-verify one page under `ctx` (index-flagged ctx pages
-    /// count as index traffic; any drained scrub stall is charged too).
+    /// count as index traffic; the read's modeled duration, stall
+    /// included, is charged too).
     fn read_page(&self, page: u32, ctx: u64, cost: &mut OpCost) -> Result<Page, StoreError> {
-        let (report, wait_ns) = self
+        let (report, ns) = self
             .dev
             .read_block_ctx(page as usize, ctx)
             .map_err(|e| read_failure(page, e))?;
-        cost.charge_read(ctx, wait_ns);
+        cost.charge_read(ctx, ns);
         Page::decode(&report.data).map_err(|defect| StoreError::CorruptPage { page, defect })
     }
 
@@ -502,11 +488,11 @@ impl PcmStore {
         ctx: u64,
         cost: &mut OpCost,
     ) -> Result<(), StoreError> {
-        let (rep, wait_ns) = self
+        let (_, ns) = self
             .dev
             .write_block_ctx(page as usize, &p.encode(), ctx)
             .map_err(StoreError::from)?;
-        cost.charge_write(ctx, wait_ns, self.dev.write_busy_window_ns(&rep));
+        cost.charge_write(ctx, ns);
         Ok(())
     }
 
@@ -670,8 +656,9 @@ impl PcmStore {
     }
 
     /// Emit one KV span: begin payload is the mixed key, end payload the
-    /// pages touched; duration is the op's modeled device busy time
-    /// (which equals the sum of its child spans' durations exactly).
+    /// pages touched; duration is the op's modeled device time, the sum
+    /// of the durations its device calls returned (which equals the sum
+    /// of its child spans' durations exactly).
     fn emit(&self, kind: OpKind, key: u64, bucket: u32, ctx: u64, cost: &OpCost) {
         let rec = self.dev.tracer();
         if !rec.is_enabled() {
@@ -683,7 +670,7 @@ impl PcmStore {
             kind,
             bank,
             bucket_page(bucket),
-            (t0, t0 + cost.model_ns()),
+            (t0, t0 + cost.model_ns),
             (mix64(key), cost.touched()),
             ctx,
         );
@@ -921,7 +908,8 @@ mod tests {
         // and write the (free) page until its wearout budget runs out.
         for pair in 0..8 {
             s.dev
-                .inject_lifetime(victim as usize * THREE_LEVEL_BLOCK_CELLS + 2 * pair, 1);
+                .inject_lifetime(victim as usize * THREE_LEVEL_BLOCK_CELLS + 2 * pair, 1)
+                .unwrap();
         }
         let image = Page::empty(PageType::Free).encode();
         let exhausted = (0..12).any(|_| {

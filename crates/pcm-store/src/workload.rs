@@ -316,44 +316,18 @@ pub fn run(
 ) -> Result<WorkloadReport, StoreError> {
     cfg.validate()?;
     let threads = threads.max(1);
+    let mut states = ActorState::all(cfg)?;
     let mut totals = OpTotals::default();
-    let (tx, rx) = mpsc::channel::<Result<OpTotals, StoreError>>();
-    std::thread::scope(|s| {
-        for t in 0..threads {
-            let tx = tx.clone();
-            s.spawn(move || {
-                let mut actor = t;
-                while actor < cfg.actors {
-                    let r = run_actor(store, cfg, actor);
-                    let failed = r.is_err();
-                    if tx.send(r).is_err() || failed {
-                        return;
-                    }
-                    actor += threads;
-                }
-            });
-        }
-        drop(tx);
-    });
-    let mut first_err = None;
-    for r in rx.iter() {
-        match r {
-            Ok(t) => totals.add(&t),
-            Err(e) => {
-                first_err = first_err.or(Some(e));
-            }
-        }
-    }
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    run_slice(
+        store,
+        cfg,
+        &mut states,
+        &mut totals,
+        threads,
+        true,
+        cfg.ops_per_actor,
+    )?;
     Ok(report_from(store.device().metrics(), threads, totals))
-}
-
-/// One actor's full run: preload its keyspace, then its measured ops.
-fn run_actor(store: &PcmStore, cfg: &WorkloadConfig, actor: usize) -> Result<OpTotals, StoreError> {
-    let mut state = ActorState::new(cfg, actor)?;
-    run_actor_phase(store, cfg, &mut state, true, cfg.ops_per_actor)
 }
 
 /// An actor's resumable position in its op stream: the RNG and sampler
@@ -379,6 +353,13 @@ impl ActorState {
             zipf: Zipfian::new(cfg.keys_per_actor, cfg.zipf_theta)?,
             ctx: CtxCounter::new(CtxClass::Kv, actor as u64 + 1),
         })
+    }
+
+    /// Every actor's state at the start of its stream, in actor order.
+    fn all(cfg: &WorkloadConfig) -> Result<Vec<Option<ActorState>>, StoreError> {
+        (0..cfg.actors)
+            .map(|actor| ActorState::new(cfg, actor).map(Some))
+            .collect()
     }
 
     /// Next request ctx ([`NO_CTX`] while tracing is off, so the
@@ -489,10 +470,7 @@ pub fn run_phased(
     let threads = threads.max(1);
     let phases = phased.phases.max(1) as u64;
     let mut totals = OpTotals::default();
-    let mut states: Vec<Option<ActorState>> = Vec::with_capacity(cfg.actors);
-    for actor in 0..cfg.actors {
-        states.push(Some(ActorState::new(cfg, actor)?));
-    }
+    let mut states = ActorState::all(cfg)?;
     let mut scrubber = phased
         .scrub_interval_secs
         .map(|secs| ShardedScrubber::new(store.device(), secs));
@@ -523,7 +501,8 @@ pub fn run_phased(
 }
 
 /// Run one slice of every actor, multiplexed round-robin onto
-/// `threads` OS threads (the same actor-to-thread mapping as [`run`]).
+/// `threads` OS threads (thread `t` runs actors `t, t + threads, …` in
+/// order); [`run`] is this with one slice.
 /// States travel into the worker threads and come back through the
 /// result channel, so no lock guards them.
 fn run_slice(

@@ -9,8 +9,8 @@
 //!
 //! - [`TelemetryConfig`] / [`DriftRiskConfig`] — integer sampling
 //!   cadence, ring capacity, and correction-budget thresholds.
-//! - [`BankCounters`] — the cumulative-counter interface embedders
-//!   adapt their registries to (pcm-device adapts `BankMetrics`).
+//! - [`BankCounters`] — the cumulative per-bank counters the recorder
+//!   samples (pcm-device's `BankMetrics::snapshot` returns them).
 //! - [`TelemetryRecorder`] — claims integer sample ticks as the model
 //!   clock advances (`k * sample_interval_ns`, mirroring
 //!   `ScrubScheduler`'s integer-tick discipline) and turns counter

@@ -9,8 +9,8 @@
 use crate::risk::RiskState;
 
 /// Cumulative per-bank counters at one instant, as supplied by the
-/// embedding layer (pcm-device adapts its `BankMetrics` to this; the
-/// performance simulator adapts its local registry).
+/// embedding layer (pcm-device's `BankMetrics::snapshot` returns this
+/// type, and the performance simulator shares that registry).
 ///
 /// The recorder only ever *subtracts* consecutive readings, so any
 /// monotone counter source works.
@@ -35,9 +35,49 @@ pub struct BankCounters {
     /// Cumulative latency histogram bucket counts (log2 buckets, bucket
     /// 0 = zeros — the same shape as pcm-device's `LogHistogram`).
     pub latency_buckets: Vec<u64>,
+    /// Cumulative correction-magnitude histogram bucket counts
+    /// (corrected symbols per correcting decode, same log2 buckets).
+    pub correction_buckets: Vec<u64>,
 }
 
 impl BankCounters {
+    /// Fold another bank's counters into this one (device-wide
+    /// aggregation).
+    pub fn accumulate(&mut self, other: &BankCounters) {
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.scrubs += other.scrubs;
+        self.corrected_symbols += other.corrected_symbols;
+        self.corrections += other.corrections;
+        self.uncorrectables += other.uncorrectables;
+        self.remaps += other.remaps;
+        self.busy_ns += other.busy_ns;
+        add_buckets(&mut self.latency_buckets, &other.latency_buckets);
+        add_buckets(&mut self.correction_buckets, &other.correction_buckets);
+    }
+
+    /// The counters as one JSON object with a fixed field order (no
+    /// external dependencies). Bucket arrays are emitted with trailing
+    /// zero buckets trimmed, which keeps lines compact and is
+    /// deterministic for a given reading.
+    pub fn to_jsonl(&self) -> String {
+        format!(
+            "{{\"reads\":{},\"writes\":{},\"scrubs\":{},\"corrected_symbols\":{},\
+             \"corrections\":{},\"uncorrectables\":{},\"remaps\":{},\"busy_ns\":{},\
+             \"latency_buckets\":[{}],\"correction_buckets\":[{}]}}",
+            self.reads,
+            self.writes,
+            self.scrubs,
+            self.corrected_symbols,
+            self.corrections,
+            self.uncorrectables,
+            self.remaps,
+            self.busy_ns,
+            trimmed_buckets(&self.latency_buckets),
+            trimmed_buckets(&self.correction_buckets)
+        )
+    }
+
     /// Field-wise saturating difference `self - prev` (bucket counts
     /// are not differenced: quantiles come from the cumulative
     /// histogram).
@@ -54,8 +94,30 @@ impl BankCounters {
             remaps: self.remaps.saturating_sub(prev.remaps),
             busy_ns: self.busy_ns.saturating_sub(prev.busy_ns),
             latency_buckets: Vec::new(),
+            correction_buckets: Vec::new(),
         }
     }
+}
+
+/// Element-wise bucket sum, growing `into` to `from`'s length first so
+/// no trailing counts are dropped when the lengths differ.
+fn add_buckets(into: &mut Vec<u64>, from: &[u64]) {
+    if into.len() < from.len() {
+        into.resize(from.len(), 0);
+    }
+    for (a, b) in into.iter_mut().zip(from) {
+        *a += b;
+    }
+}
+
+/// Bucket counts as a comma-joined list with trailing zeros trimmed.
+fn trimmed_buckets(buckets: &[u64]) -> String {
+    let last = buckets.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
+    buckets[..last]
+        .iter()
+        .map(|c| c.to_string())
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 /// Inclusive lower bound of log2 bucket `i` (0 for buckets 0 and 1).
@@ -236,6 +298,40 @@ mod tests {
         // A (never-expected) backwards counter saturates to zero rather
         // than wrapping into a huge delta.
         assert_eq!(prev.delta_since(&cur).reads, 0);
+    }
+
+    #[test]
+    fn accumulate_with_unequal_bucket_counts() {
+        // A short (hand-built) bucket vec accumulating a longer one must
+        // grow, and a longer one accumulating a shorter one must keep
+        // its tail — in both orders, for both bucket arrays.
+        let short = BankCounters {
+            reads: 1,
+            latency_buckets: vec![0, 2],
+            correction_buckets: vec![5],
+            ..Default::default()
+        };
+        let long = BankCounters {
+            reads: 10,
+            latency_buckets: vec![1, 1, 0, 7],
+            correction_buckets: vec![0, 0, 0, 0, 0, 3],
+            ..Default::default()
+        };
+        let mut a = short.clone();
+        a.accumulate(&long);
+        assert_eq!(a.reads, 11);
+        assert_eq!(a.latency_buckets, vec![1, 3, 0, 7]);
+        assert_eq!(a.correction_buckets, vec![5, 0, 0, 0, 0, 3]);
+        let mut b = long.clone();
+        b.accumulate(&short);
+        assert_eq!(b.latency_buckets, vec![1, 3, 0, 7]);
+        assert_eq!(b.correction_buckets, vec![5, 0, 0, 0, 0, 3]);
+        // Totals are order-independent.
+        assert_eq!(a.latency_buckets, b.latency_buckets);
+        // Accumulating into an empty default adopts the other's vectors.
+        let mut empty = BankCounters::default();
+        empty.accumulate(&long);
+        assert_eq!(empty, long);
     }
 
     #[test]

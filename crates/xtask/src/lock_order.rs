@@ -463,7 +463,7 @@ pub fn check(ws: &Workspace, out: &mut Vec<Diagnostic>) {
                         t.line,
                         t.col,
                         format!("fn `{}` acquires two `{}` guards ad hoc", f.name, class),
-                        "route the pair through ShardedPcmDevice::lock_pair_ordered (guards \
+                        "route the pair through a `lock_pair_ordered` helper (guards \
                          ascend by bank id), restructure to one acquisition, or add \
                          `// pcm-lint: allow(lock-order)` proving the order cannot invert"
                             .to_string(),

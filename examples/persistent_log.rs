@@ -107,7 +107,7 @@ fn main() {
     // strikes during the run (MLC cells normally last ~1e5 cycles).
     for k in 0..40 {
         let cell = k * 547 % (BLOCKS * 364);
-        log.dev.inject_lifetime(cell, (k % 3) as u64 + 1);
+        log.dev.inject_lifetime(cell, (k % 3) as u64 + 1).unwrap();
     }
 
     let mut index = Vec::new();

@@ -59,12 +59,13 @@ fn digest(org: CellOrganization, seed: u64, short_lived: usize) -> u64 {
     // cells out, so write-and-verify marks pairs or groups (3LC, generic)
     // or fills ECP entries (4LC), and a few blocks run out of spares.
     for k in 0..short_lived {
-        dev.inject_lifetime((k * 7919 + 13) % cells, k as u64 % 5 + 1);
+        dev.inject_lifetime((k * 7919 + 13) % cells, k as u64 % 5 + 1)
+            .unwrap();
     }
     // Eight dead cells in distinct pairs, groups or ECP slots of block 2:
     // more than any organization can spare, so its writes fail.
     for k in 0..8 {
-        dev.inject_lifetime(2 * org_cells + 4 * k, 1);
+        dev.inject_lifetime(2 * org_cells + 4 * k, 1).unwrap();
     }
     let mut h = Digest(0xcbf2_9ce4_8422_2325);
     for round in 0..3 {
@@ -78,7 +79,7 @@ fn digest(org: CellOrganization, seed: u64, short_lived: usize) -> u64 {
     // Revive some worn cells with a fresh short budget: already-stuck cells
     // wear out a second time on the next rewrites.
     for k in 0..short_lived / 4 {
-        dev.inject_lifetime((k * 7919 + 13) % cells, 2);
+        dev.inject_lifetime((k * 7919 + 13) % cells, 2).unwrap();
     }
     for b in 0..BLOCKS {
         h.feed(&dev.write_block(b, &payload(b, 5)));

@@ -1,7 +1,7 @@
 //! Integration tests for the bank-sharded concurrent engine, driven
 //! through the `mlc_pcm` facade the way an application would use it:
-//! many threads contending for the same shards, bulk batch paths, the
-//! shared clock, and the typed error surface.
+//! many threads contending for the same shards, the shared clock, and
+//! the typed error surface.
 
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::device::{CellOrganization, DeviceBuilder, PcmError, ShardedPcmDevice};
@@ -50,31 +50,6 @@ fn contended_threads_share_banks_safely() {
 }
 
 #[test]
-fn batch_paths_cross_banks_in_one_call() {
-    let dev = sharded(16, 8, 7);
-    // Submission order deliberately hops banks back and forth.
-    let blocks: Vec<usize> = vec![15, 0, 9, 3, 8, 1, 14, 2];
-    let payloads: Vec<Vec<u8>> = blocks.iter().map(|&b| pattern(b)).collect();
-    let requests: Vec<(usize, &[u8])> = blocks
-        .iter()
-        .zip(&payloads)
-        .map(|(&b, p)| (b, p.as_slice()))
-        .collect();
-
-    let mut session = dev.session();
-    let write_reports = session.write_batch(&requests);
-    assert_eq!(write_reports.len(), blocks.len());
-    assert!(write_reports.iter().all(|r| r.is_ok()));
-    let read_reports = session.read_batch(&blocks);
-    // Results come back in submission order, not bank order.
-    for (report, want) in read_reports.iter().zip(&payloads) {
-        assert_eq!(&report.as_ref().unwrap().data, want);
-    }
-    assert_eq!(session.stats().writes, blocks.len() as u64);
-    assert_eq!(session.stats().reads, blocks.len() as u64);
-}
-
-#[test]
 fn out_of_range_blocks_yield_typed_errors() {
     let dev = sharded(8, 4, 1);
     match dev.read_block(8) {
@@ -84,14 +59,21 @@ fn out_of_range_blocks_yield_typed_errors() {
         other => panic!("expected BlockOutOfRange, got {other:?}"),
     }
     assert!(dev.write_block(100, &[0u8; 64]).is_err());
-    // Batches report per-op results: the bad op fails, the rest of the
-    // batch is unaffected.
+    assert!(matches!(
+        dev.refresh_block(99),
+        Err(PcmError::BlockOutOfRange { block: 99, .. })
+    ));
+    // Fault injection past the last block names that block.
+    let cells = dev.blocks() * 364;
+    assert!(matches!(
+        dev.inject_lifetime(cells, 1),
+        Err(PcmError::BlockOutOfRange { block: 8, .. })
+    ));
+    // A rejected op leaves the device usable: in-range ops still work.
     dev.write_block(0, &pattern(0)).unwrap();
     dev.write_block(1, &pattern(1)).unwrap();
-    let results = dev.read_batch(&[0, 1, 99]);
-    assert!(matches!(results[2], Err(PcmError::BlockOutOfRange { .. })));
-    assert_eq!(results[0].as_ref().unwrap().data, pattern(0));
-    assert_eq!(results[1].as_ref().unwrap().data, pattern(1));
+    assert_eq!(dev.read_block(0).unwrap().data, pattern(0));
+    assert_eq!(dev.read_block(1).unwrap().data, pattern(1));
 }
 
 #[test]

@@ -30,7 +30,8 @@ fn three_level_device_full_decade_with_wearout() {
         .unwrap();
     // Sprinkle early-failing cells across the array.
     for k in 0..24 {
-        dev.inject_lifetime((k * 997) % (32 * 364), k as u64 % 4 + 1);
+        dev.inject_lifetime((k * 997) % (32 * 364), k as u64 % 4 + 1)
+            .unwrap();
     }
     // Write everything a few times (persistent-store usage).
     for round in 0..4 {
@@ -185,7 +186,7 @@ fn wearout_exhaustion_is_contained_per_block() {
         .unwrap();
     // Kill 8 pairs of block 2 only.
     for p in 0..8 {
-        dev.inject_lifetime(2 * 364 + p * 2, 1);
+        dev.inject_lifetime(2 * 364 + p * 2, 1).unwrap();
     }
     let mut block2_failed = false;
     for round in 0..12u8 {
