@@ -14,7 +14,8 @@
 //!
 //! After the gate runs, a fourth pass replays the workload phase-by-
 //! phase on a telemetry-enabled store (`run_phased`: slices of ops
-//! interleaved with model-time advances and background scrub), and its
+//! interleaved with model-time advances and background scrub) on one
+//! thread, so its exports repeat byte for byte from run to run, and its
 //! per-bank series summary lands under a separate top-level
 //! `"telemetry"` key — the CI gate's `"ops"`/`"runs"` comparison never
 //! sees it. `--telemetry-out` additionally exports the full series as
@@ -260,7 +261,10 @@ fn main() {
     // runs (the phased runner preserves each actor's op stream); its
     // series summary rides under a separate top-level key so the CI
     // `"ops"`/`"runs"` comparison is untouched.
-    let tel_threads = args.threads.iter().copied().max().unwrap_or(1);
+    // One thread: per-interval bank figures (busy time, queueing) follow
+    // how sessions interleave on a bank, so only a single-threaded pass
+    // makes `--telemetry-out` and `--metrics-out` repeat byte for byte.
+    let tel_threads = 1;
     let trace_cfg = args
         .profile_out
         .as_ref()

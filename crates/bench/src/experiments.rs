@@ -1036,11 +1036,14 @@ pub fn ablate_lifetime(opts: &Opts) {
 /// the *functional device simulator* reading real blocks through the real
 /// BCH decoder. Uses the naive 4LC design at a stressed horizon so the
 /// block error rate is large enough to measure with thousands of blocks.
+/// The run exits 1 when the analytic BLER falls outside the measured 99 %
+/// interval.
 pub fn validate_bler(opts: &Opts) {
     use pcm_core::math::stats::Proportion;
     use pcm_device::{CellOrganization, DeviceBuilder};
     println!("== Validation: analytic BLER vs functional device simulation ==");
-    let blocks = (opts.samples / 4096).clamp(512, 8192) as usize;
+    // A whole number of blocks per bank.
+    let blocks = ((opts.samples / 4096).clamp(512, 8192) as usize).next_multiple_of(8);
     let t = 2f64.powi(15); // 9 hours: 4LCn CER ≈ 3.2e-2, BLER ≈ 0.4
     let design = LevelDesign::four_level_naive();
 
@@ -1096,6 +1099,7 @@ pub fn validate_bler(opts: &Opts) {
            slightly worse than the pure tail; agreement within ~20% validates\n\
            every link: drift model -> sensing -> Gray -> BCH -> binomial)"
     );
+    let agrees = lo <= predicted && predicted <= hi;
     write_csv(
         &out(opts, "validate_bler.csv"),
         "blocks,t_secs,measured,ci_lo,ci_hi,analytic",
@@ -1125,6 +1129,13 @@ pub fn validate_bler(opts: &Opts) {
         .count();
     println!("  3LC control: {n3} blocks after ten unrefreshed years -> {failed3} failures");
     assert_eq!(failed3, 0, "3LC must not lose a block in this experiment");
+    if !agrees {
+        eprintln!(
+            "validate-bler: analytic BLER {predicted:.4} lies outside the measured \
+             99% interval [{lo:.4}, {hi:.4}]"
+        );
+        std::process::exit(1);
+    }
 }
 
 /// Validation: the empirical written-cell resistance distribution (from

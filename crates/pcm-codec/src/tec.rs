@@ -28,7 +28,7 @@ pub const TEC_CHECK_BITS: usize = 10;
 /// S4 → `11`, read low bit first), i.e. [`Trit::tec_bits`] as a 2-bit
 /// value. It is also the thermometer code of the sensed state: bit `k` is
 /// set when the resistance reached threshold `k` (ascending thresholds).
-const STATE_CODE: [u64; 3] = [0b00, 0b01, 0b11];
+pub const STATE_CODE: [u64; 3] = [0b00, 0b01, 0b11];
 
 /// State index of each 2-bit TEC code. The code `0b10` (low = 0,
 /// high = 1), the `01` pattern, encodes no state and reads as S2, as in
@@ -120,6 +120,11 @@ impl TecCodec {
     /// Check bits added per block.
     pub fn check_bits(&self) -> usize {
         self.bch.parity_bits()
+    }
+
+    /// Bit errors per block the codec corrects (the BCH `t`).
+    pub fn strength(&self) -> usize {
+        self.bch.t()
     }
 
     /// Compute the SLC-stored check bits for a cell block.

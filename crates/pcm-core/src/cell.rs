@@ -57,17 +57,18 @@ pub fn write_cells(
     out: &mut [WrittenCell],
 ) {
     debug_assert_eq!(states.len(), out.len());
-    let mut writer = CellWriter::new(design, states, rng);
+    let mut writer = CellWriter::new(design, states);
     for (cell, &s) in out.iter_mut().zip(states) {
         *cell = writer.write(usize::from(s), rng);
     }
-    writer.sync(rng);
+    debug_assert_eq!(writer.pos, writer.len, "no normal drawn past the run");
 }
 
 /// Everything a write to one state reads from its design, hoisted out of
-/// per-cell loops.
+/// per-cell loops: the nominal `logR0`, σR, the program-and-verify
+/// window, the α distribution and, below it, the §5.3 rate switch.
 #[derive(Debug, Clone, Copy, PartialEq)]
-struct WritePlan {
+pub struct WritePlan {
     state: usize,
     nominal_logr: f64,
     sigma_logr: f64,
@@ -80,7 +81,7 @@ struct WritePlan {
 impl WritePlan {
     /// The plan for writing `state` of `design` with a program-and-verify
     /// window of ±`tolerance_sigma`.
-    fn new(design: &LevelDesign, state: usize, tolerance_sigma: f64) -> Self {
+    pub fn new(design: &LevelDesign, state: usize, tolerance_sigma: f64) -> Self {
         // pcm-lint: allow(no-panic-lib) — write contract: the target state comes from a validated LevelDesign
         assert!(state < design.n_levels(), "state {state} out of range");
         // pcm-lint: allow(no-panic-lib) — write contract: the write tolerance is a positive design parameter
@@ -98,6 +99,12 @@ impl WritePlan {
         }
     }
 
+    /// The state this plan writes.
+    #[inline]
+    pub fn state(&self) -> usize {
+        self.state
+    }
+
     /// Normals a write of this state draws when its first pulse verifies:
     /// `logR0`, α1 and, below the rate switch, α2.
     fn min_draws(&self) -> usize {
@@ -107,8 +114,10 @@ impl WritePlan {
     /// Program one cell from the standard normals `next` yields, in
     /// [`write_cell`]'s draw order: the truncated-Gaussian `logR0`
     /// (re-drawn until it lands within the window, §2.2), then α1, then α2.
+    /// This is the only write kernel; `#[inline(always)]` keeps the normal
+    /// source's state in registers.
     #[inline(always)]
-    fn write(&self, mut next: impl FnMut() -> f64) -> WrittenCell {
+    pub fn write(&self, mut next: impl FnMut() -> f64) -> WrittenCell {
         let (z, attempts) = truncate_normal(self.tolerance_sigma, &mut next);
         let logr0 = self.nominal_logr + z * self.sigma_logr;
         // Drift exponents are Gaussian per Table 1 but clamped at zero:
@@ -135,7 +144,7 @@ impl WritePlan {
 /// The [`WritePlan`] of each state of a design at its own write
 /// tolerance, built once per run of cells.
 #[derive(Debug, Clone)]
-struct WritePlans<'a> {
+pub struct WritePlans<'a> {
     design: &'a LevelDesign,
     table: [Option<WritePlan>; 8],
 }
@@ -143,7 +152,7 @@ struct WritePlans<'a> {
 impl<'a> WritePlans<'a> {
     /// Plans for `design`'s first eight states; any further state is
     /// planned on demand.
-    fn new(design: &'a LevelDesign) -> Self {
+    pub fn new(design: &'a LevelDesign) -> Self {
         let tolerance = design.write_tolerance_sigma;
         Self {
             design,
@@ -153,17 +162,9 @@ impl<'a> WritePlans<'a> {
         }
     }
 
-    /// Normals writing `states` draws when every first pulse verifies.
-    fn min_draws(&self, states: &[u8]) -> usize {
-        states
-            .iter()
-            .map(|&s| self.get(usize::from(s)).min_draws())
-            .sum()
-    }
-
     /// The plan for `state`.
     #[inline]
-    fn get(&self, state: usize) -> WritePlan {
+    pub fn get(&self, state: usize) -> WritePlan {
         match self.table.get(state) {
             Some(Some(plan)) => *plan,
             _ => WritePlan::new(self.design, state, self.design.write_tolerance_sigma),
@@ -174,42 +175,36 @@ impl<'a> WritePlans<'a> {
 /// Normals drawn ahead per batch by a [`CellWriter`].
 const WRITER_BATCH: usize = 256;
 
-/// Writes a run of cells in [`write_cell`] draw order, handing out the
-/// normals from batches drawn ahead with [`Xoshiro256pp::fill_normals`]
-/// (DESIGN.md §19).
+/// Writes a run of cells in [`write_cell`] draw order from normals drawn
+/// ahead in batches with [`Xoshiro256pp::fill_normals`] (DESIGN.md §19).
 ///
-/// The writes see exactly the stream per-cell writes would; only the
-/// generator runs ahead, and [`Self::sync`] puts it back where the next
-/// write would start drawing. A batch never holds more normals than the
-/// run's remaining cells draw when every first pulse verifies. So when
-/// every cell is written, a truncation reject finds the batch spent and
-/// the writer draws on, and the run ends with the generator already in
-/// place (`sync` is free). Cells the caller skips leave normals drawn
-/// ahead, which `sync` drops.
+/// A batch never holds more normals than the run's remaining cells draw
+/// when every first pulse verifies. So a truncation reject finds the
+/// batch spent and the writer draws on, and once every cell of the run is
+/// written the generator is exactly where per-cell writes leave it.
 #[derive(Debug, Clone)]
-pub struct CellWriter<'a> {
+struct CellWriter<'a> {
     plans: WritePlans<'a>,
     normals: [f64; WRITER_BATCH],
     len: usize,
     pos: usize,
-    /// The generator's state at `normals[0]`.
-    origin: Xoshiro256pp,
     /// Normals the cells not yet written draw at the least.
     owed: usize,
 }
 
 impl<'a> CellWriter<'a> {
-    /// A writer for programming `states` of `design`, in order, from
-    /// `rng`'s stream.
-    pub fn new(design: &'a LevelDesign, states: &[u8], rng: &Xoshiro256pp) -> Self {
+    /// A writer for programming all of `states` of `design`, in order.
+    fn new(design: &'a LevelDesign, states: &[u8]) -> Self {
         let plans = WritePlans::new(design);
-        let owed = plans.min_draws(states);
+        let owed = states
+            .iter()
+            .map(|&s| plans.get(usize::from(s)).min_draws())
+            .sum();
         Self {
             plans,
             normals: [0.0; WRITER_BATCH],
             len: 0,
             pos: 0,
-            origin: rng.clone(),
             owed,
         }
     }
@@ -217,13 +212,13 @@ impl<'a> CellWriter<'a> {
     /// Write the next cell of the run to `state`; bit-identical to
     /// [`write_cell`] at this point of the stream.
     #[inline]
-    pub fn write(&mut self, state: usize, rng: &mut Xoshiro256pp) -> WrittenCell {
+    fn write(&mut self, state: usize, rng: &mut Xoshiro256pp) -> WrittenCell {
         let plan = self.plans.get(state);
         self.owed = self.owed.saturating_sub(plan.min_draws());
         // The cursor lives in locals while the cell draws, so it stays in
         // registers.
         let (mut pos, mut len, mut used) = (self.pos, self.len, 0);
-        let (normals, origin, owed) = (&mut self.normals, &mut self.origin, self.owed);
+        let (normals, owed) = (&mut self.normals, self.owed);
         let cell = plan.write(|| {
             if pos == len {
                 // This cell still needs at least one more normal (its
@@ -231,7 +226,6 @@ impl<'a> CellWriter<'a> {
                 let need = plan.min_draws().saturating_sub(used).max(1) + owed;
                 len = need.min(WRITER_BATCH);
                 pos = 0;
-                *origin = rng.clone();
                 rng.fill_normals(&mut normals[..len]);
             }
             used += 1;
@@ -240,20 +234,6 @@ impl<'a> CellWriter<'a> {
         });
         (self.pos, self.len) = (pos, len);
         cell
-    }
-
-    /// Put `rng` where the next [`Self::write`] would start drawing,
-    /// dropping the normals drawn ahead of it (a snapshot of the generator
-    /// at the batch's first normal, plus a replay of the ones consumed).
-    /// Call it before drawing from `rng` directly and at the end of a
-    /// run that skipped cells; the next write draws afresh.
-    pub fn sync(&mut self, rng: &mut Xoshiro256pp) {
-        if self.pos < self.len {
-            *rng = self.origin.clone();
-            rng.fill_normals(&mut self.normals[..self.pos]);
-        }
-        self.len = 0;
-        self.pos = 0;
     }
 }
 

@@ -7,9 +7,18 @@
 //! SplitMix64 — the standard recommendation — plus Gaussian and
 //! truncated-Gaussian samplers tailored to the cell-write model.
 //!
+//! Two normal samplers share the generator. The Marsaglia polar method
+//! ([`Xoshiro256pp::next_normal`], [`Xoshiro256pp::fill_normals`]) is what
+//! the Monte-Carlo estimators and the paper's pinned outputs draw. The
+//! ziggurat ([`Xoshiro256pp::next_ziggurat_normal`]) is exact in
+//! distribution too, about 4× cheaper, and what the simulated device
+//! draws its cell writes and lifetimes from (DESIGN.md §19).
+//!
 //! Shard determinism: [`Xoshiro256pp::split`] derives an independent stream
 //! per Monte-Carlo shard from `(seed, shard_index)`, so results are
 //! independent of thread count.
+
+mod ziggurat;
 
 /// Derive the seed of an independent RNG stream `index` from a base
 /// `seed` — the decorrelation hash behind [`Xoshiro256pp::split`], exposed
@@ -167,6 +176,14 @@ impl Xoshiro256pp {
             }
             filled += k;
         }
+    }
+
+    /// Standard normal deviate via the 256-layer ziggurat (Marsaglia &
+    /// Tsang, 2000): exact in distribution, one `u64` for ≈98.5 % of
+    /// draws. A different stream from [`Self::next_normal`]'s.
+    #[inline(always)]
+    pub fn next_ziggurat_normal(&mut self) -> f64 {
+        ziggurat::normal(self)
     }
 
     /// Normal with given mean and standard deviation.

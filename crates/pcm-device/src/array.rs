@@ -13,12 +13,17 @@
 //! (pcm-core's contract), and its known fault lives only in its
 //! [`WearState`]: a stuck cell's resistance is a function of the fault.
 //!
+//! Every normal the array draws — a cell's write and its lifetime —
+//! comes from the bank's generator through the ziggurat sampler
+//! ([`Xoshiro256pp::next_ziggurat_normal`]), one cell at a time in cell
+//! order (DESIGN.md §19).
+//!
 //! [`DriftTrajectory`]: pcm_core::drift::DriftTrajectory
 
-use pcm_core::cell::CellWriter;
+use pcm_core::cell::{WritePlan, WritePlans};
 use pcm_core::drift::{log_time, PreparedTrajectory};
 use pcm_core::level::LevelDesign;
-use pcm_core::rng::{Xoshiro256pp, MAX_TRUNCATION_ATTEMPTS};
+use pcm_core::rng::Xoshiro256pp;
 use pcm_wearout::fault::{EnduranceModel, FaultKind, WearState};
 
 /// One physical cell.
@@ -41,18 +46,6 @@ fn stuck_logr(fault: FaultKind) -> f64 {
 }
 
 impl PhysicalCell {
-    /// Whether no write can wear this cell out now, so programming it
-    /// never draws a fault from the stream: a healthy cell takes at most
-    /// [`MAX_TRUNCATION_ATTEMPTS`] cycles, a known-stuck one exactly one.
-    #[inline]
-    fn is_hot(&self) -> bool {
-        let max_cycles = match self.wear.fault {
-            None => u64::from(MAX_TRUNCATION_ATTEMPTS),
-            Some(_) => 1,
-        };
-        !self.wear.wears_out_after(max_cycles)
-    }
-
     /// Log-resistance at drift log-time `l` (pinned if the cell is stuck).
     #[inline]
     fn logr_at_log_time(&self, l: f64) -> f64 {
@@ -100,26 +93,19 @@ pub struct CellArray {
 
 impl CellArray {
     /// Allocate `n` pristine cells (erased to the lowest state at t = 0,
-    /// no drift until written).
+    /// no drift until written), each with a lifetime drawn in cell order.
     pub fn new(n: usize, endurance: EnduranceModel, seed: u64) -> Self {
         // pcm-lint: allow(no-ambient-nondeterminism) — deterministic stream: the seed is caller-provided, per the documented reproducibility contract
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
-        // One lifetime draw per cell, in cell order: batches of
-        // `fill_normals` are the same stream as per-cell
-        // `WearState::new` calls.
         let erased = pcm_core::drift::DriftTrajectory::simple(3.0, 0.0).prepare();
         let lifetime = endurance.lifetime_map();
-        let mut normals = [0.0; 256];
-        let mut cells = Vec::with_capacity(n);
-        while cells.len() < n {
-            let batch = &mut normals[..(n - cells.len()).min(256)];
-            rng.fill_normals(batch);
-            cells.extend(batch.iter().map(|&z| PhysicalCell {
+        let cells = (0..n)
+            .map(|_| PhysicalCell {
                 trajectory: erased,
                 write_time: 0.0,
-                wear: WearState::with_lifetime(lifetime(z)),
-            }));
-        }
+                wear: WearState::with_lifetime(lifetime(rng.next_ziggurat_normal())),
+            })
+            .collect();
         Self {
             cells,
             endurance,
@@ -138,11 +124,6 @@ impl CellArray {
     }
 
     /// Program cell `idx` to `state` of `design` at absolute time `now`.
-    // Cold: `program_range` calls this only for cells that may wear out
-    // on this write. Without the hint, how the crate happens to split
-    // into codegen units decides whether the call spills the batched
-    // loop's registers (a ≈7 % slower block write).
-    #[cold]
     pub fn program(
         &mut self,
         idx: usize,
@@ -150,45 +131,8 @@ impl CellArray {
         state: usize,
         now: f64,
     ) -> ProgramOutcome {
-        let endurance = self.endurance;
-        let cell = &mut self.cells[idx];
-
-        if let Some(fault) = cell.wear.fault {
-            // Already-known-stuck cells take the pulse (and the wear) but
-            // verify only if the stuck level happens to sense as `state`.
-            // A renewed lifetime (`set_lifetime`) can wear the cell out
-            // again: that draws a new fault from the stream, but the cell
-            // stays pinned where its first fault put it.
-            cell.wear.wear(1, &endurance, &mut self.rng);
-            cell.wear.fault = Some(fault);
-            let sensed = design.sense(stuck_logr(fault));
-            return ProgramOutcome {
-                attempts: 1,
-                new_fault: None,
-                verified: sensed == state,
-            };
-        }
-
-        let written = pcm_core::cell::write_cell(design, state, &mut self.rng);
-        let new_fault = cell
-            .wear
-            .wear(written.write_attempts as u64, &endurance, &mut self.rng);
-        if let Some(fault) = new_fault {
-            let sensed = design.sense(stuck_logr(fault));
-            return ProgramOutcome {
-                attempts: written.write_attempts,
-                new_fault,
-                verified: sensed == state,
-            };
-        }
-
-        cell.trajectory = written.trajectory.prepare();
-        cell.write_time = now;
-        ProgramOutcome {
-            attempts: written.write_attempts,
-            new_fault: None,
-            verified: true,
-        }
+        let plan = WritePlan::new(design, state, design.write_tolerance_sigma);
+        self.program_cell(idx, design, &plan, now)
     }
 
     /// Program the cells `[base, base + states.len())` to `states` under
@@ -196,16 +140,9 @@ impl CellArray {
     /// write discovers a new fault so the caller can react to it (mark a
     /// pair, take an ECP entry) before the rest are programmed.
     ///
-    /// Bit-identical to calling [`Self::program`] on each cell in turn —
-    /// same cells, same generator stream (DESIGN.md §19). The normals of a
-    /// run are drawn in batches by a [`CellWriter`], planned from the
-    /// states alone. A cell this write could wear out — a healthy one
-    /// within [`MAX_TRUNCATION_ATTEMPTS`] cycles of its lifetime, or a
-    /// known-stuck one whose renewed lifetime runs out on this pulse —
-    /// draws its fault from the same stream, so it takes the cold path:
-    /// the generator is put back at the cell's first draw and the cell
-    /// goes through [`Self::program`]. Known-stuck cells draw nothing, so
-    /// the run ends by putting back any normals drawn for them.
+    /// The same as calling [`Self::program`] on each cell in turn: both
+    /// run one per-cell body, and this one only hoists the per-state
+    /// [`WritePlans`] out of the loop.
     pub fn program_range(
         &mut self,
         base: usize,
@@ -213,27 +150,10 @@ impl CellArray {
         states: &[u8],
         now: f64,
     ) -> RangeOutcome {
-        let mut writer = CellWriter::new(design, states, &self.rng);
+        let plans = WritePlans::new(design);
         let mut attempts = 0u64;
         for (k, &s) in states.iter().enumerate() {
-            let state = usize::from(s);
-            let cell = &mut self.cells[base + k];
-            if cell.is_hot() {
-                let n = if cell.wear.fault.is_some() {
-                    // A known-stuck cell takes one pulse and draws nothing.
-                    1
-                } else {
-                    let written = writer.write(state, &mut self.rng);
-                    cell.trajectory = written.trajectory.prepare();
-                    cell.write_time = now;
-                    u64::from(written.write_attempts)
-                };
-                cell.wear.cycles = cell.wear.cycles.saturating_add(n);
-                attempts += n;
-                continue;
-            }
-            writer.sync(&mut self.rng);
-            let out = self.program(base + k, design, state, now);
+            let out = self.program_cell(base + k, design, &plans.get(usize::from(s)), now);
             attempts += u64::from(out.attempts);
             if out.new_fault.is_some() {
                 return RangeOutcome {
@@ -243,11 +163,69 @@ impl CellArray {
                 };
             }
         }
-        writer.sync(&mut self.rng);
         RangeOutcome {
             programmed: states.len(),
             attempts,
             new_fault: None,
+        }
+    }
+
+    /// Program cell `idx` by `plan`: the write's normals, then (if the
+    /// write wears the cell out) its fault kind, all from the array's
+    /// generator.
+    #[inline(always)]
+    fn program_cell(
+        &mut self,
+        idx: usize,
+        design: &LevelDesign,
+        plan: &WritePlan,
+        now: f64,
+    ) -> ProgramOutcome {
+        if let Some(fault) = self.cells[idx].wear.fault {
+            return self.program_stuck(idx, fault, design, plan.state());
+        }
+        let rng = &mut self.rng;
+        let written = plan.write(|| rng.next_ziggurat_normal());
+        let cell = &mut self.cells[idx];
+        let new_fault = cell
+            .wear
+            .wear(written.write_attempts as u64, &self.endurance, rng);
+        if let Some(fault) = new_fault {
+            return ProgramOutcome {
+                attempts: written.write_attempts,
+                new_fault,
+                verified: design.sense(stuck_logr(fault)) == plan.state(),
+            };
+        }
+        cell.trajectory = written.trajectory.prepare();
+        cell.write_time = now;
+        ProgramOutcome {
+            attempts: written.write_attempts,
+            new_fault: None,
+            verified: true,
+        }
+    }
+
+    /// A known-stuck cell takes the pulse (and the wear) but verifies only
+    /// if the stuck level happens to sense as `state`. A renewed lifetime
+    /// (`set_lifetime`) can wear the cell out again: that draws a new
+    /// fault from the stream, but the cell stays pinned where its first
+    /// fault put it.
+    #[cold]
+    fn program_stuck(
+        &mut self,
+        idx: usize,
+        fault: FaultKind,
+        design: &LevelDesign,
+        state: usize,
+    ) -> ProgramOutcome {
+        let cell = &mut self.cells[idx];
+        cell.wear.wear(1, &self.endurance, &mut self.rng);
+        cell.wear.fault = Some(fault);
+        ProgramOutcome {
+            attempts: 1,
+            new_fault: None,
+            verified: design.sense(stuck_logr(fault)) == state,
         }
     }
 
@@ -316,14 +294,17 @@ mod tests {
 
     #[test]
     fn new_draws_the_per_cell_lifetimes() {
-        // Batched lifetime draws: the same values, and the same generator
-        // position afterwards, as one `WearState::new` per cell.
+        // One ziggurat normal per cell, in cell order, mapped through the
+        // endurance model's lifetime map; the generator then continues
+        // right after the last one.
         let model = EnduranceModel::mlc();
+        let lifetime = model.lifetime_map();
         for n in [0, 1, 255, 256, 257, 1000] {
             let mut a = CellArray::new(n, model, 9);
             let mut rng = Xoshiro256pp::seed_from_u64(9);
             for cell in &a.cells {
-                assert_eq!(cell.wear, WearState::new(&model, &mut rng), "{n} cells");
+                let expected = WearState::with_lifetime(lifetime(rng.next_ziggurat_normal()));
+                assert_eq!(cell.wear, expected, "{n} cells");
             }
             assert_eq!(a.rng.next_u64(), rng.next_u64(), "{n} cells");
         }

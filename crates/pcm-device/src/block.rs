@@ -8,7 +8,12 @@
 //!   correction (BCH-1 in the TEC bit domain) → hard error correction
 //!   (mark-and-spare INV skip) → symbol decoding (3-ON-2) — exactly
 //!   Figure 9's ordering. Wearout failures discovered by write-and-verify
-//!   mark the victim pair INV and the block re-encodes around it.
+//!   mark the victim pair INV and the block re-encodes around it. A
+//!   stuck cell that cannot be marked (dead stuck-set, or an SLC check
+//!   cell) is left to BCH-1, and a write whose data those cells get
+//!   wrong in more bits than BCH-1 corrects fails with
+//!   [`BlockError::WearoutExhausted`] instead of storing a block that
+//!   reads back wrong.
 //!
 //! * [`FourLevelBlock`] — the optimized 4LC baseline: 256 Gray-coded data
 //!   cells + 50 cells of BCH-10 parity, ECP-6 for wearout. The ECP MUX
@@ -22,7 +27,7 @@
 use crate::array::CellArray;
 use pcm_codec::gray;
 use pcm_codec::smart;
-use pcm_codec::tec::{self, TecCodec, CODE_STATE};
+use pcm_codec::tec::{self, TecCodec, CODE_STATE, STATE_CODE};
 use pcm_core::level::LevelDesign;
 use pcm_ecc::bch::Bch;
 use pcm_ecc::bitvec::BitVec;
@@ -117,6 +122,9 @@ pub struct ThreeLevelBlock {
     tec: TecCodec,
     base: usize,
     failed_pairs: Vec<usize>,
+    /// Stuck cells no pair mark covers, as offsets in the block: dead
+    /// stuck-set data cells and stuck SLC check cells.
+    unmarked_stuck: Vec<usize>,
 }
 
 /// Cells used by a [`ThreeLevelBlock`]: 354 MLC + 10 SLC check cells.
@@ -133,6 +141,7 @@ impl ThreeLevelBlock {
             tec: TecCodec::new(),
             base,
             failed_pairs: Vec::new(),
+            unmarked_stuck: Vec::new(),
         }
     }
 
@@ -177,6 +186,7 @@ impl ThreeLevelBlock {
             }
 
             let mut discovered = Vec::new();
+            let unmarked = &mut self.unmarked_stuck;
             attempts += program_cells(
                 array,
                 self.base,
@@ -187,9 +197,11 @@ impl ThreeLevelBlock {
                     new_faults += 1;
                     if fault.can_force_s4() {
                         discovered.push(i / 2);
+                    } else {
+                        // Non-markable (dead stuck-set) cells are left to
+                        // the BCH-1 safety net (§6.4).
+                        unmarked.push(i);
                     }
-                    // Non-markable (dead stuck-set) cells are left to the
-                    // BCH-1 safety net (§6.4).
                     Ok(())
                 },
             )?;
@@ -200,13 +212,33 @@ impl ThreeLevelBlock {
                 &self.slc,
                 check_states,
                 now,
-                |_, _| {
+                |j, _| {
                     new_faults += 1;
+                    unmarked.push(mlc + j);
                     Ok(())
                 },
             )?;
 
             if discovered.is_empty() {
+                // The stuck cells BCH-1 must hide may not leave it more
+                // wrong bits than it corrects.
+                let wrong: u32 = self
+                    .unmarked_stuck
+                    .iter()
+                    .map(|&c| match c.checked_sub(mlc) {
+                        None => {
+                            let sensed = array.sense(self.base + c, &self.design, now);
+                            (tec_bits.get_bits(2 * c, 2) ^ STATE_CODE[sensed]).count_ones()
+                        }
+                        Some(j) => {
+                            let sensed = array.sense(self.base + c, &self.slc, now);
+                            u32::from(check.get(j) != (sensed == 1))
+                        }
+                    })
+                    .sum();
+                if wrong as usize > self.tec.strength() {
+                    return Err(BlockError::WearoutExhausted);
+                }
                 return Ok(WriteReport {
                     new_faults,
                     attempts,

@@ -14,6 +14,9 @@
 //!   codeword — the all-top-states group, reachable by stuck-reset and
 //!   revived stuck-set cells exactly like 3-ON-2's INV — and skipped,
 //!   with spare groups at the block's end (generalized mark-and-spare).
+//!   Stuck cells no marker covers (dead stuck-set, SLC check cells) are
+//!   left to the BCH; a write they would leave more wrong bits in than
+//!   it corrects fails as [`BlockError::WearoutExhausted`].
 //!
 //! `ThreeLevelBlock` is the (K=3, m=2, BCH-1) instance of this datapath;
 //! the dedicated implementation is kept because it matches the paper's
@@ -54,6 +57,9 @@ pub struct GenericBlock {
     spare_groups: usize,
     bits_per_cell_tec: usize,
     failed_groups: Vec<usize>,
+    /// Stuck cells no group mark covers, as offsets in the block: dead
+    /// stuck-set MLC cells and stuck SLC check cells.
+    unmarked_stuck: Vec<usize>,
 }
 
 impl GenericBlock {
@@ -116,6 +122,7 @@ impl GenericBlock {
             spare_groups,
             bits_per_cell_tec,
             failed_groups: Vec::new(),
+            unmarked_stuck: Vec::new(),
         }
     }
 
@@ -209,10 +216,12 @@ impl GenericBlock {
         let per = self.code.symbols_per_group();
         let mut new_faults = 0usize;
         let mut attempts = 0u64;
+        let mlc = self.mlc_cells();
         for _round in 0..=self.spare_groups + 1 {
             let symbols = self.layout(&bits)?;
             let check = self.bch.encode(&self.tec_bits(&symbols));
             let mut discovered = Vec::new();
+            let unmarked = &mut self.unmarked_stuck;
             attempts += program_cells(
                 array,
                 self.base_cell,
@@ -223,6 +232,8 @@ impl GenericBlock {
                     new_faults += 1;
                     if fault.can_force_s4() {
                         discovered.push(i / per);
+                    } else {
+                        unmarked.push(i);
                     }
                     Ok(())
                 },
@@ -230,13 +241,35 @@ impl GenericBlock {
             let check_states: Vec<u8> = (0..check.len()).map(|j| u8::from(check.get(j))).collect();
             attempts += program_cells(
                 array,
-                self.base_cell + self.mlc_cells(),
+                self.base_cell + mlc,
                 &self.slc,
                 &check_states,
                 now,
-                |_, _| Ok(()),
+                |j, _| {
+                    unmarked.push(mlc + j);
+                    Ok(())
+                },
             )?;
             if discovered.is_empty() {
+                // The stuck cells the BCH must hide may not leave it more
+                // wrong bits than it corrects.
+                let wrong: u32 = self
+                    .unmarked_stuck
+                    .iter()
+                    .map(|&c| match c.checked_sub(mlc) {
+                        None => {
+                            let sensed = array.sense(self.base_cell + c, &self.design, now);
+                            (gray(usize::from(symbols[c])) ^ gray(sensed)).count_ones()
+                        }
+                        Some(j) => {
+                            let sensed = array.sense(self.base_cell + c, &self.slc, now);
+                            u32::from(check.get(j) != (sensed == 1))
+                        }
+                    })
+                    .sum();
+                if wrong as usize > self.bch.t() {
+                    return Err(BlockError::WearoutExhausted);
+                }
                 return Ok(WriteReport {
                     new_faults,
                     attempts,

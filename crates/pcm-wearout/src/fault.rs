@@ -78,8 +78,8 @@ impl EnduranceModel {
 
     /// The map from a cell's standard-normal endurance draw to its
     /// lifetime in write cycles — [`Self::sample_lifetime`]'s, with
-    /// `log10(median)` computed once for callers that map a batch of
-    /// draws ([`Xoshiro256pp::fill_normals`]).
+    /// `log10(median)` computed once for callers that map many draws
+    /// (the device draws them with [`Xoshiro256pp::next_ziggurat_normal`]).
     pub fn lifetime_map(&self) -> impl Fn(f64) -> u64 + Copy {
         let (log10_median, sigma_log10) = (self.median_cycles.log10(), self.sigma_log10);
         move |z| 10f64.powf(log10_median + sigma_log10 * z).round().max(1.0) as u64
@@ -125,6 +125,7 @@ impl WearState {
 
     /// Charge `n` write cycles; returns the fault if this write wore the
     /// cell out (exactly once — later calls return `None` again).
+    #[inline]
     pub fn wear(
         &mut self,
         n: u64,
@@ -144,11 +145,13 @@ impl WearState {
     /// Whether charging `n` more cycles wears the cell out — the write
     /// [`Self::wear`] reports as a new fault, drawing its kind from the
     /// stream.
+    #[inline]
     pub fn wears_out_after(&self, n: u64) -> bool {
         !self.is_worn() && self.cycles.saturating_add(n) >= self.lifetime
     }
 
     /// Whether the cell has exhausted its endurance.
+    #[inline]
     pub fn is_worn(&self) -> bool {
         self.cycles >= self.lifetime
     }

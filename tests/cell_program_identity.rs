@@ -1,12 +1,18 @@
 //! The cell-programming bit-identity oracle.
 //!
-//! Block writes program their cells through batched kernels —
-//! `Xoshiro256pp::fill_normals`, `cell::write_cells` and
-//! `CellArray::program_range` — that must reproduce the per-draw and
-//! per-cell paths exactly: the same values, bit for bit, and the generator
-//! left at the same point of its stream. Each property below runs the
-//! batched and the scalar path side by side from one seed and compares
-//! everything they produce, then draws once more on both sides.
+//! Cells are programmed through run-at-a-time paths that must reproduce
+//! the per-draw and per-cell paths exactly: the same values, bit for bit,
+//! and the generator left at the same point of its stream.
+//!
+//! - `Xoshiro256pp::fill_normals` and `cell::write_cells` (the Monte-Carlo
+//!   estimator's batched polar draws) against `next_normal` and
+//!   `write_cell`;
+//! - `CellArray::program_range` (a device block write, one ziggurat draw
+//!   at a time over hoisted per-state plans) against per-cell
+//!   `CellArray::program`, which runs the same per-cell body.
+//!
+//! Each property below runs the two paths side by side from one seed and
+//! compares everything they produce, then draws once more on both sides.
 
 use mlc_pcm::core::cell::{write_cell, write_cells, WrittenCell};
 use mlc_pcm::core::drift::DriftTrajectory;

@@ -2,7 +2,9 @@
 //! (in-block) × FREE-p remapping (device) × Start-Gap wear leveling ×
 //! the analytic lifetime model, plus the §8 generalized K-level block.
 
+use mlc_pcm::codec::enumerative::EnumerativeCode;
 use mlc_pcm::core::level::LevelDesign;
+use mlc_pcm::core::optimize::four_level_optimal;
 use mlc_pcm::device::{
     CellOrganization, DeviceBuilder, GenericBlock, RemappedDevice, ShardedPcmDevice,
     WearLeveledDevice,
@@ -18,10 +20,24 @@ fn weak(median: f64) -> EnduranceModel {
 }
 
 fn weak_device(blocks: usize, banks: usize, seed: u64, median: f64) -> ShardedPcmDevice {
+    weak_org_device(
+        CellOrganization::ThreeLevel(LevelDesign::three_level_naive()),
+        blocks,
+        banks,
+        seed,
+        median,
+    )
+}
+
+fn weak_org_device(
+    org: CellOrganization,
+    blocks: usize,
+    banks: usize,
+    seed: u64,
+    median: f64,
+) -> ShardedPcmDevice {
     DeviceBuilder::new()
-        .organization(CellOrganization::ThreeLevel(
-            LevelDesign::three_level_naive(),
-        ))
+        .organization(org)
         .blocks(blocks)
         .banks(banks)
         .seed(seed)
@@ -87,17 +103,107 @@ fn leveled_device_data_integrity_to_the_end() {
             break;
         }
         hot += 1;
-        if hot.is_multiple_of(257) {
-            for b in 0..8 {
-                let r = dev.read_block(b);
-                if let Ok(rep) = r {
-                    assert_eq!(rep.data, pattern(b), "block {b} after {hot} hot writes");
-                }
+        for b in 0..8 {
+            if let Ok(rep) = dev.read_block(b) {
+                assert_eq!(rep.data, pattern(b), "block {b} after {hot} hot writes");
             }
         }
         assert!(hot < 200_000, "weakened cells must eventually fail");
     }
     assert!(hot > 100, "some useful life before failure: {hot}");
+}
+
+/// Key-derived payload bytes, different for every block and write.
+fn payload(block: usize, write: u64) -> Vec<u8> {
+    let mut s = (block as u64) << 40 ^ write.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (0..64)
+        .map(|_| {
+            s = s.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (s ^ (s >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            (z >> 56) as u8
+        })
+        .collect()
+}
+
+/// Hot-write logical block 0 of `blocks` with fresh data until a write
+/// fails, reading every block back after every write. Returns the reads
+/// that came back `Ok` with bytes other than the last ones written.
+fn wrong_reads_until_worn_out(
+    blocks: usize,
+    mut write: impl FnMut(usize, &[u8]) -> bool,
+    read: impl Fn(usize) -> Option<Vec<u8>>,
+) -> usize {
+    let mut current: Vec<Vec<u8>> = (0..blocks).map(|b| payload(b, 0)).collect();
+    for (b, data) in current.iter().enumerate() {
+        assert!(write(b, data), "fresh write of block {b}");
+    }
+    let mut wrong = 0;
+    for n in 1..20_000 {
+        let data = payload(0, n);
+        if !write(0, &data) {
+            return wrong;
+        }
+        current[0] = data;
+        wrong += (0..blocks)
+            .filter(|&b| read(b).is_some_and(|got| got != current[b]))
+            .count();
+    }
+    panic!("weakened cells must eventually fail");
+}
+
+#[test]
+fn worn_blocks_never_read_back_wrong_bytes() {
+    // Every organization, bare and under Start-Gap, hot-written to its
+    // first failed write with cells of median endurance 700: a write that
+    // returns Ok must read back right. Stuck cells that no mark or ECP
+    // entry covers are the ECC's to hide, and a write they would leave
+    // more wrong bits in than it corrects must fail instead.
+    let generic = |tec_strength| CellOrganization::Generic {
+        design: LevelDesign::three_level_naive(),
+        code: EnumerativeCode::new(3, 2),
+        spare_groups: 6,
+        tec_strength,
+    };
+    let orgs = [
+        (
+            "3LC",
+            CellOrganization::ThreeLevel(LevelDesign::three_level_naive()),
+        ),
+        ("generic t=1", generic(1)),
+        ("generic t=2", generic(2)),
+        (
+            "4LC",
+            CellOrganization::FourLevel {
+                design: four_level_optimal().clone(),
+                smart: true,
+            },
+        ),
+    ];
+    let seeds = 0..8u64;
+    let mut report = Vec::new();
+    for (name, org) in &orgs {
+        let (mut bare_wrong, mut leveled_wrong) = (0, 0);
+        for seed in seeds.clone() {
+            let dev = weak_org_device(org.clone(), 2, 1, seed, 700.0);
+            bare_wrong += wrong_reads_until_worn_out(
+                2,
+                |b, d| dev.write_block(b, d).is_ok(),
+                |b| dev.read_block(b).ok().map(|r| r.data),
+            );
+            let dev = weak_org_device(org.clone(), 5, 1, seed, 700.0);
+            let dev = std::cell::RefCell::new(WearLeveledDevice::new(dev, 4, 4));
+            leveled_wrong += wrong_reads_until_worn_out(
+                4,
+                |b, d| dev.borrow_mut().write_block(b, d).is_ok(),
+                |b| dev.borrow().read_block(b).ok().map(|r| r.data),
+            );
+        }
+        report.push(format!(
+            "{name}: {bare_wrong} bare, {leveled_wrong} leveled"
+        ));
+    }
+    let clean = report.iter().all(|r| r.contains(": 0 bare, 0 leveled"));
+    assert!(clean, "wrong-bytes reads over seeds {seeds:?}: {report:?}");
 }
 
 #[test]
