@@ -14,7 +14,8 @@
 //!
 //! Writes `BENCH_math.json`: codewords/sec for the three decode paths,
 //! the sliced speedup over the reference (which CI thresholds on) and
-//! the scalar `decode` speedup over it, samples/sec for both MC paths,
+//! the scalar `decode` speedup over it — each the median of the ratios
+//! of repetitions that time the three paths back to back — samples/sec for both MC paths,
 //! and the verification verdicts.
 //!
 //! ```text
@@ -137,41 +138,51 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
         .map(|b| make_batch(&bch, data_bits, b))
         .collect();
 
-    // Scalar passes (timed): per-lane decode on fresh copies, through the
-    // whole-word oracle and through the remainder-first decoder.
+    // One rep runs the reference, scalar and sliced passes back to back
+    // on fresh copies of the same input, so host noise (frequency
+    // changes, a neighbour's burst) lands on all three alike; the
+    // speedups are medians of the per-rep ratios.
     let scalar_pass =
-        |decode: fn(&Bch, &mut BitVec, &mut BitVec) -> Result<usize, pcm_ecc::BchError>| {
-            let mut out: Vec<DecodedBatch> = Vec::with_capacity(inputs.len());
+        |decode: fn(&Bch, &mut BitVec, &mut BitVec) -> Result<usize, pcm_ecc::BchError>,
+         out: &mut Vec<DecodedBatch>| {
+            out.clear();
             let t0 = Instant::now();
-            for _ in 0..reps {
-                out.clear();
-                for (d, p) in &inputs {
-                    let (mut d, mut p) = (d.clone(), p.clone());
-                    let res: Vec<_> = d
-                        .iter_mut()
-                        .zip(p.iter_mut())
-                        .map(|(d, p)| decode(&bch, d, p))
-                        .collect();
-                    out.push((d, p, res));
-                }
+            for (d, p) in &inputs {
+                let (mut d, mut p) = (d.clone(), p.clone());
+                let res: Vec<_> = d
+                    .iter_mut()
+                    .zip(p.iter_mut())
+                    .map(|(d, p)| decode(&bch, d, p))
+                    .collect();
+                out.push((d, p, res));
             }
-            (out, t0.elapsed().as_secs_f64())
+            t0.elapsed().as_secs_f64()
         };
-    let (scalar_out, scalar_secs) = scalar_pass(Bch::decode_reference);
-    let (decode_out, decode_secs) = scalar_pass(Bch::decode);
-
-    // Sliced pass (timed): decode_batch on fresh copies of the same input.
-    let mut sliced_out: Vec<DecodedBatch> = Vec::with_capacity(inputs.len());
-    let t1 = Instant::now();
-    for _ in 0..reps {
-        sliced_out.clear();
+    let sliced_pass = |out: &mut Vec<DecodedBatch>| {
+        out.clear();
+        let t0 = Instant::now();
         for (d, p) in &inputs {
             let (mut d, mut p) = (d.clone(), p.clone());
             let res = bch.decode_batch(&mut d, &mut p);
-            sliced_out.push((d, p, res));
+            out.push((d, p, res));
         }
+        t0.elapsed().as_secs_f64()
+    };
+    let mut scalar_out: Vec<DecodedBatch> = Vec::with_capacity(inputs.len());
+    let mut decode_out: Vec<DecodedBatch> = Vec::with_capacity(inputs.len());
+    let mut sliced_out: Vec<DecodedBatch> = Vec::with_capacity(inputs.len());
+    let (mut scalar_secs, mut decode_secs, mut sliced_secs) = (0.0, 0.0, 0.0);
+    let (mut speedups, mut decode_speedups) = (Vec::new(), Vec::new());
+    for _ in 0..reps {
+        let scalar = scalar_pass(Bch::decode_reference, &mut scalar_out);
+        let decode = scalar_pass(Bch::decode, &mut decode_out);
+        let sliced = sliced_pass(&mut sliced_out);
+        scalar_secs += scalar;
+        decode_secs += decode;
+        sliced_secs += sliced;
+        speedups.push(scalar / sliced);
+        decode_speedups.push(scalar / decode);
     }
-    let sliced_secs = t1.elapsed().as_secs_f64();
 
     if inject {
         // Prove the gate gates: flip one corrected bit in the sliced
@@ -198,9 +209,20 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
         scalar_cw_per_sec: codewords / scalar_secs,
         decode_cw_per_sec: codewords / decode_secs,
         sliced_cw_per_sec: codewords / sliced_secs,
-        speedup: scalar_secs / sliced_secs,
-        decode_speedup: scalar_secs / decode_secs,
+        speedup: median(&mut speedups),
+        decode_speedup: median(&mut decode_speedups),
         identical,
+    }
+}
+
+/// The median of `xs` (the mean of the middle two for an even count).
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let mid = xs.len() / 2;
+    if xs.len().is_multiple_of(2) {
+        (xs[mid - 1] + xs[mid]) / 2.0
+    } else {
+        xs[mid]
     }
 }
 

@@ -145,7 +145,14 @@ impl Proportion {
         let denom = 1.0 + z2 / n;
         let center = (p + z2 / (2.0 * n)) / denom;
         let half = z / denom * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-        ((center - half).max(0.0), (center + half).min(1.0))
+        // At zero hits `center - half` is 0 in exact arithmetic but a
+        // rounding residue (≈1e-20) in floating point.
+        let lo = if self.hits == 0 {
+            0.0
+        } else {
+            (center - half).max(0.0)
+        };
+        (lo, (center + half).min(1.0))
     }
 
     /// Merge two proportions from disjoint samples.
@@ -268,6 +275,13 @@ mod tests {
         assert_eq!(lo, 0.0);
         // Upper bound ≈ z²/n ≈ 3.84e-6 — the experiment's resolution.
         assert!(hi > 1e-6 && hi < 1e-5, "hi = {hi}");
+    }
+
+    #[test]
+    fn wilson_lower_bound_is_exactly_zero_at_zero_hits() {
+        let (lo, hi) = Proportion::new(0, 156_434).wilson_interval(1e-3);
+        assert_eq!(lo, 0.0);
+        assert!(hi > 0.0);
     }
 
     #[test]

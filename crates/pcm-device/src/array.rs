@@ -8,10 +8,13 @@
 //! a worn cell becomes stuck (stuck-reset at the top state, stuck-set at
 //! the bottom unless revived, §6.4).
 //!
-//! A cell keeps its trajectory as a [`PreparedTrajectory`], whose
-//! evaluation is bit-identical to the sampled [`DriftTrajectory`]
-//! (pcm-core's contract), and its known fault lives only in its
-//! [`WearState`]: a stuck cell's resistance is a function of the fault.
+//! A cell keeps its trajectory as the fields of a [`PreparedTrajectory`]
+//! less its regime-2 intercept, which the sense derives from the design's
+//! rate switch; evaluation stays bit-identical to the sampled
+//! [`DriftTrajectory`] (pcm-core's contract). Its wear — the remaining
+//! cycle budget and the known fault — is one [`WearState`] word: a stuck
+//! cell's resistance is a function of the fault. A cell is 48 bytes
+//! (DESIGN.md §19).
 //!
 //! Every normal the array draws — a cell's write and its lifetime —
 //! comes from the bank's generator through the ziggurat sampler
@@ -26,10 +29,18 @@ use pcm_core::level::LevelDesign;
 use pcm_core::rng::Xoshiro256pp;
 use pcm_wearout::fault::{EnduranceModel, FaultKind, WearState};
 
-/// One physical cell.
+/// One physical cell: its [`PreparedTrajectory`] without `base`, its
+/// write time and its wear word.
 #[derive(Debug, Clone)]
 pub struct PhysicalCell {
-    trajectory: PreparedTrajectory,
+    /// Initial log10 resistance.
+    logr0: f64,
+    /// Regime-1 drift exponent.
+    alpha1: f64,
+    /// Crossing log-time into regime 2 (`+∞` when unreachable).
+    lc: f64,
+    /// Regime-2 drift exponent.
+    alpha2: f64,
     write_time: f64,
     wear: WearState,
 }
@@ -45,13 +56,46 @@ fn stuck_logr(fault: FaultKind) -> f64 {
     }
 }
 
+/// The switch resistance a cell of `design` crosses into regime 2 at.
+/// A design without a switch writes every cell with `lc = +∞`, so the
+/// value is never used for it.
+#[inline]
+fn switch_logr(design: &LevelDesign) -> f64 {
+    design.drift_switch.map_or(f64::NAN, |sw| sw.switch_logr)
+}
+
 impl PhysicalCell {
-    /// Log-resistance at drift log-time `l` (pinned if the cell is stuck).
+    /// A healthy cell holding `trajectory`, written at `write_time`.
+    fn set_trajectory(&mut self, trajectory: PreparedTrajectory, write_time: f64) {
+        self.logr0 = trajectory.logr0;
+        self.alpha1 = trajectory.alpha1;
+        self.lc = trajectory.lc;
+        self.alpha2 = trajectory.alpha2;
+        self.write_time = write_time;
+    }
+
+    /// Log-resistance at drift log-time `l` (pinned if the cell is stuck),
+    /// for a cell written under a design whose rate switch sits at `sw`.
+    /// The same float expressions as
+    /// [`PreparedTrajectory::logr_at_log_time`], with its `base` derived
+    /// as [`DriftTrajectory::prepare`] does.
+    ///
+    /// [`DriftTrajectory::prepare`]: pcm_core::drift::DriftTrajectory::prepare
     #[inline]
-    fn logr_at_log_time(&self, l: f64) -> f64 {
-        match self.wear.fault {
-            Some(fault) => stuck_logr(fault),
-            None => self.trajectory.logr_at_log_time(l),
+    fn logr_at_log_time(&self, l: f64, sw: f64) -> f64 {
+        if let Some(fault) = self.wear.fault() {
+            return stuck_logr(fault);
+        }
+        let l = l.max(0.0);
+        if l > self.lc {
+            let base = if self.lc == 0.0 {
+                self.logr0.max(sw)
+            } else {
+                sw
+            };
+            base + self.alpha2 * (l - self.lc)
+        } else {
+            self.logr0 + self.alpha1 * l
         }
     }
 }
@@ -101,7 +145,10 @@ impl CellArray {
         let lifetime = endurance.lifetime_map();
         let cells = (0..n)
             .map(|_| PhysicalCell {
-                trajectory: erased,
+                logr0: erased.logr0,
+                alpha1: erased.alpha1,
+                lc: erased.lc,
+                alpha2: erased.alpha2,
                 write_time: 0.0,
                 wear: WearState::with_lifetime(lifetime(rng.next_ziggurat_normal())),
             })
@@ -181,7 +228,7 @@ impl CellArray {
         plan: &WritePlan,
         now: f64,
     ) -> ProgramOutcome {
-        if let Some(fault) = self.cells[idx].wear.fault {
+        if let Some(fault) = self.cells[idx].wear.fault() {
             return self.program_stuck(idx, fault, design, plan.state());
         }
         let rng = &mut self.rng;
@@ -197,8 +244,7 @@ impl CellArray {
                 verified: design.sense(stuck_logr(fault)) == plan.state(),
             };
         }
-        cell.trajectory = written.trajectory.prepare();
-        cell.write_time = now;
+        cell.set_trajectory(written.trajectory.prepare(), now);
         ProgramOutcome {
             attempts: written.write_attempts,
             new_fault: None,
@@ -221,7 +267,7 @@ impl CellArray {
     ) -> ProgramOutcome {
         let cell = &mut self.cells[idx];
         cell.wear.wear(1, &self.endurance, &mut self.rng);
-        cell.wear.fault = Some(fault);
+        cell.wear.set_fault(Some(fault));
         ProgramOutcome {
             attempts: 1,
             new_fault: None,
@@ -231,7 +277,7 @@ impl CellArray {
 
     /// Sense cell `idx` at absolute time `now` under `design`.
     pub fn sense(&self, idx: usize, design: &LevelDesign, now: f64) -> usize {
-        design.sense(self.logr(idx, now))
+        design.sense(self.logr(idx, design, now))
     }
 
     /// Sense the cells `[base, base + out.len())` at absolute time `now`
@@ -244,41 +290,46 @@ impl CellArray {
         // (write-time bits, log-time). A NaN write time has log-time 0 at
         // any `now`, so seeding the memo with one is never wrong.
         let mut memo = (f64::NAN.to_bits(), 0.0);
+        let sw = switch_logr(design);
         for (cell, state) in self.cells[base..base + out.len()].iter().zip(out) {
             if cell.write_time.to_bits() != memo.0 {
                 let l = log_time((now - cell.write_time).max(0.0));
                 memo = (cell.write_time.to_bits(), l);
             }
-            *state = design.sense(cell.logr_at_log_time(memo.1)) as u8;
+            *state = design.sense(cell.logr_at_log_time(memo.1, sw)) as u8;
         }
     }
 
-    /// Raw analog log-resistance of cell `idx` at time `now`.
-    pub fn logr(&self, idx: usize, now: f64) -> f64 {
+    /// Raw analog log-resistance at time `now` of cell `idx`, which
+    /// `design` wrote.
+    pub fn logr(&self, idx: usize, design: &LevelDesign, now: f64) -> f64 {
         let cell = &self.cells[idx];
-        cell.logr_at_log_time(log_time((now - cell.write_time).max(0.0)))
+        cell.logr_at_log_time(
+            log_time((now - cell.write_time).max(0.0)),
+            switch_logr(design),
+        )
     }
 
     /// The cell's known fault, if any.
     pub fn fault(&self, idx: usize) -> Option<FaultKind> {
-        self.cells[idx].wear.fault
+        self.cells[idx].wear.fault()
     }
 
     /// Force a cell's remaining lifetime (test/fault-injection hook).
     pub fn set_lifetime(&mut self, idx: usize, cycles: u64) {
-        self.cells[idx].wear.lifetime = cycles;
-        self.cells[idx].wear.cycles = 0;
+        self.cells[idx].wear.set_lifetime(cycles);
     }
 
-    /// Wear cycles consumed by cell `idx`.
-    pub fn wear_cycles(&self, idx: usize) -> u64 {
-        self.cells[idx].wear.cycles
+    /// Write cycles cell `idx` has left before it wears out.
+    pub fn wear_budget(&self, idx: usize) -> u64 {
+        self.cells[idx].wear.budget()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pcm_core::drift::DriftTrajectory;
     use pcm_core::level::LevelDesign;
 
     fn array(n: usize) -> CellArray {
@@ -286,10 +337,52 @@ mod tests {
     }
 
     #[test]
-    fn physical_cell_is_72_bytes() {
-        // Prepared trajectory (40) + write time (8) + wear state (24): the
-        // fault is stored once and the stuck level derived from it.
-        assert_eq!(std::mem::size_of::<PhysicalCell>(), 72);
+    fn physical_cell_is_48_bytes() {
+        // logR0, α1, lc, α2, write time (5 × 8) + one wear word (8): the
+        // regime-2 intercept is derived from the design, the stuck level
+        // from the fault.
+        assert_eq!(std::mem::size_of::<PhysicalCell>(), 48);
+    }
+
+    #[test]
+    fn cell_sense_is_bit_identical_to_the_prepared_trajectory() {
+        // 3LC designs carry the rate switch: cells start below, at and
+        // above it, with zero and positive α1.
+        for d in [
+            LevelDesign::three_level_naive(),
+            LevelDesign::four_level_naive(),
+        ] {
+            let sw = d.drift_switch.map(|s| s.switch_logr);
+            let mut a = array(0);
+            for &logr0 in &[3.0, 4.2, 4.5, 4.8, 6.0] {
+                for &alpha1 in &[0.0, 0.001, 0.06] {
+                    let tr = match sw {
+                        Some(sw) => DriftTrajectory::with_switch(logr0, alpha1, sw, 0.1),
+                        None => DriftTrajectory::simple(logr0, alpha1),
+                    };
+                    let mut cell = PhysicalCell {
+                        logr0: 0.0,
+                        alpha1: 0.0,
+                        lc: 0.0,
+                        alpha2: 0.0,
+                        write_time: 0.0,
+                        wear: WearState::with_lifetime(10),
+                    };
+                    cell.set_trajectory(tr.prepare(), 5.0);
+                    a.cells.push(cell);
+                    for now in [0.0, 5.0, 1024.0, 1e5, 3.2e8] {
+                        let prepared = tr.prepare().logr_at_log_time(log_time(now - 5.0));
+                        let idx = a.len() - 1;
+                        assert_eq!(
+                            a.logr(idx, &d, now).to_bits(),
+                            prepared.to_bits(),
+                            "{} logR0 {logr0} α1 {alpha1} at {now}",
+                            d.name
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -327,11 +420,11 @@ mod tests {
         let d = LevelDesign::four_level_naive();
         let mut a = array(1);
         a.program(0, &d, 2, 1_000.0);
-        let r_at_write = a.logr(0, 1_000.0);
-        let r_later = a.logr(0, 1_000.0 + 1e6);
+        let r_at_write = a.logr(0, &d, 1_000.0);
+        let r_later = a.logr(0, &d, 1_000.0 + 1e6);
         assert!(r_later >= r_at_write);
         // Sensing *before* the write time must not apply negative drift.
-        assert_eq!(a.logr(0, 0.0), r_at_write);
+        assert_eq!(a.logr(0, &d, 0.0), r_at_write);
     }
 
     #[test]
@@ -339,9 +432,9 @@ mod tests {
         let d = LevelDesign::four_level_naive();
         let mut a = array(1);
         a.program(0, &d, 2, 0.0);
-        let drifted = a.logr(0, 1e8);
+        let drifted = a.logr(0, &d, 1e8);
         a.program(0, &d, 2, 1e8); // refresh rewrites to nominal
-        let refreshed = a.logr(0, 1e8);
+        let refreshed = a.logr(0, &d, 1e8);
         // Fresh write lands inside the ±2.75σ window around 5.0 again.
         assert!(refreshed < 5.0 + 2.76 / 6.0, "{refreshed} after {drifted}");
     }
@@ -428,9 +521,10 @@ mod tests {
     fn wear_accumulates_per_attempt() {
         let d = LevelDesign::four_level_naive();
         let mut a = array(1);
+        a.set_lifetime(0, 1000);
         for w in 0..50 {
             a.program(0, &d, 1, w as f64);
         }
-        assert!(a.wear_cycles(0) >= 50);
+        assert!(a.wear_budget(0) <= 950);
     }
 }

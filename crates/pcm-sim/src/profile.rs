@@ -12,8 +12,9 @@
 //!
 //! * **media** — unflagged device busy windows (value data traffic);
 //! * **ecc_decode** — BCH decode work carved out of read windows;
-//! * **alloc_index** — index-flagged busy windows (directory walks and
-//!   directory slot writes);
+//! * **alloc_index** — index-flagged busy windows: directory slot and
+//!   overflow-page writes (the store reads no index page at run time,
+//!   so this is write time only);
 //! * **scrub_wait** — accumulated scrub debt the request drained;
 //! * **queue_wait** — the remainder of the request's span not covered
 //!   by any child (scheduling slack; exactly 0 for KV requests, whose
@@ -40,7 +41,7 @@ pub struct LatencyBuckets {
     pub media_ns: u64,
     /// ECC decode work (carved out of the read windows it overlaps).
     pub ecc_ns: u64,
-    /// Index-flagged device busy time (directory + allocator traffic).
+    /// Index-flagged device busy time (directory page writes).
     pub alloc_index_ns: u64,
     /// Scrub debt drained ahead of the request's device ops.
     pub scrub_wait_ns: u64,

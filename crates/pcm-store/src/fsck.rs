@@ -8,11 +8,16 @@
 //! second time is counted, kept marked (so it never joins the free set)
 //! and not followed. Free space is the complement of the marks: every
 //! page nothing reaches, except the superblock and the bucket pages.
+//!
+//! The same walk rebuilds the store's volatile directory
+//! (`directory::Bucket`): each intact index page with its entries, each
+//! entry's chain page ids or the damage on the chain, and the damaged
+//! index page a bucket's chain stopped at, if any.
 
 use crate::alloc::{slot, Superblock};
-use crate::directory::{bucket_page, entries};
+use crate::directory::{bucket_page, entries, Bucket, Damage, Entry, IndexPage};
 use crate::error::{read_failure, StoreError};
-use crate::page::{Page, PageType, FLAG_CHAIN_HEAD, NO_PAGE};
+use crate::page::{Page, PageDefect, PageType, FLAG_CHAIN_HEAD, NO_PAGE};
 use crate::store::MAX_CHAIN_PAGES;
 use pcm_device::ShardedPcmDevice;
 
@@ -31,13 +36,19 @@ pub struct FsckReport {
     pub reachable: u32,
     /// Pages nothing reaches: the store's free space.
     pub free: u32,
+    /// Buckets whose rebuilt directory differs from the live store's
+    /// in-memory one (always 0 for a walk at `open`).
+    pub directory_mismatches: u32,
 }
 
 impl FsckReport {
     /// True when no page is reached twice, unreadable or of the wrong
-    /// type.
+    /// type, and the live directory matches the media.
     pub fn is_clean(&self) -> bool {
-        self.reached_twice == 0 && self.unreadable == 0 && self.wrong_type == 0
+        self.reached_twice == 0
+            && self.unreadable == 0
+            && self.wrong_type == 0
+            && self.directory_mismatches == 0
     }
 }
 
@@ -79,77 +90,102 @@ impl Walk<'_> {
         }
     }
 
-    /// Read and decode a reached page; `None` (and counted) if it is
-    /// unreadable or fails its CRC. Device errors other than an
-    /// uncorrectable block abort the walk.
-    fn load(&mut self, page: u32) -> Result<Option<Page>, StoreError> {
+    /// Read and decode a reached page, or (counted) what made it
+    /// unreadable. Device errors other than an uncorrectable block abort
+    /// the walk.
+    fn load(&mut self, page: u32) -> Result<Result<Page, Damage>, StoreError> {
         let decoded = match self.dev.read_block(page as usize) {
-            Ok(report) => Page::decode(&report.data).ok(),
+            Ok(report) => Page::decode(&report.data),
             Err(e) => match read_failure(page, e) {
-                StoreError::CorruptPage { .. } => None,
+                StoreError::CorruptPage { defect, .. } => Err(defect),
                 other => return Err(other),
             },
         };
-        if decoded.is_none() {
+        if decoded.is_err() {
             self.report.unreadable += 1;
         }
-        Ok(decoded)
+        Ok(decoded.map_err(|defect| (page, defect)))
     }
 
     /// Walk one bucket: its index pages and every chain they name.
-    fn bucket(&mut self, bucket: u32) -> Result<(), StoreError> {
+    fn bucket(&mut self, bucket: u32) -> Result<Bucket, StoreError> {
+        let mut dir = Bucket::default();
         let mut at = bucket_page(bucket);
         loop {
-            let Some(page) = self.load(at)? else {
-                return Ok(());
+            let page = match self.load(at)? {
+                Ok(page) => page,
+                Err(damage) => {
+                    dir.damage = Some(damage);
+                    return Ok(dir);
+                }
             };
             let Ok(list) = entries(&page) else {
                 self.report.wrong_type += 1;
-                return Ok(());
+                dir.damage = Some((at, PageDefect::WrongPage));
+                return Ok(dir);
+            };
+            let mut index = IndexPage {
+                id: at,
+                next: page.next,
+                entries: Vec::with_capacity(list.len()),
             };
             for (key, head) in list {
-                self.chain(key, head)?;
+                let chain = self.chain(key, head)?;
+                index.entries.push(Entry { key, head, chain });
             }
-            if page.next == NO_PAGE || !self.reach(page.next) {
-                return Ok(());
+            dir.pages.push(index);
+            if page.next == NO_PAGE {
+                return Ok(dir);
+            }
+            if !self.reach(page.next) {
+                dir.damage = Some((page.next, PageDefect::WrongPage));
+                return Ok(dir);
             }
             at = page.next;
         }
     }
 
-    /// Walk one value chain, with the checks `get` applies.
-    fn chain(&mut self, key: u64, head: u32) -> Result<(), StoreError> {
+    /// Walk one value chain, with the checks `get` applies: its page ids,
+    /// head first, or the first damage on it.
+    fn chain(&mut self, key: u64, head: u32) -> Result<Result<Vec<u32>, Damage>, StoreError> {
+        let mut pages = Vec::new();
         let mut at = head;
-        let mut len = 0usize;
-        while self.reach(at) {
-            let Some(page) = self.load(at)? else {
-                return Ok(());
+        loop {
+            if !self.reach(at) {
+                return Ok(Err((at, PageDefect::WrongPage)));
+            }
+            let page = match self.load(at)? {
+                Ok(page) => page,
+                Err(damage) => return Ok(Err(damage)),
             };
-            if !fits_chain(&page, key, len == 0) {
+            if !fits_chain(&page, key, pages.is_empty()) {
                 self.report.wrong_type += 1;
-                return Ok(());
+                return Ok(Err((at, PageDefect::WrongPage)));
             }
-            len += 1;
+            pages.push(at);
             if page.next == NO_PAGE {
-                return Ok(());
+                return Ok(Ok(pages));
             }
-            if len > MAX_CHAIN_PAGES {
+            if pages.len() > MAX_CHAIN_PAGES {
                 self.report.wrong_type += 1;
-                return Ok(());
+                return Ok(Err((at, PageDefect::WrongPage)));
             }
             at = page.next;
         }
-        Ok(())
     }
 }
 
-/// Walk the page graph of the store described by `sb`. Returns the
-/// report and the free bitmap (bit `p % 64` of word `p / 64` set when
-/// page `p` is free).
-pub(crate) fn walk(
-    dev: &ShardedPcmDevice,
-    sb: Superblock,
-) -> Result<(FsckReport, Vec<u64>), StoreError> {
+/// What one walk of the page graph rebuilt: the report, the free bitmap
+/// (bit `p % 64` of word `p / 64` set when page `p` is free) and the
+/// directory, one [`Bucket`] per bucket in bucket order.
+pub(crate) struct Walked {
+    pub report: FsckReport,
+    pub free: Vec<u64>,
+    pub buckets: Vec<Bucket>,
+}
+
+/// Walk the page graph of the store described by `sb`.
+pub(crate) fn walk(dev: &ShardedPcmDevice, sb: Superblock) -> Result<Walked, StoreError> {
     let reserved = 1 + sb.dir_buckets;
     let mut walk = Walk {
         dev,
@@ -157,9 +193,9 @@ pub(crate) fn walk(
         reached: reserved_bits(sb),
         report: FsckReport::default(),
     };
-    for bucket in 0..sb.dir_buckets {
-        walk.bucket(bucket)?;
-    }
+    let buckets = (0..sb.dir_buckets)
+        .map(|bucket| walk.bucket(bucket))
+        .collect::<Result<Vec<_>, _>>()?;
     let free = complement(&walk.reached, sb.pages);
     let mut report = walk.report;
     report.free = sb.pages.saturating_sub(reserved + report.reachable);
@@ -167,7 +203,11 @@ pub(crate) fn walk(
         report.free,
         free.iter().map(|w| w.count_ones()).sum::<u32>()
     );
-    Ok((report, free))
+    Ok(Walked {
+        report,
+        free,
+        buckets,
+    })
 }
 
 /// The free bitmap of a freshly formatted store: every page but the

@@ -12,9 +12,11 @@
 //!   (writes never implicitly allocate); nothing on the device records
 //!   free space — a page is free when the directory does not reach it;
 //! * [`fsck`] — the reachability walk `open` rebuilds the free bitmap
-//!   from, also exposed as [`PcmStore::fsck`];
+//!   and the volatile directory from, also exposed as
+//!   [`PcmStore::fsck`];
 //! * [`directory`] — a hash-directory index at fixed page ids, with
-//!   overflow index pages allocated like value pages;
+//!   overflow index pages allocated like value pages, and the volatile
+//!   in-memory copy of it the store serves lookups from;
 //! * [`store`] — [`PcmStore`]: the serving surface, striped bucket
 //!   locks over concurrent sessions, every failure a typed
 //!   [`StoreError`] (corruption is [`StoreError::CorruptPage`] — the

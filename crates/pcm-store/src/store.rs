@@ -17,16 +17,32 @@
 //! before any field is trusted, so the store returns the written value
 //! or a typed [`StoreError::CorruptPage`] — never silently wrong bytes.
 //!
+//! The directory lives twice. The index pages on the media are
+//! authoritative; the same walk that rebuilds the free set rebuilds a
+//! volatile copy of them (`directory::Bucket`): each index page's
+//! entries and `next`, each key's chain page ids, and any damage the
+//! walk found. A get looks its chain head up in memory and reads
+//! only the value chain; a put or delete re-encodes the index page it
+//! changes from the in-memory image and reads nothing.
+//!
 //! A put writes its new chain tail-first into free pages, flips the
-//! key's directory slot with one index-page write, and then frees the
-//! old chain in memory. A crash at any point therefore leaves the old
-//! or the new value reachable and everything else unreachable, which
-//! the next `open` counts as free.
+//! key's directory slot with one index-page write, updates the image,
+//! and then frees the old chain in memory. A crash at any point
+//! therefore leaves the old or the new value reachable and everything
+//! else unreachable, which the next `open` counts as free.
+//!
+//! Damage found at `open` keeps being reported: a key that may live past
+//! a damaged index page reads as [`StoreError::CorruptPage`], never as a
+//! miss, and a put or delete of a key whose chain is damaged fails
+//! without writing. A failed index-page write leaves that page's media
+//! image unknown, so its bucket counts as damaged from that page on
+//! until the next `open`.
 //!
 //! ## Concurrency
 //!
 //! A directory op locks exactly one bucket **stripe** (bucket id modulo
-//! the stripe count); the allocator lock is a leaf taken inside a
+//! the stripe count), which guards that stripe's buckets of the
+//! volatile directory; the allocator lock is a leaf taken inside a
 //! stripe with no device call under it, and the device's bank locks are
 //! taken by page reads and writes under the stripe alone. No path
 //! acquires a second stripe or a stripe from inside the allocator, so
@@ -35,7 +51,9 @@
 //! bank-contention permitting.
 
 use crate::alloc::{Allocator, Superblock};
-use crate::directory::{bucket_of, bucket_page, entries, mix64, set_entries, ENTRIES_PER_PAGE};
+use crate::directory::{
+    bucket_of, bucket_page, corrupt, mix64, Bucket, Entry, IndexPage, ENTRIES_PER_PAGE,
+};
 use crate::error::{read_failure, StoreError};
 use crate::fsck::{fits_chain, formatted_free_bits, walk, FsckReport};
 use crate::page::{Page, PageDefect, PageType, FLAG_CHAIN_HEAD, NO_PAGE, PAGE_PAYLOAD_BYTES};
@@ -83,16 +101,14 @@ pub const ANON_KV_STREAM: u64 = 0x1FFF_FFFF;
 
 /// Device reads/writes one KV op issued (drives span durations and the
 /// "pages touched" trace payload), split by what the pages were for:
-/// index (directory walks and slot writes) versus value data, plus the
-/// modeled time they took.
+/// value data versus index (slot writes; index pages are never read at
+/// run time), plus the modeled time they took.
 #[derive(Debug, Clone, Copy, Default)]
 struct OpCost {
     /// Value-chain page reads.
     pub data_reads: u64,
     /// Value-chain page writes.
     pub data_writes: u64,
-    /// Directory page reads.
-    pub index_reads: u64,
     /// Directory page writes.
     pub index_writes: u64,
     /// Summed modeled durations the device returned for the op's page
@@ -106,21 +122,17 @@ struct OpCost {
 
 impl OpCost {
     fn touched(&self) -> u64 {
-        self.data_reads + self.data_writes + self.index_reads + self.index_writes
+        self.data_reads + self.data_writes + self.index_writes
     }
 
-    /// Record one page read of modeled duration `ns` against the right
-    /// class, as named by the ctx's index flag.
-    fn charge_read(&mut self, ctx: u64, ns: u64) {
-        if ctx_is_index(ctx) {
-            self.index_reads += 1;
-        } else {
-            self.data_reads += 1;
-        }
+    /// Record one value-page read of modeled duration `ns`.
+    fn charge_read(&mut self, ns: u64) {
+        self.data_reads += 1;
         self.model_ns += ns;
     }
 
-    /// Write-side counterpart of [`OpCost::charge_read`].
+    /// Record one page write of modeled duration `ns` against the right
+    /// class, as named by the ctx's index flag.
     fn charge_write(&mut self, ctx: u64, ns: u64) {
         if ctx_is_index(ctx) {
             self.index_writes += 1;
@@ -141,26 +153,13 @@ fn index_ctx(ctx: u64) -> u64 {
     }
 }
 
-/// Where a directory lookup landed.
-enum Slot {
-    /// `entries[pos]` of index page `page_id` holds the key.
-    Found {
-        page_id: u32,
-        page: Page,
-        list: Vec<(u64, u32)>,
-        pos: usize,
-    },
-    /// Key absent; `page_id` is the bucket chain's tail (insert here).
-    Absent {
-        page_id: u32,
-        page: Page,
-        list: Vec<(u64, u32)>,
-    },
-}
-
 /// A put step that failed after the put allocated pages: the page
 /// whose write failed (if a write did), and the error.
 type StepError = (Option<u32>, StoreError);
+
+/// The buckets one stripe lock guards: bucket `b` is entry
+/// `b / stripes` of stripe `b % stripes`.
+type Stripe = Vec<Bucket>;
 
 /// A key-value store on a sharded PCM device.
 pub struct PcmStore {
@@ -168,7 +167,7 @@ pub struct PcmStore {
     alloc: Allocator,
     pages: u32,
     dir_buckets: u32,
-    stripes: Vec<Mutex<()>>,
+    stripes: Vec<Mutex<Stripe>>,
     /// Sequence counter for the [`ANON_KV_STREAM`] correlation stream.
     anon_seq: AtomicU64,
 }
@@ -250,14 +249,17 @@ impl PcmStore {
             dev,
             sb,
             formatted_free_bits(sb),
+            (0..dir_buckets).map(Bucket::formatted).collect(),
             config.stripes,
         ))
     }
 
     /// Open an already-formatted device: validate the superblock, then
-    /// walk the directory and every value chain and take the pages it
-    /// did not reach as free space. A damaged page is counted by the
-    /// walk and kept out of the free set; it does not fail the open.
+    /// walk the directory and every value chain, keep what the walk
+    /// found as the volatile directory, and take the pages it did not
+    /// reach as free space. A damaged page is counted by the walk, kept
+    /// out of the free set and remembered by the directory; it does not
+    /// fail the open.
     pub fn open(dev: ShardedPcmDevice) -> Result<PcmStore, StoreError> {
         Self::open_with(dev, StoreConfig::default().stripes)
     }
@@ -274,18 +276,34 @@ impl PcmStore {
                 have: dev.blocks(),
             });
         }
-        let (_, free) = walk(&dev, sb)?;
-        Ok(Self::assemble(dev, sb, free, stripes))
+        let walked = walk(&dev, sb)?;
+        Ok(Self::assemble(
+            dev,
+            sb,
+            walked.free,
+            walked.buckets,
+            stripes,
+        ))
     }
 
-    fn assemble(dev: ShardedPcmDevice, sb: Superblock, free: Vec<u64>, stripes: usize) -> PcmStore {
+    fn assemble(
+        dev: ShardedPcmDevice,
+        sb: Superblock,
+        free: Vec<u64>,
+        buckets: Vec<Bucket>,
+        stripes: usize,
+    ) -> PcmStore {
         let stripe_count = stripes.max(1).min(sb.dir_buckets as usize);
+        let mut split: Vec<Stripe> = (0..stripe_count).map(|_| Vec::new()).collect();
+        for (b, bucket) in buckets.into_iter().enumerate() {
+            split[b % stripe_count].push(bucket);
+        }
         PcmStore {
             dev,
             alloc: Allocator::new(free),
             pages: sb.pages,
             dir_buckets: sb.dir_buckets,
-            stripes: (0..stripe_count).map(|_| Mutex::new(())).collect(),
+            stripes: split.into_iter().map(Mutex::new).collect(),
             anon_seq: AtomicU64::new(0),
         }
     }
@@ -338,11 +356,23 @@ impl PcmStore {
 
     /// Walk the page graph as `open` does and report what it found: a
     /// clean store has no page reached twice, unreadable or of the
-    /// wrong type, and its free count equals [`PcmStore::free_pages`]
-    /// unless a failed write took a page out of service since `open`.
-    /// Takes `&mut self` so no op can run during the walk.
+    /// wrong type, and a rebuilt directory equal to the live one. Its
+    /// free count equals [`PcmStore::free_pages`], and the directories
+    /// match, unless a failed write took a page out of service since
+    /// `open`. Takes `&mut self` so no op can run during the walk.
     pub fn fsck(&mut self) -> Result<FsckReport, StoreError> {
-        walk(&self.dev, self.superblock()).map(|(report, _)| report)
+        let walked = walk(&self.dev, self.superblock())?;
+        let mut report = walked.report;
+        let n = self.stripes.len();
+        for (b, rebuilt) in walked.buckets.iter().enumerate() {
+            let stripe = self.stripes[b % n]
+                .get_mut()
+                .unwrap_or_else(PoisonError::into_inner);
+            if stripe[b / n] != *rebuilt {
+                report.directory_mismatches += 1;
+            }
+        }
+        Ok(report)
     }
 
     /// Directory bucket count.
@@ -351,14 +381,21 @@ impl PcmStore {
     }
 
     /// The one stripe-lock acquisition site. Poisoning is recovered by
-    /// entering anyway: stripe state is the *device* pages, and every
-    /// multi-page update is written in an order that leaves the page
-    /// graph consistent (new pages before links, links before frees).
-    fn lock_stripe(&self, bucket: u32) -> MutexGuard<'_, ()> {
+    /// entering anyway: a bucket's image changes only after the device
+    /// write it mirrors returned, with no call in between, so it holds
+    /// the last write the store saw succeed; the media stays
+    /// authoritative, written in an order that leaves the page graph
+    /// consistent (new pages before links, links before frees).
+    fn lock_stripe(&self, bucket: u32) -> MutexGuard<'_, Stripe> {
         let idx = bucket as usize % self.stripes.len().max(1);
         self.stripes[idx]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Where `bucket` sits in its stripe.
+    fn in_stripe(&self, bucket: u32) -> usize {
+        bucket as usize / self.stripes.len().max(1)
     }
 
     /// Look up `key`. Returns the stored value, `None` on a miss, or
@@ -371,17 +408,17 @@ impl PcmStore {
     /// [`PcmStore::session`] for thread-invariant id streams).
     pub fn get_with_ctx(&self, key: u64, ctx: u64) -> Result<Option<Vec<u8>>, StoreError> {
         let bucket = bucket_of(key, self.dir_buckets);
-        let guard = self.lock_stripe(bucket);
+        let stripe = self.lock_stripe(bucket);
+        let dir = &stripe[self.in_stripe(bucket)];
         let mut cost = OpCost::default();
-        let result = match self.find_slot(key, bucket, ctx, &mut cost)? {
-            Slot::Found { list, pos, .. } => {
-                let head = list[pos].1;
-                let (_, value) = self.walk_chain(key, head, ctx, &mut cost)?;
-                Some(value)
+        let result = match dir.find(key)? {
+            Some((p, e)) => {
+                let head = dir.pages[p].entries[e].head;
+                Some(self.walk_chain(key, head, ctx, &mut cost)?)
             }
-            Slot::Absent { .. } => None,
+            None => None,
         };
-        drop(guard);
+        drop(stripe);
         self.emit(OpKind::KvGet, key, bucket, ctx, &cost);
         Ok(result)
     }
@@ -407,29 +444,30 @@ impl PcmStore {
         }
         let ictx = index_ctx(ctx);
         let bucket = bucket_of(key, self.dir_buckets);
-        let guard = self.lock_stripe(bucket);
-        let mut cost = OpCost::default();
-        let slot = self.find_slot(key, bucket, ctx, &mut cost)?;
-        // Read the old chain up front: if it is corrupt the put aborts
-        // before mutating anything, and the key keeps reporting corrupt.
-        let old_pages = match &slot {
-            Slot::Found { list, pos, .. } => {
-                let (pages, _) = self.walk_chain(key, list[*pos].1, ctx, &mut cost)?;
-                pages
+        let mut stripe = self.lock_stripe(bucket);
+        let dir = &mut stripe[self.in_stripe(bucket)];
+        let slot = dir.find(key)?;
+        if let Some((p, e)) = slot {
+            // A chain the walk found damaged keeps reporting it: the put
+            // aborts before it writes anything.
+            if let Err(damage) = dir.pages[p].entries[e].chain {
+                return Err(corrupt(damage));
             }
-            Slot::Absent { .. } => Vec::new(),
-        };
-        let mut fresh = self.alloc.allocate_chain(pages_for_value(value.len()))?;
-        let linked = self
-            .write_chain(key, value, &fresh, ctx, &mut cost)
-            .and_then(|()| self.flip_slot(key, slot, &mut fresh, ictx, &mut cost));
-        if let Err((failed, e)) = linked {
-            fresh.retain(|&p| Some(p) != failed);
-            self.alloc.free_chain(&fresh);
-            return Err(e);
         }
-        self.alloc.free_chain(&old_pages);
-        drop(guard);
+        let mut cost = OpCost::default();
+        let mut fresh = self.alloc.allocate_chain(pages_for_value(value.len()))?;
+        let flipped = self
+            .write_chain(key, value, &fresh, ctx, &mut cost)
+            .and_then(|()| self.flip_slot(dir, key, slot, &fresh, ictx, &mut cost));
+        match flipped {
+            Ok(old_pages) => self.alloc.free_chain(&old_pages),
+            Err((failed, e)) => {
+                fresh.retain(|&p| Some(p) != failed);
+                self.alloc.free_chain(&fresh);
+                return Err(e);
+            }
+        }
+        drop(stripe);
         self.emit(OpKind::KvPut, key, bucket, ctx, &cost);
         Ok(())
     }
@@ -444,39 +482,42 @@ impl PcmStore {
     pub fn delete_with_ctx(&self, key: u64, ctx: u64) -> Result<bool, StoreError> {
         let ictx = index_ctx(ctx);
         let bucket = bucket_of(key, self.dir_buckets);
-        let guard = self.lock_stripe(bucket);
+        let mut stripe = self.lock_stripe(bucket);
+        let dir = &mut stripe[self.in_stripe(bucket)];
         let mut cost = OpCost::default();
-        let existed = match self.find_slot(key, bucket, ctx, &mut cost)? {
-            Slot::Absent { .. } => false,
-            Slot::Found {
-                page_id,
-                mut page,
-                mut list,
-                pos,
-            } => {
-                let head = list[pos].1;
-                let (pages, _) = self.walk_chain(key, head, ctx, &mut cost)?;
-                list.remove(pos);
-                set_entries(&mut page, &list);
-                self.write_page(page_id, &page, ictx, &mut cost)?;
-                self.alloc.free_chain(&pages);
+        let existed = match dir.find(key)? {
+            None => false,
+            Some((p, e)) => {
+                let page = &dir.pages[p];
+                if let Err(damage) = page.entries[e].chain {
+                    return Err(corrupt(damage));
+                }
+                let image = page.image_with(
+                    page.entries
+                        .iter()
+                        .enumerate()
+                        .filter_map(|(i, entry)| (i != e).then_some(entry)),
+                );
+                self.write_index(dir, p, &image, ictx, &mut cost)
+                    .map_err(|(_, e)| e)?;
+                let removed = dir.pages[p].entries.remove(e);
+                self.alloc.free_chain(&removed.chain.unwrap_or_default());
                 true
             }
         };
-        drop(guard);
+        drop(stripe);
         self.emit(OpKind::KvDelete, key, bucket, ctx, &cost);
         Ok(existed)
     }
 
-    /// Read and CRC-verify one page under `ctx` (index-flagged ctx pages
-    /// count as index traffic; the read's modeled duration, stall
-    /// included, is charged too).
+    /// Read and CRC-verify one value page under `ctx` (the read's
+    /// modeled duration, stall included, is charged).
     fn read_page(&self, page: u32, ctx: u64, cost: &mut OpCost) -> Result<Page, StoreError> {
         let (report, ns) = self
             .dev
             .read_block_ctx(page as usize, ctx)
             .map_err(|e| read_failure(page, e))?;
-        cost.charge_read(ctx, ns);
+        cost.charge_read(ns);
         Page::decode(&report.data).map_err(|defect| StoreError::CorruptPage { page, defect })
     }
 
@@ -496,76 +537,32 @@ impl PcmStore {
         Ok(())
     }
 
-    /// Walk the bucket's index chain to the key's slot (or the tail).
-    fn find_slot(
-        &self,
-        key: u64,
-        bucket: u32,
-        ctx: u64,
-        cost: &mut OpCost,
-    ) -> Result<Slot, StoreError> {
-        let ictx = index_ctx(ctx);
-        let mut page_id = bucket_page(bucket);
-        let mut hops = 0u32;
-        loop {
-            let page = self.read_page(page_id, ictx, cost)?;
-            let list = entries(&page).map_err(|defect| StoreError::CorruptPage {
-                page: page_id,
-                defect,
-            })?;
-            if let Some(pos) = list.iter().position(|&(k, _)| k == key) {
-                return Ok(Slot::Found {
-                    page_id,
-                    page,
-                    list,
-                    pos,
-                });
-            }
-            if page.next == NO_PAGE {
-                return Ok(Slot::Absent {
-                    page_id,
-                    page,
-                    list,
-                });
-            }
-            hops += 1;
-            if hops > self.pages {
-                // An index chain longer than the device is a cycle.
-                return Err(StoreError::CorruptPage {
-                    page: page_id,
-                    defect: PageDefect::WrongPage,
-                });
-            }
-            page_id = page.next;
-        }
-    }
-
     /// Walk a value chain from `head`, verifying type, key, and chain
-    /// shape; returns the page ids and the reassembled bytes.
+    /// shape; returns the reassembled bytes.
     fn walk_chain(
         &self,
         key: u64,
         head: u32,
         ctx: u64,
         cost: &mut OpCost,
-    ) -> Result<(Vec<u32>, Vec<u8>), StoreError> {
-        let mut pages = Vec::new();
+    ) -> Result<Vec<u8>, StoreError> {
+        let mut len = 0usize;
         let mut value = Vec::new();
         let mut at = head;
         loop {
             let page = self.read_page(at, ctx, cost)?;
-            if !fits_chain(&page, key, pages.is_empty()) {
+            if !fits_chain(&page, key, len == 0) {
                 return Err(StoreError::CorruptPage {
                     page: at,
                     defect: PageDefect::WrongPage,
                 });
             }
             value.extend_from_slice(page.data());
-            pages.push(at);
+            len += 1;
             if page.next == NO_PAGE {
-                return Ok((pages, value));
+                return Ok(value);
             }
-            if pages.len() > MAX_CHAIN_PAGES {
+            if len > MAX_CHAIN_PAGES {
                 return Err(StoreError::CorruptPage {
                     page: at,
                     defect: PageDefect::WrongPage,
@@ -604,55 +601,84 @@ impl PcmStore {
         Ok(())
     }
 
-    /// Point `key`'s directory slot at the written chain `fresh` (one
-    /// index-page write; two when the bucket needs a new overflow page,
-    /// which is allocated, pushed onto `fresh` and written before the
-    /// link to it).
+    /// Point `key`'s directory slot (`slot`, as [`Bucket::find`] found
+    /// it) at the written chain `chain`, and return the chain it pointed
+    /// at before. One index-page write from the in-memory image; two
+    /// when the bucket needs a new overflow page, which is written
+    /// before the link to it. The image changes only after its write
+    /// succeeded.
     fn flip_slot(
         &self,
+        dir: &mut Bucket,
         key: u64,
-        slot: Slot,
-        fresh: &mut Vec<u32>,
+        slot: Option<(usize, usize)>,
+        chain: &[u32],
+        ictx: u64,
+        cost: &mut OpCost,
+    ) -> Result<Vec<u32>, StepError> {
+        let entry = Entry {
+            key,
+            head: chain.first().copied().unwrap_or(NO_PAGE),
+            chain: Ok(chain.to_vec()),
+        };
+        if let Some((p, e)) = slot {
+            let page = &dir.pages[p];
+            let image = page.image_with(page.entries.iter().enumerate().map(|(i, old)| {
+                if i == e {
+                    &entry
+                } else {
+                    old
+                }
+            }));
+            self.write_index(dir, p, &image, ictx, cost)?;
+            let old = std::mem::replace(&mut dir.pages[p].entries[e], entry);
+            return Ok(old.chain.unwrap_or_default());
+        }
+        // A miss in an undamaged bucket: its chain has at least the
+        // bucket page, and the key goes into the tail.
+        let last = dir.pages.len() - 1;
+        let tail = &dir.pages[last];
+        if tail.entries.len() < ENTRIES_PER_PAGE {
+            let image = tail.image_with(tail.entries.iter().chain([&entry]));
+            self.write_index(dir, last, &image, ictx, cost)?;
+            dir.pages[last].entries.push(entry);
+            return Ok(Vec::new());
+        }
+        let mut link = tail.image();
+        let overflow = self.alloc.allocate().map_err(|e| (None, e))?;
+        let new_tail = IndexPage {
+            id: overflow,
+            next: NO_PAGE,
+            entries: vec![entry],
+        };
+        self.write_page(overflow, &new_tail.image(), ictx, cost)
+            .map_err(|e| (Some(overflow), e))?;
+        link.next = overflow;
+        if let Err(failed) = self.write_index(dir, last, &link, ictx, cost) {
+            self.alloc.free_chain(&[overflow]);
+            return Err(failed);
+        }
+        dir.pages[last].next = overflow;
+        dir.pages.push(new_tail);
+        Ok(Vec::new())
+    }
+
+    /// Write `image` as index page `dir.pages[p]`. A failed write leaves
+    /// that page's media image unknown, so the bucket is damaged from
+    /// that page on.
+    fn write_index(
+        &self,
+        dir: &mut Bucket,
+        p: usize,
+        image: &Page,
         ictx: u64,
         cost: &mut OpCost,
     ) -> Result<(), StepError> {
-        let new_head = fresh[0];
-        let (page_id, mut page, list) = match slot {
-            Slot::Found {
-                page_id,
-                page,
-                mut list,
-                pos,
-            } => {
-                list[pos].1 = new_head;
-                (page_id, page, list)
-            }
-            Slot::Absent {
-                page_id,
-                page,
-                mut list,
-            } if list.len() < ENTRIES_PER_PAGE => {
-                list.push((key, new_head));
-                (page_id, page, list)
-            }
-            Slot::Absent {
-                page_id,
-                mut page,
-                list,
-            } => {
-                let overflow = self.alloc.allocate().map_err(|e| (None, e))?;
-                fresh.push(overflow);
-                let mut tail = Page::empty(PageType::Index);
-                set_entries(&mut tail, &[(key, new_head)]);
-                self.write_page(overflow, &tail, ictx, cost)
-                    .map_err(|e| (Some(overflow), e))?;
-                page.next = overflow;
-                (page_id, page, list)
-            }
-        };
-        set_entries(&mut page, &list);
-        self.write_page(page_id, &page, ictx, cost)
-            .map_err(|e| (Some(page_id), e))
+        let id = dir.pages[p].id;
+        self.write_page(id, image, ictx, cost).map_err(|e| {
+            dir.fail_from(p);
+            (Some(id), e)
+        })
     }
 
     /// Emit one KV span: begin payload is the mixed key, end payload the
@@ -680,6 +706,7 @@ impl PcmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::directory::{entries, set_entries};
     use pcm_core::level::LevelDesign;
     use pcm_device::block::THREE_LEVEL_BLOCK_CELLS;
     use pcm_device::{BlockError, CellOrganization, DeviceBuilder, PcmError};
@@ -794,15 +821,14 @@ mod tests {
         ));
     }
 
-    /// The page ids of `key`'s value chain.
+    /// The page ids of `key`'s value chain, as the directory holds it.
     fn chain_of(s: &PcmStore, key: u64) -> Vec<u32> {
-        let mut cost = OpCost::default();
         let bucket = bucket_of(key, s.dir_buckets);
-        match s.find_slot(key, bucket, NO_CTX, &mut cost).unwrap() {
-            Slot::Found { list, pos, .. } => {
-                s.walk_chain(key, list[pos].1, NO_CTX, &mut cost).unwrap().0
-            }
-            Slot::Absent { .. } => Vec::new(),
+        let stripe = s.lock_stripe(bucket);
+        let dir = &stripe[s.in_stripe(bucket)];
+        match dir.find(key).unwrap() {
+            Some((p, e)) => dir.pages[p].entries[e].chain.clone().unwrap(),
+            None => Vec::new(),
         }
     }
 
@@ -812,28 +838,54 @@ mod tests {
     fn crashed_put(s: PcmStore, key: u64, value: &[u8], flip: bool) -> ShardedPcmDevice {
         let mut cost = OpCost::default();
         let bucket = bucket_of(key, s.dir_buckets);
-        let slot = s.find_slot(key, bucket, NO_CTX, &mut cost).unwrap();
-        let mut fresh = s
+        let mut stripe = s.lock_stripe(bucket);
+        let dir = &mut stripe[s.in_stripe(bucket)];
+        let slot = dir.find(key).unwrap();
+        let fresh = s
             .alloc
             .allocate_chain(pages_for_value(value.len()))
             .unwrap();
         s.write_chain(key, value, &fresh, NO_CTX, &mut cost)
             .unwrap();
         if flip {
-            s.flip_slot(key, slot, &mut fresh, NO_CTX, &mut cost)
+            s.flip_slot(dir, key, slot, &fresh, NO_CTX, &mut cost)
                 .unwrap();
         }
+        drop(stripe);
         s.into_device()
     }
 
     /// Whether a put of new key `key` would need a new overflow page.
     fn needs_overflow(s: &PcmStore, key: u64) -> bool {
-        let mut cost = OpCost::default();
         let bucket = bucket_of(key, s.dir_buckets);
-        matches!(
-            s.find_slot(key, bucket, NO_CTX, &mut cost).unwrap(),
-            Slot::Absent { list, .. } if list.len() == ENTRIES_PER_PAGE
-        )
+        let stripe = s.lock_stripe(bucket);
+        let dir = &stripe[s.in_stripe(bucket)];
+        dir.find(key).unwrap().is_none()
+            && dir.pages.last().unwrap().entries.len() == ENTRIES_PER_PAGE
+    }
+
+    /// The index page holding `key`'s entry, and its media image.
+    fn index_page_of(s: &PcmStore, key: u64) -> (u32, Page) {
+        let bucket = bucket_of(key, s.dir_buckets);
+        let stripe = s.lock_stripe(bucket);
+        let dir = &stripe[s.in_stripe(bucket)];
+        let (p, _) = dir.find(key).unwrap().unwrap();
+        (dir.pages[p].id, dir.pages[p].image())
+    }
+
+    /// Device writes issued so far, over all banks.
+    fn device_writes(s: &PcmStore) -> u64 {
+        let m = s.dev.metrics();
+        (0..m.banks())
+            .map(|b| m.bank(b).writes.load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Flip one payload bit of `page` on the device, behind the store.
+    fn corrupt_page(s: &PcmStore, page: u32) {
+        let mut raw = s.dev.read_block(page as usize).unwrap().data;
+        raw[30] ^= 0x10;
+        s.dev.write_block(page as usize, &raw).unwrap();
     }
 
     #[test]
@@ -942,7 +994,7 @@ mod tests {
 
     #[test]
     fn an_index_page_cycle_is_a_corrupt_page() {
-        let mut s = store(128, 4);
+        let s = store(128, 4);
         let key = 5u64;
         let page_id = bucket_page(bucket_of(key, s.dir_buckets));
         let mut looped = Page::empty(PageType::Index);
@@ -950,6 +1002,7 @@ mod tests {
         s.dev
             .write_block(page_id as usize, &looped.encode())
             .unwrap();
+        let mut s = PcmStore::open(s.into_device()).unwrap();
         let corrupt = Err(StoreError::CorruptPage {
             page: page_id,
             defect: PageDefect::WrongPage,
@@ -968,29 +1021,21 @@ mod tests {
         }
         // Fail one page's CRC, and point key 1's slot at key 0's chain.
         let damaged = chain_of(&s, 2)[1];
-        let mut raw = s.dev.read_block(damaged as usize).unwrap().data;
-        raw[30] ^= 0x10;
-        s.dev.write_block(damaged as usize, &raw).unwrap();
+        corrupt_page(&s, damaged);
         let shared = chain_of(&s, 0)[0];
-        let mut cost = OpCost::default();
-        let bucket = bucket_of(1, s.dir_buckets);
-        let Slot::Found {
-            page_id,
-            mut page,
-            mut list,
-            pos,
-        } = s.find_slot(1, bucket, NO_CTX, &mut cost).unwrap()
-        else {
-            panic!("key 1 missing");
-        };
+        let (page_id, page) = index_page_of(&s, 1);
+        let mut list = entries(&page).unwrap();
+        let pos = list.iter().position(|&(k, _)| k == 1).unwrap();
         list[pos].1 = shared;
+        let mut page = page;
         set_entries(&mut page, &list);
-        s.write_page(page_id, &page, NO_CTX, &mut cost).unwrap();
+        s.dev.write_block(page_id as usize, &page.encode()).unwrap();
 
         let mut s = PcmStore::open(s.into_device()).unwrap();
         let report = s.fsck().unwrap();
         assert_eq!(report.unreadable, 1);
         assert_eq!(report.reached_twice + report.wrong_type, 2, "{report:?}");
+        assert_eq!(report.directory_mismatches, 0);
         assert_eq!(report.free, s.free_pages());
         assert!(!s.alloc.is_free(damaged) && !s.alloc.is_free(shared));
         assert!(matches!(
@@ -999,6 +1044,122 @@ mod tests {
         ));
         assert!(matches!(s.get(1), Err(StoreError::CorruptPage { .. })));
         assert_eq!(s.get(0).unwrap().as_deref(), Some(&value[..]));
+    }
+
+    /// The bucket of `key`'s store (8 buckets) and keys of it, in key
+    /// order.
+    fn bucket_mates(key: u64, n: usize) -> Vec<u64> {
+        let bucket = bucket_of(key, 8);
+        (0..)
+            .filter(|&k| bucket_of(k, 8) == bucket)
+            .take(n)
+            .collect()
+    }
+
+    #[test]
+    fn a_damaged_bucket_never_reports_a_miss_past_the_damage() {
+        let s = store(256, 4);
+        // Seven keys of one bucket: the bucket page and two overflow
+        // pages, three entries each except the last.
+        let keys = bucket_mates(0, 8);
+        for &k in &keys[..7] {
+            s.put(k, &k.to_le_bytes()).unwrap();
+        }
+        let (overflow, _) = index_page_of(&s, keys[3]);
+        assert_ne!(overflow, bucket_page(bucket_of(keys[0], 8)));
+        corrupt_page(&s, overflow);
+
+        let mut s = PcmStore::open(s.into_device()).unwrap();
+        let damage = StoreError::CorruptPage {
+            page: overflow,
+            defect: PageDefect::BadCrc,
+        };
+        for &k in &keys[..3] {
+            assert_eq!(s.get(k).unwrap(), Some(k.to_le_bytes().to_vec()));
+        }
+        // Keys in and past the damaged page, and a key that was never
+        // stored but may live there: typed errors, never a miss.
+        for &k in &keys[3..] {
+            assert_eq!(s.get(k), Err(damage.clone()), "key {k}");
+            assert_eq!(s.delete(k), Err(damage.clone()), "key {k}");
+        }
+        let writes = device_writes(&s);
+        assert_eq!(s.put(keys[7], b"new"), Err(damage.clone()));
+        assert_eq!(device_writes(&s), writes);
+        // A key in an intact page stays writable.
+        s.put(keys[1], b"again").unwrap();
+        assert_eq!(s.get(keys[1]).unwrap().as_deref(), Some(&b"again"[..]));
+        let report = s.fsck().unwrap();
+        assert_eq!(report.unreadable, 1);
+        assert_eq!(report.directory_mismatches, 0);
+    }
+
+    #[test]
+    fn a_chain_damaged_at_open_refuses_puts_and_deletes_without_writing() {
+        let s = store(256, 4);
+        let value = [9u8; 100]; // three pages
+        for k in 0..6u64 {
+            s.put(k, &value).unwrap();
+        }
+        let damaged = chain_of(&s, 4)[1];
+        corrupt_page(&s, damaged);
+        let mut s = PcmStore::open(s.into_device()).unwrap();
+        let damage: Result<(), _> = Err(StoreError::CorruptPage {
+            page: damaged,
+            defect: PageDefect::BadCrc,
+        });
+        let (free, writes) = (s.free_pages(), device_writes(&s));
+        assert_eq!(s.put(4, b"replacement"), damage.clone());
+        assert_eq!(s.delete(4), damage.clone().map(|_| false));
+        assert_eq!(s.get(4), damage.map(|_| None));
+        assert_eq!((s.free_pages(), device_writes(&s)), (free, writes));
+        assert_eq!(s.get(5).unwrap().as_deref(), Some(&value[..]));
+        assert_eq!(s.fsck().unwrap().directory_mismatches, 0);
+    }
+
+    #[test]
+    fn a_put_replaces_a_value_that_went_bad_after_open() {
+        let mut s = store(256, 4);
+        let value = [3u8; 100]; // three pages
+        s.put(1, &value).unwrap();
+        let old = chain_of(&s, 1);
+        corrupt_page(&s, old[2]);
+        assert!(matches!(
+            s.get(1),
+            Err(StoreError::CorruptPage { page, defect: PageDefect::BadCrc }) if page == old[2]
+        ));
+        // The directory, not the media, names the old chain, so the put
+        // needs no read of it: it replaces the value and frees the chain.
+        let free = s.free_pages();
+        s.put(1, b"fresh").unwrap();
+        assert_eq!(s.get(1).unwrap().as_deref(), Some(&b"fresh"[..]));
+        assert_eq!(s.free_pages(), free + 2);
+        assert!(old.iter().all(|&p| s.alloc.is_free(p)));
+        assert!(s.fsck().unwrap().is_clean());
+    }
+
+    #[test]
+    fn puts_and_deletes_read_nothing_and_gets_read_only_the_value() {
+        let s = store(256, 4);
+        let reads = |s: &PcmStore| {
+            let m = s.dev.metrics();
+            (0..m.banks())
+                .map(|b| m.bank(b).reads.load(Ordering::Relaxed))
+                .sum::<u64>()
+        };
+        let value = [5u8; 100]; // three pages
+        let before = reads(&s);
+        for k in 0..40u64 {
+            s.put(k, &value).unwrap();
+        }
+        for k in (0..40u64).step_by(3) {
+            assert!(s.delete(k).unwrap());
+        }
+        assert_eq!(reads(&s), before);
+        assert_eq!(s.get(7).unwrap().as_deref(), Some(&value[..]));
+        assert_eq!(reads(&s), before + 3);
+        assert_eq!(s.get(3).unwrap(), None);
+        assert_eq!(reads(&s), before + 3);
     }
 
     #[test]

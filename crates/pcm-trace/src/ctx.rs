@@ -29,9 +29,11 @@
 pub const NO_CTX: u64 = 0;
 
 /// Marks a child event as directory/index metadata work (set
-/// on the parent's id before passing it to the device). The profile
-/// layer buckets flagged media time under `alloc_index` instead of
-/// `media`; [`ctx_base`] strips it so parent and child group together.
+/// on the parent's id before passing it to the device). The KV store
+/// keeps its directory in memory and reads no index page at run time,
+/// so flagged events are index-page writes only. The profile layer
+/// buckets flagged media time under `alloc_index` instead of `media`;
+/// [`ctx_base`] strips it so parent and child group together.
 pub const CTX_INDEX_FLAG: u64 = 1 << 61;
 
 const CLASS_SHIFT: u32 = 62;

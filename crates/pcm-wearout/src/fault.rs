@@ -97,15 +97,26 @@ impl EnduranceModel {
     }
 }
 
-/// Per-cell wear bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WearState {
-    /// Write cycles consumed so far.
-    pub cycles: u64,
-    /// Sampled lifetime budget.
-    pub lifetime: u64,
-    /// Failure mode once worn (sampled lazily at first wearout).
-    pub fault: Option<FaultKind>,
+/// Longest lifetime a [`WearState`] holds, in write cycles (2⁶² − 1);
+/// longer lifetimes are clamped to it.
+pub const MAX_LIFETIME: u64 = (1 << 62) - 1;
+
+/// Per-cell wear bookkeeping, packed in one word so a cell array pays
+/// 8 bytes per cell for it: the remaining write-cycle budget in the low
+/// 62 bits and the fault code in the top 2 (0 healthy, 1 stuck-reset,
+/// 2 revivable stuck-set, 3 non-revivable stuck-set).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WearState(u64);
+
+impl FaultKind {
+    /// The 2-bit code a [`WearState`] stores for this fault.
+    fn code(self) -> u64 {
+        match self {
+            FaultKind::StuckReset => 1,
+            FaultKind::StuckSet { revivable: true } => 2,
+            FaultKind::StuckSet { revivable: false } => 3,
+        }
+    }
 }
 
 impl WearState {
@@ -114,13 +125,38 @@ impl WearState {
         Self::with_lifetime(model.sample_lifetime(rng))
     }
 
-    /// Fresh cell with a lifetime of `lifetime` write cycles.
+    /// Fresh cell with a lifetime of `lifetime` write cycles (clamped at
+    /// [`MAX_LIFETIME`]).
     pub fn with_lifetime(lifetime: u64) -> Self {
-        Self {
-            cycles: 0,
-            lifetime,
-            fault: None,
+        Self(lifetime.min(MAX_LIFETIME))
+    }
+
+    /// Write cycles left before the cell wears out (0 once worn).
+    #[inline]
+    pub fn budget(&self) -> u64 {
+        self.0 & MAX_LIFETIME
+    }
+
+    /// The cell's known failure mode (sampled at its first wearout).
+    #[inline]
+    pub fn fault(&self) -> Option<FaultKind> {
+        match self.0 >> 62 {
+            0 => None,
+            1 => Some(FaultKind::StuckReset),
+            2 => Some(FaultKind::StuckSet { revivable: true }),
+            _ => Some(FaultKind::StuckSet { revivable: false }),
         }
+    }
+
+    /// Record `fault` as the cell's failure mode.
+    pub fn set_fault(&mut self, fault: Option<FaultKind>) {
+        self.0 = self.budget() | fault.map_or(0, FaultKind::code) << 62;
+    }
+
+    /// Give the cell a fresh budget of `lifetime` cycles (clamped at
+    /// [`MAX_LIFETIME`]); its known fault, if any, stays.
+    pub fn set_lifetime(&mut self, lifetime: u64) {
+        self.0 = (self.0 & !MAX_LIFETIME) | lifetime.min(MAX_LIFETIME);
     }
 
     /// Charge `n` write cycles; returns the fault if this write wore the
@@ -133,10 +169,10 @@ impl WearState {
         rng: &mut Xoshiro256pp,
     ) -> Option<FaultKind> {
         let wears_out = self.wears_out_after(n);
-        self.cycles = self.cycles.saturating_add(n);
+        self.0 = (self.0 & !MAX_LIFETIME) | self.budget().saturating_sub(n);
         if wears_out {
             let fault = model.sample_fault(rng);
-            self.fault = Some(fault);
+            self.set_fault(Some(fault));
             return Some(fault);
         }
         None
@@ -147,13 +183,13 @@ impl WearState {
     /// stream.
     #[inline]
     pub fn wears_out_after(&self, n: u64) -> bool {
-        !self.is_worn() && self.cycles.saturating_add(n) >= self.lifetime
+        !self.is_worn() && n >= self.budget()
     }
 
     /// Whether the cell has exhausted its endurance.
     #[inline]
     pub fn is_worn(&self) -> bool {
-        self.cycles >= self.lifetime
+        self.budget() == 0
     }
 }
 
@@ -191,14 +227,36 @@ mod tests {
         let model = EnduranceModel::mlc();
         let mut rng = Xoshiro256pp::seed_from_u64(3);
         let mut cell = WearState::new(&model, &mut rng);
-        cell.lifetime = 10;
+        cell.set_lifetime(10);
         assert!(cell.wear(9, &model, &mut rng).is_none());
         assert!(!cell.is_worn());
+        assert_eq!(cell.budget(), 1);
         let fault = cell.wear(1, &model, &mut rng);
         assert!(fault.is_some());
         assert!(cell.is_worn());
         assert!(cell.wear(5, &model, &mut rng).is_none(), "no double report");
-        assert_eq!(cell.fault, fault);
+        assert_eq!(cell.fault(), fault);
+    }
+
+    #[test]
+    fn wear_word_round_trips_every_fault_and_clamps_the_budget() {
+        let kinds = [
+            None,
+            Some(FaultKind::StuckReset),
+            Some(FaultKind::StuckSet { revivable: true }),
+            Some(FaultKind::StuckSet { revivable: false }),
+        ];
+        for fault in kinds {
+            for lifetime in [0, 1, 12345, MAX_LIFETIME, u64::MAX] {
+                let mut cell = WearState::with_lifetime(lifetime);
+                cell.set_fault(fault);
+                assert_eq!(cell.fault(), fault);
+                assert_eq!(cell.budget(), lifetime.min(MAX_LIFETIME));
+                cell.set_lifetime(7);
+                assert_eq!((cell.fault(), cell.budget()), (fault, 7));
+            }
+        }
+        assert_eq!(std::mem::size_of::<WearState>(), 8);
     }
 
     #[test]

@@ -181,11 +181,11 @@ proptest! {
         }
         for c in 0..400 {
             prop_assert_eq!(batched.fault(c), scalar.fault(c), "fault of cell {}", c);
-            prop_assert_eq!(batched.wear_cycles(c), scalar.wear_cycles(c), "wear of cell {}", c);
+            prop_assert_eq!(batched.wear_budget(c), scalar.wear_budget(c), "wear of cell {}", c);
             for now in [0.0, 1024.0, TEN_YEARS_SECS] {
                 prop_assert_eq!(
-                    batched.logr(c, now).to_bits(),
-                    scalar.logr(c, now).to_bits(),
+                    batched.logr(c, d, now).to_bits(),
+                    scalar.logr(c, d, now).to_bits(),
                     "logR of cell {} at {}", c, now
                 );
             }
@@ -197,6 +197,6 @@ proptest! {
         scalar.set_lifetime(c, u64::MAX);
         let (a, b) = (batched.program(c, d, 0, 1.0), scalar.program(c, d, 0, 1.0));
         prop_assert_eq!(a, b);
-        prop_assert_eq!(batched.logr(c, 1e6).to_bits(), scalar.logr(c, 1e6).to_bits());
+        prop_assert_eq!(batched.logr(c, d, 1e6).to_bits(), scalar.logr(c, d, 1e6).to_bits());
     }
 }

@@ -42,8 +42,6 @@ fn programmed(design: &LevelDesign, cells: usize, seed: u64) -> (CellArray, Vec<
 /// of `hits` out of `trials`.
 fn inside(hits: u64, trials: u64, p: f64) -> Result<(), String> {
     let (lo, hi) = Proportion::new(hits, trials).wilson_interval(1e-3);
-    // At zero hits the interval's lower end is 0 up to rounding.
-    let lo = if hits == 0 { 0.0 } else { lo };
     if lo <= p && p <= hi {
         Ok(())
     } else {

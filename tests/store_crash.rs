@@ -5,9 +5,10 @@
 //!    never silently returns wrong bytes (the page CRC sits above the
 //!    block stack's ECC precisely for errors that slip through).
 //! 2. The allocator never hands the same page to two chains, no matter
-//!    how many concurrent sessions hammer put/delete: afterwards `fsck`
-//!    finds every page reached at most once and the in-memory free count
-//!    equal to the walked one.
+//!    how many concurrent sessions hammer put/delete: after every round
+//!    `fsck` finds every page reached at most once, the in-memory free
+//!    count equal to the walked one, and the volatile directory equal to
+//!    the one it rebuilds from the media.
 //! 3. Free space is whatever the directory does not reach, so reopening
 //!    after any op — a full store's failed put included — rebuilds the
 //!    free count the live store had.
@@ -86,9 +87,10 @@ proptest! {
     }
 }
 
-/// Concurrent put/delete churn from 1, 2, and 8 sessions: afterwards
-/// `fsck` must find no page reached twice and no damaged page, the live
-/// free count must equal the walked one and survive a reopen, and every
+/// Concurrent put/delete churn from 1, 2, and 8 sessions: after every
+/// round `fsck` must find no page reached twice, no damaged page and a
+/// rebuilt directory equal to the live one, the live free count must
+/// equal the walked one and survive a reopen, and every
 /// surviving key must read back exactly its own bytes (a double
 /// allocation would splice one key's page into another's chain, which
 /// the per-page key field and CRC would expose).
@@ -107,12 +109,12 @@ fn free_list_never_double_allocates_under_concurrency() {
         let keys_per_session = 6u64;
         let rounds = 25u64;
 
-        std::thread::scope(|s| {
-            for t in 0..sessions {
-                let store = &store;
-                s.spawn(move || {
-                    let base = t as u64 * keys_per_session;
-                    for round in 0..rounds {
+        for round in 0..rounds {
+            std::thread::scope(|s| {
+                for t in 0..sessions {
+                    let store = &store;
+                    s.spawn(move || {
+                        let base = t as u64 * keys_per_session;
                         for k in base..base + keys_per_session {
                             // Vary value size so chains grow and shrink,
                             // forcing constant allocator traffic.
@@ -122,10 +124,21 @@ fn free_list_never_double_allocates_under_concurrency() {
                                 store.delete(k).unwrap();
                             }
                         }
-                    }
-                });
-            }
-        });
+                    });
+                }
+            });
+            // Between rounds: the media and the live directory agree.
+            let report = store.fsck().unwrap();
+            assert!(
+                report.is_clean(),
+                "{sessions} sessions, round {round}: {report:?}"
+            );
+            assert_eq!(
+                report.free,
+                store.free_pages(),
+                "{sessions} sessions, round {round}"
+            );
+        }
 
         let report = store.fsck().unwrap();
         assert!(report.is_clean(), "{sessions} sessions: {report:?}");
@@ -154,9 +167,10 @@ fn free_list_never_double_allocates_under_concurrency() {
     }
 }
 
-/// A seeded put/delete sequence that runs the store full, reopened after
-/// every op: each reopen rebuilds exactly the free count the live store
-/// had, so no op — a put refused for lack of space included — leaks or
+/// A seeded put/delete sequence that runs the store full, checked with
+/// `fsck` and reopened after every op: the live directory always equals
+/// the one rebuilt from the media, each reopen rebuilds exactly the free
+/// count the live store had, so no op — a put refused for lack of space included — leaks or
 /// double-counts a page, and the reopened store serves the right bytes.
 #[test]
 fn reopen_after_every_op_keeps_the_free_count() {
@@ -188,6 +202,9 @@ fn reopen_after_every_op_keeps_the_free_count() {
                 Err(e) => panic!("op {op}: put of key {key} failed: {e}"),
             }
         }
+        let report = store.fsck().unwrap();
+        assert!(report.is_clean(), "op {op}: {report:?}");
+        assert_eq!(report.free, store.free_pages(), "op {op}");
         let free = store.free_pages();
         store = PcmStore::open_with(store.into_device(), config.stripes).unwrap();
         assert_eq!(
