@@ -46,24 +46,6 @@ pub fn write_cell_with_tolerance(
     WritePlan::new(design, state, tolerance_sigma).write(|| rng.next_normal())
 }
 
-/// Program `states` under `design` into `out`: bit-identical to one
-/// [`write_cell`] call per state in order, leaving `rng` in the same
-/// state, but with the normals drawn in batches
-/// ([`Xoshiro256pp::fill_normals`]) and the per-state constants hoisted.
-pub fn write_cells(
-    design: &LevelDesign,
-    states: &[u8],
-    rng: &mut Xoshiro256pp,
-    out: &mut [WrittenCell],
-) {
-    debug_assert_eq!(states.len(), out.len());
-    let mut writer = CellWriter::new(design, states);
-    for (cell, &s) in out.iter_mut().zip(states) {
-        *cell = writer.write(usize::from(s), rng);
-    }
-    debug_assert_eq!(writer.pos, writer.len, "no normal drawn past the run");
-}
-
 /// Everything a write to one state reads from its design, hoisted out of
 /// per-cell loops: the nominal `logR0`, σR, the program-and-verify
 /// window, the α distribution and, below it, the §5.3 rate switch.
@@ -103,12 +85,6 @@ impl WritePlan {
     #[inline]
     pub fn state(&self) -> usize {
         self.state
-    }
-
-    /// Normals a write of this state draws when its first pulse verifies:
-    /// `logR0`, α1 and, below the rate switch, α2.
-    fn min_draws(&self) -> usize {
-        2 + usize::from(self.switch.is_some())
     }
 
     /// Program one cell from the standard normals `next` yields, in
@@ -169,71 +145,6 @@ impl<'a> WritePlans<'a> {
             Some(Some(plan)) => *plan,
             _ => WritePlan::new(self.design, state, self.design.write_tolerance_sigma),
         }
-    }
-}
-
-/// Normals drawn ahead per batch by a [`CellWriter`].
-const WRITER_BATCH: usize = 256;
-
-/// Writes a run of cells in [`write_cell`] draw order from normals drawn
-/// ahead in batches with [`Xoshiro256pp::fill_normals`] (DESIGN.md §19).
-///
-/// A batch never holds more normals than the run's remaining cells draw
-/// when every first pulse verifies. So a truncation reject finds the
-/// batch spent and the writer draws on, and once every cell of the run is
-/// written the generator is exactly where per-cell writes leave it.
-#[derive(Debug, Clone)]
-struct CellWriter<'a> {
-    plans: WritePlans<'a>,
-    normals: [f64; WRITER_BATCH],
-    len: usize,
-    pos: usize,
-    /// Normals the cells not yet written draw at the least.
-    owed: usize,
-}
-
-impl<'a> CellWriter<'a> {
-    /// A writer for programming all of `states` of `design`, in order.
-    fn new(design: &'a LevelDesign, states: &[u8]) -> Self {
-        let plans = WritePlans::new(design);
-        let owed = states
-            .iter()
-            .map(|&s| plans.get(usize::from(s)).min_draws())
-            .sum();
-        Self {
-            plans,
-            normals: [0.0; WRITER_BATCH],
-            len: 0,
-            pos: 0,
-            owed,
-        }
-    }
-
-    /// Write the next cell of the run to `state`; bit-identical to
-    /// [`write_cell`] at this point of the stream.
-    #[inline]
-    fn write(&mut self, state: usize, rng: &mut Xoshiro256pp) -> WrittenCell {
-        let plan = self.plans.get(state);
-        self.owed = self.owed.saturating_sub(plan.min_draws());
-        // The cursor lives in locals while the cell draws, so it stays in
-        // registers.
-        let (mut pos, mut len, mut used) = (self.pos, self.len, 0);
-        let (normals, owed) = (&mut self.normals, self.owed);
-        let cell = plan.write(|| {
-            if pos == len {
-                // This cell still needs at least one more normal (its
-                // unplanned rejects may have used up its own share).
-                let need = plan.min_draws().saturating_sub(used).max(1) + owed;
-                len = need.min(WRITER_BATCH);
-                pos = 0;
-                rng.fill_normals(&mut normals[..len]);
-            }
-            used += 1;
-            pos += 1;
-            normals[pos - 1]
-        });
-        (self.pos, self.len) = (pos, len);
-        cell
     }
 }
 

@@ -48,8 +48,7 @@ pub mod rng;
 pub mod sensing;
 
 pub use cell::{
-    is_error_at, retention_secs, sense_at, write_cell, write_cell_with_tolerance, write_cells,
-    WrittenCell,
+    is_error_at, retention_secs, sense_at, write_cell, write_cell_with_tolerance, WrittenCell,
 };
 pub use cer::{AnalyticCer, CerEstimator, MonteCarloCer};
 pub use drift::DriftTrajectory;

@@ -7,12 +7,11 @@
 //! SplitMix64 — the standard recommendation — plus Gaussian and
 //! truncated-Gaussian samplers tailored to the cell-write model.
 //!
-//! Two normal samplers share the generator. The Marsaglia polar method
-//! ([`Xoshiro256pp::next_normal`], [`Xoshiro256pp::fill_normals`]) is what
-//! the Monte-Carlo estimators and the paper's pinned outputs draw. The
-//! ziggurat ([`Xoshiro256pp::next_ziggurat_normal`]) is exact in
-//! distribution too, about 4× cheaper, and what the simulated device
-//! draws its cell writes and lifetimes from (DESIGN.md §19).
+//! One normal sampler, the 256-layer ziggurat
+//! ([`Xoshiro256pp::next_normal`]), serves every consumer: the simulated
+//! device's cell writes and lifetimes, the Monte-Carlo estimators and the
+//! paper's pinned outputs all draw the same stream through the same write
+//! kernel (DESIGN.md §19).
 //!
 //! Shard determinism: [`Xoshiro256pp::split`] derives an independent stream
 //! per Monte-Carlo shard from `(seed, shard_index)`, so results are
@@ -121,68 +120,12 @@ impl Xoshiro256pp {
         (m >> 64) as u64
     }
 
-    /// Standard normal deviate via the Marsaglia polar method.
-    ///
-    /// No spare is cached: the cell model draws normals in heterogeneous
-    /// sequences and a cached spare would entangle streams across draws,
-    /// complicating reproducibility arguments for shard splits.
-    pub fn next_normal(&mut self) -> f64 {
-        loop {
-            let u = 2.0 * self.next_f64() - 1.0;
-            let v = 2.0 * self.next_f64() - 1.0;
-            let s = u * u + v * v;
-            if s > 0.0 && s < 1.0 {
-                return u * (-2.0 * s.ln() / s).sqrt();
-            }
-        }
-    }
-
-    /// Fill `out` with standard normals: bit-identical to `out.len()`
-    /// calls of [`Self::next_normal`], leaving the generator in the same
-    /// state (DESIGN.md §19).
-    ///
-    /// Each polar attempt consumes exactly two `u64`s, so the attempts are
-    /// drawn in batches of at most the normals still missing (never past
-    /// the last one needed), the accepted pairs compacted without a
-    /// branch, and the `ln` and `u · sqrt(−2 ln s / s)` passes then run
-    /// over the batch as independent, vectorisable work instead of one
-    /// serial chain per normal.
-    pub fn fill_normals(&mut self, out: &mut [f64]) {
-        const ATTEMPTS: usize = 64;
-        let mut filled = 0;
-        while filled < out.len() {
-            let mut u = [0.0f64; ATTEMPTS];
-            let mut s = [0.0f64; ATTEMPTS];
-            let mut k = 0;
-            for _ in 0..(out.len() - filled).min(ATTEMPTS) {
-                let a = 2.0 * self.next_f64() - 1.0;
-                let b = 2.0 * self.next_f64() - 1.0;
-                let r = a * a + b * b;
-                u[k] = a;
-                s[k] = r;
-                k += usize::from(r > 0.0 && r < 1.0);
-            }
-            let mut l = [0.0f64; ATTEMPTS];
-            for (l, s) in l[..k].iter_mut().zip(&s[..k]) {
-                *l = s.ln();
-            }
-            for (((o, u), l), s) in out[filled..filled + k]
-                .iter_mut()
-                .zip(&u[..k])
-                .zip(&l[..k])
-                .zip(&s[..k])
-            {
-                *o = u * (-2.0 * l / s).sqrt();
-            }
-            filled += k;
-        }
-    }
-
     /// Standard normal deviate via the 256-layer ziggurat (Marsaglia &
     /// Tsang, 2000): exact in distribution, one `u64` for ≈98.5 % of
-    /// draws. A different stream from [`Self::next_normal`]'s.
+    /// draws, and nothing carried from one draw to the next (DESIGN.md
+    /// §19).
     #[inline(always)]
-    pub fn next_ziggurat_normal(&mut self) -> f64 {
+    pub fn next_normal(&mut self) -> f64 {
         ziggurat::normal(self)
     }
 

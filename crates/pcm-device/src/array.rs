@@ -18,7 +18,7 @@
 //!
 //! Every normal the array draws — a cell's write and its lifetime —
 //! comes from the bank's generator through the ziggurat sampler
-//! ([`Xoshiro256pp::next_ziggurat_normal`]), one cell at a time in cell
+//! ([`Xoshiro256pp::next_normal`]), one cell at a time in cell
 //! order (DESIGN.md §19).
 //!
 //! [`DriftTrajectory`]: pcm_core::drift::DriftTrajectory
@@ -150,7 +150,7 @@ impl CellArray {
                 lc: erased.lc,
                 alpha2: erased.alpha2,
                 write_time: 0.0,
-                wear: WearState::with_lifetime(lifetime(rng.next_ziggurat_normal())),
+                wear: WearState::with_lifetime(lifetime(rng.next_normal())),
             })
             .collect();
         Self {
@@ -232,7 +232,7 @@ impl CellArray {
             return self.program_stuck(idx, fault, design, plan.state());
         }
         let rng = &mut self.rng;
-        let written = plan.write(|| rng.next_ziggurat_normal());
+        let written = plan.write(|| rng.next_normal());
         let cell = &mut self.cells[idx];
         let new_fault = cell
             .wear
@@ -396,7 +396,7 @@ mod tests {
             let mut a = CellArray::new(n, model, 9);
             let mut rng = Xoshiro256pp::seed_from_u64(9);
             for cell in &a.cells {
-                let expected = WearState::with_lifetime(lifetime(rng.next_ziggurat_normal()));
+                let expected = WearState::with_lifetime(lifetime(rng.next_normal()));
                 assert_eq!(cell.wear, expected, "{n} cells");
             }
             assert_eq!(a.rng.next_u64(), rng.next_u64(), "{n} cells");

@@ -37,10 +37,10 @@
 //!     .build_sharded().unwrap();
 //! thread::scope(|s| {
 //!     for t in 0..4 {
-//!         let mut session = dev.session();
+//!         let dev = &dev;
 //!         s.spawn(move || {
 //!             for b in (t..64).step_by(4) {
-//!                 session.write_block(b, &[t as u8; 64]).unwrap();
+//!                 dev.write_block(b, &[t as u8; 64]).unwrap();
 //!             }
 //!         });
 //!     }
@@ -81,8 +81,8 @@ fn failure_code(e: BlockError) -> u64 {
 /// A PCM device sharing its banks across threads behind per-bank locks.
 ///
 /// Built by [`DeviceBuilder::build_sharded`](crate::builder::DeviceBuilder::build_sharded).
-/// All methods take `&self`; clone-free [`Session`] handles are the
-/// intended per-thread interface.
+/// All methods take `&self`, so threads share one `&ShardedPcmDevice`;
+/// the only synchronization an op meets is its target bank's lock.
 pub struct ShardedPcmDevice {
     shards: Vec<Mutex<PcmBank>>,
     blocks: usize,
@@ -139,15 +139,6 @@ impl ShardedPcmDevice {
     /// the clock's — advance time only from quiesced points.
     pub fn telemetry(&self) -> Option<&Arc<TelemetryRecorder>> {
         self.telemetry.as_ref()
-    }
-
-    /// A handle for issuing operations from one thread. Sessions are
-    /// cheap, independent, and carry per-session operation counters.
-    pub fn session(&self) -> Session<'_> {
-        Session {
-            dev: self,
-            stats: SessionStats::default(),
-        }
     }
 
     /// Capacity in bytes.
@@ -437,67 +428,6 @@ impl ShardedPcmDevice {
     }
 }
 
-/// Per-session operation counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Writes issued through this session.
-    pub writes: u64,
-    /// Reads issued through this session.
-    pub reads: u64,
-    /// Refreshes issued through this session.
-    pub refreshes: u64,
-}
-
-/// A per-thread handle onto a [`ShardedPcmDevice`].
-///
-/// Sessions route operations without any shared mutable state of their
-/// own, so handing one to each thread gives lock-free *routing* — the
-/// only synchronization is the per-bank lock of the target bank.
-pub struct Session<'d> {
-    dev: &'d ShardedPcmDevice,
-    stats: SessionStats,
-}
-
-impl<'d> Session<'d> {
-    /// The device this session operates on.
-    pub fn device(&self) -> &'d ShardedPcmDevice {
-        self.dev
-    }
-
-    /// Operations issued through this session.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
-    }
-
-    /// The device-wide observability registry (shared across sessions).
-    pub fn metrics(&self) -> &'d DeviceMetrics {
-        self.dev.metrics()
-    }
-
-    /// The device-wide event recorder (shared across sessions).
-    pub fn tracer(&self) -> &'d Recorder {
-        self.dev.tracer()
-    }
-
-    /// Write 64 bytes to a block.
-    pub fn write_block(&mut self, block: usize, data: &[u8]) -> Result<WriteReport, PcmError> {
-        self.stats.writes += 1;
-        self.dev.write_block(block, data)
-    }
-
-    /// Read 64 bytes from a block.
-    pub fn read_block(&mut self, block: usize) -> Result<ReadReport, PcmError> {
-        self.stats.reads += 1;
-        self.dev.read_block(block)
-    }
-
-    /// Refresh (scrub) one block.
-    pub fn refresh_block(&mut self, block: usize) -> Result<(), PcmError> {
-        self.stats.refreshes += 1;
-        self.dev.refresh_block(block)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,14 +536,14 @@ mod tests {
             let dev = builder().build_sharded().unwrap();
             std::thread::scope(|s| {
                 for t in 0..threads {
-                    let mut session = dev.session();
+                    let dev = &dev;
                     s.spawn(move || {
                         // Thread t owns banks t, t+threads, ... — each
                         // bank's ops stay on one thread, in order.
                         for bank in (t..8).step_by(threads) {
                             for round in 0..4u8 {
                                 for blk in (bank..32).step_by(8) {
-                                    session.write_block(blk, &[round ^ blk as u8; 64]).unwrap();
+                                    dev.write_block(blk, &[round ^ blk as u8; 64]).unwrap();
                                 }
                             }
                         }
@@ -884,22 +814,5 @@ mod tests {
             }
         });
         assert!((dev.now() - 2000.0).abs() < 1e-9, "{}", dev.now());
-    }
-
-    #[test]
-    fn session_counters_track_usage() {
-        let dev = builder().build_sharded().unwrap();
-        let mut s = dev.session();
-        s.write_block(0, &[1u8; 64]).unwrap();
-        s.write_block(1, &[2u8; 64]).unwrap();
-        s.read_block(0).unwrap();
-        assert_eq!(
-            s.stats(),
-            SessionStats {
-                writes: 2,
-                reads: 1,
-                refreshes: 0
-            }
-        );
     }
 }

@@ -246,6 +246,7 @@ impl GenericBlock {
                 &check_states,
                 now,
                 |j, _| {
+                    new_faults += 1;
                     unmarked.push(mlc + j);
                     Ok(())
                 },
@@ -495,6 +496,18 @@ mod tests {
             assert_eq!(blk.marked_groups().len(), 3);
             assert_eq!(blk.read(&arr, 6.0).unwrap().data, data);
         }
+    }
+
+    #[test]
+    fn check_cell_wearout_counts_as_a_new_fault() {
+        // A worn SLC check cell is left to the BCH, but it is still a new
+        // fault of the write, as in the 3LC and 4LC datapaths.
+        let (mut arr, mut blk) = block();
+        let check_cell = blk.mlc_cells();
+        arr.set_lifetime(check_cell, 1);
+        let report = blk.write(&mut arr, 0.0, &[0xA5; 64]).unwrap();
+        assert!(arr.fault(check_cell).is_some());
+        assert_eq!(report.new_faults, 1);
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * [`bank`] — one bank: a slice of cells, its block datapaths, its
 //!   statistics and its own RNG stream.
 //! * [`concurrent`] — the device engine, [`ShardedPcmDevice`]: banks
-//!   behind per-bank locks, a global drift clock, and per-thread
-//!   [`Session`]s. Single-threaded use is the same engine driven from one
-//!   thread.
+//!   behind per-bank locks and a global drift clock, shared by reference
+//!   across threads. Single-threaded use is the same engine driven from
+//!   one thread.
 //! * [`scrub`] — the integer-tick scrub schedule that makes 4LC usable as
 //!   volatile memory (§4.1) — and that the 3LC design gets to switch off —
 //!   run inline, fanned out over threads, or as per-bank cursors.
@@ -46,8 +46,8 @@
 //! let dev = DeviceBuilder::new().blocks(64).banks(8).build_sharded().unwrap();
 //! std::thread::scope(|s| {
 //!     for t in 0..4u8 {
-//!         let mut session = dev.session();
-//!         s.spawn(move || session.write_block(t as usize, &[t; 64]).unwrap());
+//!         let dev = &dev;
+//!         s.spawn(move || dev.write_block(t as usize, &[t; 64]).unwrap());
 //!     }
 //! });
 //! assert_eq!(dev.stats().writes, 4);
@@ -72,7 +72,7 @@ pub use array::{CellArray, ProgramOutcome, RangeOutcome};
 pub use bank::{DeviceStats, PcmBank};
 pub use block::{BlockError, FourLevelBlock, ReadReport, ThreeLevelBlock, WriteReport};
 pub use builder::{CellOrganization, ConfigError, DeviceBuilder};
-pub use concurrent::{Session, SessionStats, ShardedPcmDevice};
+pub use concurrent::ShardedPcmDevice;
 pub use error::{Error, PcmError};
 pub use generic_block::GenericBlock;
 pub use metrics::{BankMetrics, DeviceMetrics, LogHistogram, MetricsSnapshot};

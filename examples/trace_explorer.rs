@@ -20,7 +20,7 @@ const SCRUB_INTERVAL_SECS: f64 = 2.0;
 const ROUNDS: usize = 4;
 
 fn main() {
-    // A traced sharded device: every handle (sessions, scrub cursors)
+    // A traced sharded device: every thread (demand and scrub cursors)
     // records into the same per-bank ring buffers.
     let dev = DeviceBuilder::new()
         .organization(CellOrganization::ThreeLevel(
@@ -39,7 +39,7 @@ fn main() {
 
     // Mixed workload: each round advances model time, lets the scrubber
     // walk the blocks that came due from two background threads, and
-    // drives demand traffic from two session threads.
+    // drives demand traffic from two threads.
     let mut scrubber = ShardedScrubber::new(&dev, SCRUB_INTERVAL_SECS);
     for round in 1..=ROUNDS {
         let t = SCRUB_INTERVAL_SECS * round as f64;
@@ -48,13 +48,12 @@ fn main() {
             for thread in 0..2usize {
                 let dev = &dev;
                 scope.spawn(move || {
-                    let mut session = dev.session();
                     for i in 0..24 {
                         let block = (thread * 2 + i % 2) + BANKS * (i % (BLOCKS / BANKS));
                         if i % 3 == 0 {
-                            session.write_block(block, &[i as u8; 64]).expect("write");
+                            dev.write_block(block, &[i as u8; 64]).expect("write");
                         } else {
-                            session.read_block(block).expect("read");
+                            dev.read_block(block).expect("read");
                         }
                     }
                 });

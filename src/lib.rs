@@ -56,8 +56,7 @@
 //!     for t in 0..4 {
 //!         let dev = &dev;
 //!         scope.spawn(move || {
-//!             let mut session = dev.session();
-//!             session.write_block(t, &[t as u8; 64]).unwrap();
+//!             dev.write_block(t, &[t as u8; 64]).unwrap();
 //!         });
 //!     }
 //! });

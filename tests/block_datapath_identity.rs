@@ -141,5 +141,5 @@ fn generic_device_is_bit_identical() {
         spare_groups: 4,
         tec_strength: 2,
     };
-    assert_digest("generic", digest(org, 99, 64), 0x4aa9_bc28_8625_cc0a);
+    assert_digest("generic", digest(org, 99, 64), 0xaa10_9d2f_5da3_6299);
 }

@@ -1,25 +1,16 @@
 //! The cell-programming bit-identity oracle.
 //!
-//! Cells are programmed through run-at-a-time paths that must reproduce
-//! the per-draw and per-cell paths exactly: the same values, bit for bit,
-//! and the generator left at the same point of its stream.
-//!
-//! - `Xoshiro256pp::fill_normals` and `cell::write_cells` (the Monte-Carlo
-//!   estimator's batched polar draws) against `next_normal` and
-//!   `write_cell`;
-//! - `CellArray::program_range` (a device block write, one ziggurat draw
-//!   at a time over hoisted per-state plans) against per-cell
-//!   `CellArray::program`, which runs the same per-cell body.
-//!
-//! Each property below runs the two paths side by side from one seed and
-//! compares everything they produce, then draws once more on both sides.
+//! `CellArray::program_range` (a device block write, one normal draw at a
+//! time over hoisted per-state plans) must reproduce per-cell
+//! `CellArray::program`, which runs the same per-cell body: the same
+//! values, bit for bit, and the generator left at the same point of its
+//! stream. The property below runs the two paths side by side from one
+//! seed and compares everything they produce, then draws once more on
+//! both sides.
 
-use mlc_pcm::core::cell::{write_cell, write_cells, WrittenCell};
-use mlc_pcm::core::drift::DriftTrajectory;
 use mlc_pcm::core::level::{LevelDesign, LevelState};
 use mlc_pcm::core::optimize::{four_level_optimal, three_level_optimal};
 use mlc_pcm::core::params::{StateLabel, TEN_YEARS_SECS};
-use mlc_pcm::core::rng::Xoshiro256pp;
 use mlc_pcm::device::{CellArray, RangeOutcome};
 use mlc_pcm::wearout::fault::EnduranceModel;
 use proptest::prelude::*;
@@ -67,63 +58,8 @@ fn designs() -> Vec<LevelDesign> {
     ]
 }
 
-/// Every float of a written cell as bits, so `-0.0` and `0.0` differ.
-fn cell_bits(c: &WrittenCell) -> (usize, u32, u64, u64, Option<(u64, u64)>) {
-    let t = c.trajectory;
-    (
-        c.state,
-        c.write_attempts,
-        t.logr0.to_bits(),
-        t.alpha1.to_bits(),
-        t.switch.map(|(sw, a2)| (sw.to_bits(), a2.to_bits())),
-    )
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn fill_normals_matches_next_normal(seed in any::<u64>(), n_idx in 0usize..6) {
-        let n = [0, 1, 63, 64, 65, 1000][n_idx];
-        let mut batched = Xoshiro256pp::seed_from_u64(seed);
-        let mut scalar = batched.clone();
-        let mut out = vec![f64::NAN; n];
-        batched.fill_normals(&mut out);
-        for (i, z) in out.iter().enumerate() {
-            prop_assert_eq!(z.to_bits(), scalar.next_normal().to_bits(), "normal {}", i);
-        }
-        prop_assert_eq!(batched.next_u64(), scalar.next_u64(), "generator state after {}", n);
-    }
-
-    #[test]
-    fn write_cells_matches_write_cell(
-        seed in any::<u64>(),
-        design_idx in 0usize..5,
-        raw_states in vec(0u8..255, 0..700),
-        tolerance_idx in 0usize..3,
-    ) {
-        let mut d = designs().swap_remove(design_idx);
-        // The design's window; one that rejects ~3 draws in 4; one so
-        // narrow that some writes run into the 10 000-attempt clamp.
-        let (tolerance, len) = [(d.write_tolerance_sigma, 700), (0.3, 700), (1e-4, 3)][tolerance_idx];
-        d.write_tolerance_sigma = tolerance;
-        let levels = d.n_levels() as u8;
-        let states: Vec<u8> = raw_states.iter().take(len).map(|s| s % levels).collect();
-        let mut batched = Xoshiro256pp::seed_from_u64(seed);
-        let mut scalar = batched.clone();
-        let blank = WrittenCell {
-            state: 0,
-            trajectory: DriftTrajectory::simple(0.0, 0.0),
-            write_attempts: 0,
-        };
-        let mut out = vec![blank; states.len()];
-        write_cells(&d, &states, &mut batched, &mut out);
-        for (i, (c, &s)) in out.iter().zip(&states).enumerate() {
-            let expected = write_cell(&d, usize::from(s), &mut scalar);
-            prop_assert_eq!(cell_bits(c), cell_bits(&expected), "cell {}", i);
-        }
-        prop_assert_eq!(batched.next_u64(), scalar.next_u64(), "generator state");
-    }
 
     #[test]
     fn program_range_matches_program(

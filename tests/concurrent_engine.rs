@@ -32,10 +32,9 @@ fn contended_threads_share_banks_safely() {
         for t in 0..8 {
             let dev = &dev;
             scope.spawn(move || {
-                let mut session = dev.session();
                 for block in (t..32).step_by(8) {
-                    session.write_block(block, &pattern(block)).unwrap();
-                    assert_eq!(session.read_block(block).unwrap().data, pattern(block));
+                    dev.write_block(block, &pattern(block)).unwrap();
+                    assert_eq!(dev.read_block(block).unwrap().data, pattern(block));
                 }
             });
         }

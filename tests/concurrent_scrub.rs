@@ -74,10 +74,9 @@ fn background_scrub_interleaves_with_demand_sessions() {
         for t in 0..4usize {
             let dev = &dev;
             scope.spawn(move || {
-                let mut session = dev.session();
                 for round in 0..25 {
                     for block in (t..BLOCKS).step_by(4) {
-                        session.write_block(block, &pattern(block)).unwrap();
+                        dev.write_block(block, &pattern(block)).unwrap();
                     }
                     if round % 10 == 0 {
                         std::thread::yield_now();
@@ -150,27 +149,21 @@ fn long_horizon_schedule_is_exact_at_every_thread_count() {
 #[test]
 fn metrics_registry_is_shared_across_handles() {
     let dev = builder(12).build_sharded().unwrap();
-    // Sessions record into the same registry as the device handle.
     let bank = 3 % BANKS;
-    {
-        let mut session = dev.session();
-        session.write_block(3, &pattern(3)).unwrap();
-        session.read_block(3).unwrap();
-        assert_eq!(session.metrics().snapshot(), dev.metrics().snapshot());
-    }
+    dev.write_block(3, &pattern(3)).unwrap();
+    dev.read_block(3).unwrap();
     let snap = dev.metrics().snapshot();
     assert_eq!(snap.per_bank[bank].writes, 1);
     assert_eq!(snap.per_bank[bank].reads, 1);
     assert!(snap.per_bank[bank].busy_ns > 0);
 
-    // Sessions on other threads keep accumulating into the same banks.
+    // Other threads keep accumulating into the same banks.
     std::thread::scope(|scope| {
         for _ in 0..2 {
             let dev = &dev;
             scope.spawn(move || {
-                let mut session = dev.session();
-                session.write_block(3, &pattern(3)).unwrap();
-                session.read_block(3).unwrap();
+                dev.write_block(3, &pattern(3)).unwrap();
+                dev.read_block(3).unwrap();
             });
         }
     });

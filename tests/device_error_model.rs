@@ -6,12 +6,14 @@
 //! block write path, with its own normal sampler) and sensed through
 //! `CellArray::sense_range` (the block read path) must show the raw
 //! per-state error rates of `cer::analytic` and the block failure rate of
-//! the binomial `bler` chain, each inside a 99.9 % Wilson interval.
+//! the binomial `bler` chain, each inside a 99.9 % Wilson interval, for
+//! the naive 4LC design and the optimal one with its rate switch.
 
 use mlc_pcm::core::bler::block_error_rate;
 use mlc_pcm::core::cer::{AnalyticCer, CerEstimator};
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::core::math::stats::Proportion;
+use mlc_pcm::core::optimize::four_level_optimal;
 use mlc_pcm::core::params::{REFRESH_17MIN_SECS, SECS_PER_YEAR};
 use mlc_pcm::core::rng::Xoshiro256pp;
 use mlc_pcm::device::CellArray;
@@ -52,10 +54,11 @@ fn inside(hits: u64, trials: u64, p: f64) -> Result<(), String> {
     }
 }
 
-#[test]
-fn four_level_naive_errors_match_the_analytic_model() {
-    let design = LevelDesign::four_level_naive();
-    let (array, states) = programmed(&design, FOUR_LEVEL_BLOCK_CELLS, 0x4C4E);
+/// Per-state raw errors of `design`'s 4LC blocks at 1024 s and 2¹⁵ s
+/// against `cer::analytic`, and blocks with more than ten errors against
+/// the `bler` chain.
+fn four_level_errors_match_the_analytic_model(design: &LevelDesign) {
+    let (array, states) = programmed(design, FOUR_LEVEL_BLOCK_CELLS, 0x4C4E);
     let analytic = AnalyticCer::default();
     let mut sensed = vec![0u8; FOUR_LEVEL_BLOCK_CELLS];
     let mut failures = Vec::new();
@@ -64,7 +67,7 @@ fn four_level_naive_errors_match_the_analytic_model() {
         let (mut errors, mut cells) = (vec![0u64; levels], vec![0u64; levels]);
         let mut failed_blocks = 0u64;
         for (b, block) in states.chunks(FOUR_LEVEL_BLOCK_CELLS).enumerate() {
-            array.sense_range(b * FOUR_LEVEL_BLOCK_CELLS, &design, t, &mut sensed);
+            array.sense_range(b * FOUR_LEVEL_BLOCK_CELLS, design, t, &mut sensed);
             let mut block_errors = 0;
             for (&want, &got) in block.iter().zip(&sensed) {
                 cells[usize::from(want)] += 1;
@@ -74,19 +77,37 @@ fn four_level_naive_errors_match_the_analytic_model() {
             // BCH-10 corrects up to ten errors per block.
             failed_blocks += u64::from(block_errors > 10);
         }
-        for s in 0..levels {
-            let p = analytic.state_cer(&design, s, t);
+        let per_state: Vec<f64> = (0..levels)
+            .map(|s| analytic.state_cer(design, s, t))
+            .collect();
+        for (s, &p) in per_state.iter().enumerate() {
             if let Err(e) = inside(errors[s], cells[s], p) {
                 failures.push(format!("S{} at {t} s: {e}", s + 1));
             }
         }
-        // Random data fills the states uniformly: the design's occupancy.
-        let bler = block_error_rate(analytic.cer(&design, t), 10, FOUR_LEVEL_BLOCK_CELLS as u64);
+        // Random data fills the states uniformly, whatever occupancy the
+        // design's data encoding would give them (4LCo's smart encoding
+        // puts 35 % of cells in S1 and S4 each), so a cell errs at the
+        // states' plain mean rate.
+        let cer = per_state.iter().sum::<f64>() / levels as f64;
+        let bler = block_error_rate(cer, 10, FOUR_LEVEL_BLOCK_CELLS as u64);
         if let Err(e) = inside(failed_blocks, BLOCKS as u64, bler) {
             failures.push(format!("BLER at {t} s: {e}"));
         }
     }
     assert!(failures.is_empty(), "{failures:#?}");
+}
+
+#[test]
+fn four_level_naive_errors_match_the_analytic_model() {
+    four_level_errors_match_the_analytic_model(&LevelDesign::four_level_naive());
+}
+
+#[test]
+fn four_level_optimal_errors_match_the_analytic_model() {
+    // The 4LC design with the §5.3 rate switch, as the aged-KV and scrub
+    // benchmarks run it.
+    four_level_errors_match_the_analytic_model(four_level_optimal());
 }
 
 #[test]

@@ -519,11 +519,10 @@ proptest! {
                     let ops = &ops;
                     let dev = &dev;
                     scope.spawn(move || {
-                        let mut session = dev.session();
                         let owns = |block: usize| block % BANKS % threads == t;
                         for (b, p) in payloads.iter().enumerate() {
                             if owns(b) {
-                                session.write_block(b, p).unwrap();
+                                dev.write_block(b, p).unwrap();
                             }
                         }
                         for &(block, is_write) in ops {
@@ -531,9 +530,9 @@ proptest! {
                                 continue;
                             }
                             if is_write {
-                                session.write_block(block, &payloads[block]).unwrap();
+                                dev.write_block(block, &payloads[block]).unwrap();
                             } else {
-                                session.read_block(block).unwrap();
+                                dev.read_block(block).unwrap();
                             }
                         }
                     });
