@@ -7,12 +7,15 @@
 //! remainder-first scalar decoder (`Bch::decode` per lane), and the
 //! sliced path (`Bch::decode_batch`), requiring all three to give
 //! **byte-identical** corrected data, parity, and per-lane results before
-//! any timing is reported. For MC it runs `estimate` (batched) and
-//! `estimate_reference` (pre-batching oracle) on the same
+//! any timing is reported. It also times `Bch::decode` on error-free
+//! words, the remainder-only branch most device reads take, which must
+//! return `Ok(0)` as `decode_reference` does. For MC it runs `estimate`
+//! (batched) and `estimate_reference` (pre-batching oracle) on the same
 //! `(samples, seed)` and requires identical hit counts. Any divergence exits nonzero — this binary is a CI gate
 //! first and a benchmark second.
 //!
-//! Writes `BENCH_math.json`: codewords/sec for the three decode paths,
+//! Writes `BENCH_math.json`: codewords/sec for the three decode paths
+//! and for `decode` on error-free words,
 //! the sliced speedup over the reference (which CI thresholds on) and
 //! the scalar `decode` speedup over it — each the median of the ratios
 //! of repetitions that time the three paths back to back — samples/sec for both MC paths,
@@ -116,6 +119,7 @@ struct BchOutcome {
     scalar_cw_per_sec: f64,
     decode_cw_per_sec: f64,
     sliced_cw_per_sec: f64,
+    decode_clean_cw_per_sec: f64,
     speedup: f64,
     decode_speedup: f64,
     identical: bool,
@@ -184,13 +188,38 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
         decode_speedups.push(scalar / decode);
     }
 
+    // Error-free words: `decode` runs one LFSR pass and returns `Ok(0)`,
+    // leaving the word as it is, so each rep decodes the same words.
+    let mut clean: Vec<(BitVec, BitVec)> = (0..batches * 64)
+        .map(|i| {
+            let d = pseudo_data(data_bits, 0xC1EA_0000 + i);
+            let p = bch.encode(&d);
+            (d, p)
+        })
+        .collect();
+    let mut clean_secs = 0.0;
+    let mut clean_ok = true;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        for (d, p) in &mut clean {
+            clean_ok &= bch.decode(d, p) == Ok(0);
+        }
+        clean_secs += t0.elapsed().as_secs_f64();
+    }
+    for (d, p) in &mut clean {
+        clean_ok &= bch.decode_reference(d, p) == Ok(0);
+    }
+    if !clean_ok {
+        eprintln!("BCH DIVERGENCE: an error-free word did not decode to Ok(0)");
+    }
+
     if inject {
         // Prove the gate gates: flip one corrected bit in the sliced
         // output so the comparison below must fail.
         sliced_out[0].0[0].toggle(0);
     }
 
-    let mut identical = true;
+    let mut identical = clean_ok;
     for (name, out) in [("decode", &decode_out), ("sliced", &sliced_out)] {
         for (b, (s, f)) in scalar_out.iter().zip(out).enumerate() {
             for l in 0..64 {
@@ -209,6 +238,7 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
         scalar_cw_per_sec: codewords / scalar_secs,
         decode_cw_per_sec: codewords / decode_secs,
         sliced_cw_per_sec: codewords / sliced_secs,
+        decode_clean_cw_per_sec: codewords / clean_secs,
         speedup: median(&mut speedups),
         decode_speedup: median(&mut decode_speedups),
         identical,
@@ -277,10 +307,11 @@ fn main() {
 
     let bch = bench_bch(args.quick, args.inject_divergence);
     println!(
-        "  bch: reference {:.0} cw/s | decode {:.0} cw/s ({:.2}x) | sliced {:.0} cw/s ({:.2}x) | identical: {}",
+        "  bch: reference {:.0} cw/s | decode {:.0} cw/s ({:.2}x) | clean decode {:.0} cw/s | sliced {:.0} cw/s ({:.2}x) | identical: {}",
         bch.scalar_cw_per_sec,
         bch.decode_cw_per_sec,
         bch.decode_speedup,
+        bch.decode_clean_cw_per_sec,
         bch.sliced_cw_per_sec,
         bch.speedup,
         bch.identical
@@ -293,13 +324,14 @@ fn main() {
 
     let doc = format!(
         "{{\n  \"bench\": \"math_kernels\",\n  \"quick\": {},\n  \"bch\": {{\"scalar_codewords_per_sec\":{:.1},\
-         \"decode_cw_per_sec\":{:.1},\"sliced_codewords_per_sec\":{:.1},\"speedup\":{:.3},\
+         \"decode_cw_per_sec\":{:.1},\"decode_clean_cw_per_sec\":{:.1},\"sliced_codewords_per_sec\":{:.1},\"speedup\":{:.3},\
          \"decode_speedup\":{:.3},\"identical\":{}}},\n  \
          \"mc\": {{\"reference_samples_per_sec\":{:.1},\"batched_samples_per_sec\":{:.1},\
          \"speedup\":{:.3},\"identical\":{}}}\n}}\n",
         args.quick,
         bch.scalar_cw_per_sec,
         bch.decode_cw_per_sec,
+        bch.decode_clean_cw_per_sec,
         bch.sliced_cw_per_sec,
         bch.speedup,
         bch.decode_speedup,

@@ -61,6 +61,28 @@ pub fn decode_block<S: Copy + Into<usize>>(states: &[S], len_bits: usize) -> Bit
     BitVec::from_words(words, len_bits)
 }
 
+/// Replace every cell's state `s` by `map[s]` (each below 4) in a
+/// Gray-coded bit block, 32 cells per word: [`encode_into`], the map on
+/// each state, then [`decode_block`] to `bits.len()`, without the state
+/// buffer. Each state's cells are found with a mask over the (low, high)
+/// bit planes, and the mask times the mapped 2-bit code fills those cells
+/// (the mask's bits sit two apart, so the product never carries).
+pub fn map_states(bits: &BitVec, map: [u8; 4]) -> BitVec {
+    const LOW: u64 = 0x5555_5555_5555_5555;
+    let code: [u64; 4] =
+        std::array::from_fn(|g| STATE_CODE[usize::from(map[usize::from(CODE_STATE[g])])]);
+    let words = bits
+        .as_words()
+        .iter()
+        .map(|&w| {
+            let (lo, hi) = (w & LOW, w >> 1 & LOW);
+            let cells = [!(lo | hi) & LOW, lo & !hi, !lo & hi, lo & hi];
+            cells.iter().zip(code).fold(0, |out, (&m, c)| out | (m * c))
+        })
+        .collect();
+    BitVec::from_words(words, bits.len())
+}
+
 /// The bit-at-a-time originals, kept as oracles for the word-level
 /// versions above.
 #[cfg(test)]
@@ -122,6 +144,26 @@ mod tests {
             let want = per_bit::decode_block(&states, len_bits);
             prop_assert_eq!(&decode_block(&states, len_bits), &want);
             prop_assert_eq!(&decode_block(&small, len_bits), &want);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn map_states_matches_the_state_round_trip(li in 0usize..9, seed in any::<u64>(), m in any::<u8>()) {
+            let len = ORACLE_LENS[li];
+            let data = BitVec::from_words(
+                (0..len.div_ceil(64)).map(|k| seed.rotate_left(k as u32 * 7) ^ k as u64).collect(),
+                len,
+            );
+            // Every map, permutations and merges alike: two bits per state.
+            let map: [u8; 4] = std::array::from_fn(|s| m >> (2 * s) & 0b11);
+            let mut states = encode_block(&data);
+            for s in &mut states {
+                *s = usize::from(map[*s]);
+            }
+            prop_assert_eq!(map_states(&data, map), decode_block(&states, len));
         }
     }
 

@@ -28,6 +28,7 @@ use pcm_core::drift::{log_time, PreparedTrajectory};
 use pcm_core::level::LevelDesign;
 use pcm_core::rng::Xoshiro256pp;
 use pcm_wearout::fault::{EnduranceModel, FaultKind, WearState};
+use std::hint::select_unpredictable;
 
 /// One physical cell: its [`PreparedTrajectory`] without `base`, its
 /// write time and its wear word.
@@ -87,16 +88,12 @@ impl PhysicalCell {
             return stuck_logr(fault);
         }
         let l = l.max(0.0);
-        if l > self.lc {
-            let base = if self.lc == 0.0 {
-                self.logr0.max(sw)
-            } else {
-                sw
-            };
-            base + self.alpha2 * (l - self.lc)
-        } else {
-            self.logr0 + self.alpha1 * l
-        }
+        // Both regimes are evaluated and one is selected: which one holds
+        // is random across a block's cells, so a branch would mispredict.
+        let base = select_unpredictable(self.lc == 0.0, self.logr0.max(sw), sw);
+        let regime2 = base + self.alpha2 * (l - self.lc);
+        let regime1 = self.logr0 + self.alpha1 * l;
+        select_unpredictable(l > self.lc, regime2, regime1)
     }
 }
 
@@ -283,20 +280,27 @@ impl CellArray {
     /// Sense the cells `[base, base + out.len())` at absolute time `now`
     /// under `design`, writing each state index into `out`. Identical to
     /// calling [`Self::sense`] per cell, but the drift log-time is
-    /// computed once per distinct write time (a block's cells share one),
-    /// not once per cell.
+    /// computed once per run of cells sharing a write time (a block's
+    /// cells share one), and the design's thresholds are bound once per
+    /// call: at one, two and three thresholds (SLC, 3LC, 4LC) they are
+    /// held in registers and the compares unroll.
     pub fn sense_range(&self, base: usize, design: &LevelDesign, now: f64, out: &mut [u8]) {
         debug_assert!(design.n_levels() <= 256, "state indices must fit in u8");
-        // (write-time bits, log-time). A NaN write time has log-time 0 at
-        // any `now`, so seeding the memo with one is never wrong.
-        let mut memo = (f64::NAN.to_bits(), 0.0);
+        let cells = &self.cells[base..base + out.len()];
         let sw = switch_logr(design);
-        for (cell, state) in self.cells[base..base + out.len()].iter().zip(out) {
-            if cell.write_time.to_bits() != memo.0 {
-                let l = log_time((now - cell.write_time).max(0.0));
-                memo = (cell.write_time.to_bits(), l);
-            }
-            *state = design.sense(cell.logr_at_log_time(memo.1, sw)) as u8;
+        match (design.thresholds.as_slice(), design.n_levels()) {
+            (&[t0], 2) => sense_runs(cells, now, out, |c, l| {
+                select([t0], c.logr_at_log_time(l, sw))
+            }),
+            (&[t0, t1], 3) => sense_runs(cells, now, out, |c, l| {
+                select([t0, t1], c.logr_at_log_time(l, sw))
+            }),
+            (&[t0, t1, t2], 4) => sense_runs(cells, now, out, |c, l| {
+                select([t0, t1, t2], c.logr_at_log_time(l, sw))
+            }),
+            _ => sense_runs(cells, now, out, |c, l| {
+                design.sense(c.logr_at_log_time(l, sw))
+            }),
         }
     }
 
@@ -323,6 +327,47 @@ impl CellArray {
     /// Write cycles cell `idx` has left before it wears out.
     pub fn wear_budget(&self, idx: usize) -> u64 {
         self.cells[idx].wear.budget()
+    }
+}
+
+/// [`LevelDesign::sense`] over thresholds held by value, for a design
+/// whose top state is `N`: the first threshold `logr` lies below, else
+/// `N`. Every threshold is compared, each compare sets one bit, and the
+/// lowest set bit is the state. That equals the select for any threshold
+/// order and for NaN (no bit set), and leaves no branch to mispredict on a
+/// block's random states (a chain of selects over constants gets folded
+/// back into one).
+#[inline(always)]
+fn select<const N: usize>(thresholds: [f64; N], logr: f64) -> usize {
+    let below = (0..N).fold(1u32 << N, |m, i| m | u32::from(logr < thresholds[i]) << i);
+    below.trailing_zeros() as usize
+}
+
+/// Sense `cells` into `out` with `sense(cell, log_time)`, computing the
+/// drift log-time once per run of cells with bit-equal write times: the
+/// same value the per-cell [`CellArray::logr`] computes for each of them.
+#[inline(always)]
+fn sense_runs(
+    cells: &[PhysicalCell],
+    now: f64,
+    out: &mut [u8],
+    sense: impl Fn(&PhysicalCell, f64) -> usize,
+) {
+    let mut done = 0;
+    while done < cells.len() {
+        let write_time = cells[done].write_time;
+        let run = 1 + cells[done + 1..]
+            .iter()
+            .position(|c| c.write_time.to_bits() != write_time.to_bits())
+            .unwrap_or(cells.len() - done - 1);
+        let l = log_time((now - write_time).max(0.0));
+        for (cell, state) in cells[done..done + run]
+            .iter()
+            .zip(&mut out[done..done + run])
+        {
+            *state = sense(cell, l) as u8;
+        }
+        done += run;
     }
 }
 
@@ -513,6 +558,36 @@ mod tests {
                     "cell {} at {now}",
                     10 + k
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn bound_select_is_the_design_sense() {
+        // Sorted, unsorted and repeated thresholds, a NaN threshold, and
+        // NaN / infinite resistances, at each count `sense_range` binds.
+        let cases: [&[f64]; 7] = [
+            &[4.5],
+            &[f64::NAN],
+            &[3.5, 5.5],
+            &[5.5, 3.5],
+            &[3.5, 4.5, 5.5],
+            &[5.5, 3.5, 4.5],
+            &[4.5, 4.5, f64::NAN],
+        ];
+        for thresholds in cases {
+            let mut d = LevelDesign::four_level_naive();
+            d.thresholds = thresholds.to_vec();
+            d.states.truncate(thresholds.len() + 1);
+            let bound = |logr: f64| match *thresholds {
+                [t0] => select([t0], logr),
+                [t0, t1] => select([t0, t1], logr),
+                [t0, t1, t2] => select([t0, t1, t2], logr),
+                _ => unreachable!(),
+            };
+            let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 4.5];
+            for logr in (0..=100).map(|k| 2.0 + 0.05 * k as f64).chain(specials) {
+                assert_eq!(bound(logr), d.sense(logr), "{thresholds:?} at {logr}");
             }
         }
     }

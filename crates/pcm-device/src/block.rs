@@ -388,11 +388,11 @@ impl FourLevelBlock {
             .decode(&mut stored_bits, &mut parity)
             .map_err(|_| BlockError::Uncorrectable)?;
 
-        // Without smart encoding the stored bits are the data bits.
+        // Without smart encoding the stored bits are the data bits; with
+        // it, the transform is undone on the Gray-coded words.
         let data = if self.use_smart {
-            gray::encode_into(&stored_bits, data_states);
-            smart::decode_block(data_states, self.smart_tag);
-            gray::decode_block(data_states, DATA_BITS)
+            let unapply = std::array::from_fn(|s| smart::unapply(self.smart_tag, s) as u8);
+            gray::map_states(&stored_bits, unapply)
         } else {
             stored_bits
         };

@@ -15,13 +15,17 @@
 //! Encoder and decoder are both built on the remainder `r(x) = c(x) mod
 //! g(x)`, computed by a byte-wise table-driven LFSR (the CRC technique):
 //! one 256-row table per code, each row `⌈p/64⌉` words, so a single
-//! implementation covers every `(m, t)`. The encoder's parity is the
-//! remainder of `x^p·d(x)`; the decoder XORs that with the received
-//! parity. A zero remainder is exactly the all-zero-syndrome condition,
-//! because g is the LCM of the minimal polynomials of α¹…α^(2t): `g | c`
-//! iff `c(α^j) = 0` for every j ≤ 2t. So a clean word costs one LFSR pass
-//! (≈0.7 µs for BCH-10 over 512 bits on a 2-vCPU Xeon VM) and nothing
-//! else.
+//! implementation covers every `(m, t)`. The register lives in a
+//! `[u64; 1]` or `[u64; 2]` on the stack for codes of up to 128 parity
+//! bits (BCH-1 and BCH-10 over GF(2^10)), so the LFSR runs at a
+//! compile-time width with no allocation; wider codes run the same LFSR
+//! on a heap register. The encoder's parity is the remainder of
+//! `x^p·d(x)`; the decoder XORs that with the received parity. A zero
+//! remainder is exactly the all-zero-syndrome condition, because g is
+//! the LCM of the minimal polynomials of α¹…α^(2t): `g | c` iff
+//! `c(α^j) = 0` for every j ≤ 2t. So a clean word costs one LFSR pass
+//! (≈0.2 µs for BCH-10 over 512 bits and for BCH-1 over the 708-bit TEC
+//! message, on a 2-vCPU Xeon VM) and nothing else.
 //!
 //! Only a dirty word pays for decoding, and even then on the
 //! `≤ p`-bit remainder rather than the whole word: `c = q·g + r` and
@@ -247,7 +251,8 @@ impl Bch {
     /// (`parity_bits` bits): the LFSR remainder `x^p·d(x) mod g(x)`.
     pub fn encode(&self, data: &BitVec) -> BitVec {
         self.check_data_len(data);
-        BitVec::from_words(self.lfsr_remainder(data), self.tables.parity_bits)
+        let p = self.tables.parity_bits;
+        self.with_remainder(data, None, |rem| BitVec::from_words(rem.to_vec(), p))
     }
 
     /// The message-length contract shared by [`Bch::encode`] and
@@ -263,17 +268,44 @@ impl Bch {
         );
     }
 
-    /// `x^p·d(x) mod g(x)` as `⌈p/64⌉` words (bit j ↔ x^j), by the
-    /// byte-wise table-driven LFSR. Bytes are fed highest degree first;
-    /// the zero tail of `data`'s last word pads a partial leading byte
-    /// with zero coefficients, which leave a zero register unchanged.
-    fn lfsr_remainder(&self, data: &BitVec) -> Vec<u64> {
+    /// Run `f` on `x^p·d(x) mod g(x)`, plus `parity` when given (then it
+    /// is the received word's remainder: zero iff every syndrome
+    /// S_1..S_2t vanishes), as `⌈p/64⌉` words with bit j ↔ x^j. One- and
+    /// two-word registers (BCH-1 and BCH-10 over GF(2^10)) are fixed-size
+    /// arrays, so the LFSR runs at a constant width with no allocation;
+    /// wider codes run the same LFSR on a heap register.
+    #[inline]
+    fn with_remainder<R>(
+        &self,
+        data: &BitVec,
+        parity: Option<&BitVec>,
+        f: impl FnOnce(&[u64]) -> R,
+    ) -> R {
+        match self.tables.parity_bits.div_ceil(64) {
+            1 => f(self.lfsr_remainder(data, parity, &mut [0; 1])),
+            2 => f(self.lfsr_remainder(data, parity, &mut [0; 2])),
+            w => f(self.lfsr_remainder(data, parity, &mut vec![0; w])),
+        }
+    }
+
+    /// The byte-wise table-driven LFSR behind [`Self::with_remainder`],
+    /// in the zeroed register `reg` of `⌈p/64⌉` words. Bytes are fed
+    /// highest degree first; the zero tail of `data`'s last word pads a
+    /// partial leading byte with zero coefficients, which leave a zero
+    /// register unchanged.
+    #[inline(always)]
+    fn lfsr_remainder<'r>(
+        &self,
+        data: &BitVec,
+        parity: Option<&BitVec>,
+        reg: &'r mut [u64],
+    ) -> &'r [u64] {
         let tb = &*self.tables;
-        let w = tb.parity_bits.div_ceil(64);
+        let w = reg.len();
+        let table = &tb.lfsr[..256 * w];
         // The register is kept left-aligned (coefficient x^(p−1) at the
         // top bit of the last word), so its top byte is always the last
         // word's high byte and shifting by 8 drops exactly that byte.
-        let mut reg = vec![0u64; w];
         let bytes = data.len().div_ceil(8);
         for (wi, &word) in data.as_words().iter().enumerate().rev() {
             for k in (0..8.min(bytes - wi * 8)).rev() {
@@ -285,7 +317,7 @@ impl Bch {
                     reg[i] = reg[i] << 8 | reg[i - 1] >> 56;
                 }
                 reg[0] <<= 8;
-                for (r, &t) in reg.iter_mut().zip(&tb.lfsr[h * w..(h + 1) * w]) {
+                for (r, &t) in reg.iter_mut().zip(&table[h * w..h * w + w]) {
                     *r ^= t;
                 }
             }
@@ -297,17 +329,12 @@ impl Bch {
                 reg[i] = reg[i] >> pad | reg.get(i + 1).map_or(0, |&hi| hi << (64 - pad));
             }
         }
-        reg
-    }
-
-    /// Remainder of the received word `parity + x^p·data` modulo g: zero
-    /// iff it is a codeword (every syndrome S_1..S_2t vanishes).
-    fn received_remainder(&self, data: &BitVec, parity: &BitVec) -> Vec<u64> {
-        let mut rem = self.lfsr_remainder(data);
-        for (r, &q) in rem.iter_mut().zip(parity.as_words()) {
-            *r ^= q;
+        if let Some(parity) = parity {
+            for (r, &q) in reg.iter_mut().zip(parity.as_words()) {
+                *r ^= q;
+            }
         }
-        rem
+        reg
     }
 
     /// Decode in place: corrects up to t bit errors across `data` and
@@ -326,12 +353,16 @@ impl Bch {
             self.tables.parity_bits,
             "parity length mismatch"
         );
-        let rem = self.received_remainder(data, parity);
-        if rem.iter().all(|&w| w == 0) {
+        let syndromes = self.with_remainder(data, Some(parity), |rem| {
+            rem.iter()
+                .any(|&w| w != 0)
+                .then(|| self.remainder_syndromes(rem))
+        });
+        let Some(syndromes) = syndromes else {
             return Ok(0);
-        }
+        };
 
-        let sigma = self.berlekamp_massey(&self.remainder_syndromes(&rem));
+        let sigma = self.berlekamp_massey(&syndromes);
         let errors = sigma.degree();
         if errors == 0 || errors > self.tables.t {
             return Err(BchError::Uncorrectable);
@@ -353,11 +384,7 @@ impl Bch {
         };
         toggle(data, parity);
         // Residual check: a successful correction must land on a codeword.
-        if self
-            .received_remainder(data, parity)
-            .iter()
-            .any(|&w| w != 0)
-        {
+        if self.with_remainder(data, Some(parity), |rem| rem.iter().any(|&w| w != 0)) {
             toggle(data, parity);
             return Err(BchError::Uncorrectable);
         }

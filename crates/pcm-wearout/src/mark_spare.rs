@@ -246,31 +246,76 @@ impl MarkSpareCodec {
     /// each 4-bit pair code goes through the [`TEC_PAIR`] table, INV pairs
     /// are skipped, and data values are packed 3 bits at a time. A cell
     /// holding the `01` pattern reads as S2, as in
-    /// [`tec::bits_to_trits`].
+    /// [`tec::bits_to_trits`]. Pairs are read two per `TEC_TWO_PAIRS`
+    /// lookup while both values fit in the data, then one at a time.
     pub fn decode_tec(&self, bits: &BitVec, len_bits: usize) -> Result<BitVec, MarkSpareError> {
         assert_eq!(bits.len(), self.total_cells() * 2);
-        let mut out = BitVec::zeros(len_bits);
-        let (mut kept, mut marked) = (0usize, 0usize);
+        let data_bits = 3 * self.data_pairs;
+        let mut out = vec![0u64; data_bits.max(len_bits).div_ceil(64)];
+        // OR the `n`-bit `values` in at `at`; callers keep `at + n` within
+        // the data bits.
+        let mut put = |at: usize, n: usize, values: u64| {
+            let (wi, off) = (at / 64, at % 64);
+            out[wi] |= values << off;
+            if off + n > 64 {
+                out[wi + 1] |= values >> (64 - off);
+            }
+        };
         let codes = bits.as_words();
-        for p in 0..self.total_pairs() {
-            match TEC_PAIR[(codes[p / 16] >> (4 * (p % 16)) & 0b1111) as usize] {
+        let code = |p: usize, mask: u64| codes[p / 16] >> (4 * (p % 16)) & mask;
+        let (mut kept_bits, mut marked, mut p) = (0usize, 0usize, 0usize);
+        while p + 2 <= self.total_pairs() && kept_bits + 6 <= data_bits {
+            let two = TEC_TWO_PAIRS[code(p, 0xFF) as usize];
+            put(kept_bits, 6, u64::from(two & 0x3F));
+            kept_bits += 3 * usize::from(two >> 6 & 0b11);
+            marked += usize::from(two >> 8);
+            p += 2;
+        }
+        for p in p..self.total_pairs() {
+            match TEC_PAIR[code(p, 0xF) as usize] {
                 8 => marked += 1,
-                v if kept < self.data_pairs => {
-                    out.or_bits(3 * kept, 3, u64::from(v));
-                    kept += 1;
+                v if kept_bits < data_bits => {
+                    put(kept_bits, 3, u64::from(v));
+                    kept_bits += 3;
                 }
                 _ => {}
             }
         }
-        if kept < self.data_pairs {
+        if kept_bits < data_bits {
             return Err(MarkSpareError::TooManyFailures {
                 marked,
                 spares: self.spare_pairs,
             });
         }
-        Ok(out)
+        Ok(BitVec::from_words(out, len_bits))
     }
 }
+
+/// [`TEC_PAIR`] of two adjacent pair codes (one byte of the TEC image,
+/// first pair in the low nibble): the data values packed 3 bits each in
+/// pair order with INV pairs skipped (bits 0..6), how many there are
+/// (bits 6..8) and how many pairs are INV (bits 8..10).
+const TEC_TWO_PAIRS: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut values, mut kept, mut inv) = (0u16, 0u16, 0u16);
+        let mut k = 0;
+        while k < 2 {
+            let v = TEC_PAIR[byte >> (4 * k) & 0xF] as u16;
+            if v == 8 {
+                inv += 1;
+            } else {
+                values |= v << (3 * kept);
+                kept += 1;
+            }
+            k += 1;
+        }
+        table[byte] = values | kept << 6 | inv << 8;
+        byte += 1;
+    }
+    table
+};
 
 /// The bit-at-a-time originals, kept as oracles for the word-level
 /// versions above.
@@ -394,14 +439,15 @@ mod tests {
 
         #[test]
         fn word_level_block_codec_matches_per_bit(
-            geometry in 0usize..4,
+            geometry in 0usize..5,
             seed in any::<u64>(),
             failed in vec(0usize..177, 0..9),
             invs in vec(0usize..177, 0..9),
             len_cut in 0usize..4,
         ) {
-            // The paper's block plus small and odd geometries.
-            let (data_pairs, spare_pairs) = [(171, 6), (4, 2), (21, 0), (33, 5)][geometry];
+            // The paper's block plus small and odd geometries, and one
+            // whose data ends on a word boundary.
+            let (data_pairs, spare_pairs) = [(171, 6), (4, 2), (21, 0), (33, 5), (64, 3)][geometry];
             let c = MarkSpareCodec::new(data_pairs, spare_pairs);
             let len = [data_pairs * 3, data_pairs * 3 - 1, data_pairs * 3 / 2, 1][len_cut];
             let data = BitVec::from_words(

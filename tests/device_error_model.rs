@@ -7,7 +7,8 @@
 //! `CellArray::sense_range` (the block read path) must show the raw
 //! per-state error rates of `cer::analytic` and the block failure rate of
 //! the binomial `bler` chain, each inside a 99.9 % Wilson interval, for
-//! the naive 4LC design and the optimal one with its rate switch.
+//! the naive 4LC design (at 1024 s, 2¹⁵ s and one year) and the optimal
+//! one with its rate switch (at 1024 s and 2¹⁵ s).
 
 use mlc_pcm::core::bler::block_error_rate;
 use mlc_pcm::core::cer::{AnalyticCer, CerEstimator};
@@ -54,15 +55,15 @@ fn inside(hits: u64, trials: u64, p: f64) -> Result<(), String> {
     }
 }
 
-/// Per-state raw errors of `design`'s 4LC blocks at 1024 s and 2¹⁵ s
+/// Per-state raw errors of `design`'s 4LC blocks at each of `horizons`
 /// against `cer::analytic`, and blocks with more than ten errors against
 /// the `bler` chain.
-fn four_level_errors_match_the_analytic_model(design: &LevelDesign) {
+fn four_level_errors_match_the_analytic_model(design: &LevelDesign, horizons: &[f64]) {
     let (array, states) = programmed(design, FOUR_LEVEL_BLOCK_CELLS, 0x4C4E);
     let analytic = AnalyticCer::default();
     let mut sensed = vec![0u8; FOUR_LEVEL_BLOCK_CELLS];
     let mut failures = Vec::new();
-    for t in [REFRESH_17MIN_SECS, 2f64.powi(15)] {
+    for &t in horizons {
         let levels = design.n_levels();
         let (mut errors, mut cells) = (vec![0u64; levels], vec![0u64; levels]);
         let mut failed_blocks = 0u64;
@@ -100,14 +101,22 @@ fn four_level_errors_match_the_analytic_model(design: &LevelDesign) {
 
 #[test]
 fn four_level_naive_errors_match_the_analytic_model() {
-    four_level_errors_match_the_analytic_model(&LevelDesign::four_level_naive());
+    // At one year the S2 and S3 rates (≈10⁻² to 0.5) are large enough to
+    // measure, and nearly every block is past BCH-10.
+    four_level_errors_match_the_analytic_model(
+        &LevelDesign::four_level_naive(),
+        &[REFRESH_17MIN_SECS, 2f64.powi(15), SECS_PER_YEAR],
+    );
 }
 
 #[test]
 fn four_level_optimal_errors_match_the_analytic_model() {
     // The 4LC design with the §5.3 rate switch, as the aged-KV and scrub
     // benchmarks run it.
-    four_level_errors_match_the_analytic_model(four_level_optimal());
+    four_level_errors_match_the_analytic_model(
+        four_level_optimal(),
+        &[REFRESH_17MIN_SECS, 2f64.powi(15)],
+    );
 }
 
 #[test]

@@ -350,20 +350,32 @@ proptest! {
 
     #[test]
     fn sense_range_matches_per_cell_sense(
-        design_idx in 0usize..4,
+        design_idx in 0usize..6,
         seed in any::<u64>(),
-        writes in vec((0usize..96, 0u32..4, 0usize..3), 1..160),
+        writes in vec((0usize..96, 0u32..4, 0usize..5), 1..160),
         worn in vec(0usize..96, 0..24),
         age_idx in 0usize..4,
         base in 0usize..96,
     ) {
         use mlc_pcm::device::CellArray;
         use mlc_pcm::wearout::fault::EnduranceModel;
+        use mlc_pcm::core::params::StateLabel;
+        // One, two and three thresholds (the counts `sense_range` binds in
+        // registers, with and without a rate switch) and five levels (its
+        // general path).
         let designs = [
             LevelDesign::three_level_naive(),
             mlc_pcm::core::optimize::three_level_optimal().clone(),
             mlc_pcm::core::optimize::four_level_optimal().clone(),
             LevelDesign::two_level(),
+            LevelDesign::four_level_naive(),
+            LevelDesign::uniform_occupancy(
+                "5LC",
+                &[StateLabel::S1, StateLabel::S2, StateLabel::S2, StateLabel::S3, StateLabel::S4],
+                &[2.0, 3.0, 4.0, 5.0, 6.0],
+                &[2.5, 3.5, 4.5, 5.5],
+                None,
+            ),
         ];
         let d = &designs[design_idx];
         let mut arr = CellArray::new(96, EnduranceModel::mlc(), seed);
