@@ -1,6 +1,6 @@
-//! `math_kernels` — perf baseline and equivalence gate for the two hot
+//! `math_kernels` — perf baseline and equivalence gate for the hot
 //! math paths: bit-sliced BCH batch decode and the batched Monte-Carlo
-//! CER sampler.
+//! CER sampler, plus per-block timings of the device cell array.
 //!
 //! For BCH it decodes the same 64-codeword batches three ways: the
 //! whole-word scalar oracle (`Bch::decode_reference` per lane), the
@@ -11,15 +11,16 @@
 //! words, the remainder-only branch most device reads take, which must
 //! return `Ok(0)` as `decode_reference` does. For MC it runs `estimate`
 //! (batched) and `estimate_reference` (pre-batching oracle) on the same
-//! `(samples, seed)` and requires identical hit counts. Any divergence exits nonzero — this binary is a CI gate
-//! first and a benchmark second.
+//! `(samples, seed)` and requires identical hit counts. Any divergence
+//! exits nonzero — this binary is a CI gate first and a benchmark second.
 //!
 //! Writes `BENCH_math.json`: codewords/sec for the three decode paths
-//! and for `decode` on error-free words,
-//! the sliced speedup over the reference (which CI thresholds on) and
-//! the scalar `decode` speedup over it — each the median of the ratios
-//! of repetitions that time the three paths back to back — samples/sec for both MC paths,
-//! and the verification verdicts.
+//! and for `decode` on error-free words, the sliced speedup over the
+//! reference (which CI thresholds on) and the scalar `decode` speedup
+//! over it — each the median of the ratios of 24 repetitions that time
+//! the three paths back to back — samples/sec for both MC paths, the verification verdicts, and µs per
+//! block of `CellArray::program_range` and `sense_range` on 3LC and 4LC
+//! blocks swept across an array larger than L2.
 //!
 //! ```text
 //! math_kernels [--quick] [--out BENCH_math.json] [--inject-divergence]
@@ -29,12 +30,17 @@
 //! verification starts, to prove the gate actually fails the run (the
 //! negative CI test drives this).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use pcm_core::cer::mc::MonteCarloCer;
 use pcm_core::level::LevelDesign;
+use pcm_core::optimize::{four_level_optimal, three_level_optimal};
+use pcm_device::block::{FOUR_LEVEL_BLOCK_CELLS, THREE_LEVEL_BLOCK_CELLS};
+use pcm_device::CellArray;
 use pcm_ecc::bch::Bch;
 use pcm_ecc::bitvec::BitVec;
+use pcm_wearout::fault::EnduranceModel;
 
 struct Args {
     quick: bool,
@@ -136,7 +142,7 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
     let bch = Bch::new(10, 10);
     let data_bits = 512;
     let batches = if quick { 4 } else { 64 };
-    let reps = if quick { 1 } else { 8 };
+    let reps = if quick { 1 } else { 24 };
 
     let inputs: Vec<(Vec<BitVec>, Vec<BitVec>)> = (0..batches)
         .map(|b| make_batch(&bch, data_bits, b))
@@ -145,7 +151,8 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
     // One rep runs the reference, scalar and sliced passes back to back
     // on fresh copies of the same input, so host noise (frequency
     // changes, a neighbour's burst) lands on all three alike; the
-    // speedups are medians of the per-rep ratios.
+    // speedups are medians of the per-rep ratios, and 24 reps outvote a
+    // burst that would skew the median of a few.
     let scalar_pass =
         |decode: fn(&Bch, &mut BitVec, &mut BitVec) -> Result<usize, pcm_ecc::BchError>,
          out: &mut Vec<DecodedBatch>| {
@@ -298,6 +305,87 @@ fn bench_mc(quick: bool) -> McOutcome {
     }
 }
 
+/// Blocks in the array the cell kernels are timed over: 456 3LC blocks
+/// are 7.6 MiB of cell records and 456 4LC blocks 4.3 MiB, past a 2 MiB
+/// L2.
+const CELL_BLOCKS: usize = 456;
+/// Block stride of a sweep: coprime to [`CELL_BLOCKS`], so one pass
+/// visits every block once and consecutive blocks lie far apart.
+const CELL_STRIDE: usize = 97;
+
+/// Host µs per block of `CellArray::program_range` and `sense_range`,
+/// for the 3LC block (354 data cells of 3LC-optimal, 10 SLC check cells)
+/// and the 4LC block (306 cells of 4LC-optimal).
+struct CellsOutcome {
+    sense_3lc_us_per_block: f64,
+    sense_4lc_us_per_block: f64,
+    program_3lc_us_per_block: f64,
+    program_4lc_us_per_block: f64,
+}
+
+fn bench_cells(quick: bool) -> CellsOutcome {
+    let passes = if quick { 3 } else { 25 };
+    let slc = LevelDesign::two_level();
+    let three = [
+        (three_level_optimal(), THREE_LEVEL_BLOCK_CELLS - 10),
+        (&slc, 10),
+    ];
+    let four = [(four_level_optimal(), FOUR_LEVEL_BLOCK_CELLS)];
+    // Each pass writes every block, in stride order, at a new time, then
+    // senses every block 1024 s later; a figure is the median over passes.
+    let time = |layout: &[(&LevelDesign, usize)]| {
+        let cells: usize = layout.iter().map(|&(_, n)| n).sum();
+        let mut array = CellArray::new(CELL_BLOCKS * cells, EnduranceModel::mlc(), 0xCE11);
+        let states: Vec<Vec<u8>> = layout
+            .iter()
+            .map(|&(d, n)| {
+                (0..n)
+                    .map(|i| ((i * 7 + i / 5) % d.n_levels()) as u8)
+                    .collect()
+            })
+            .collect();
+        let mut sensed = vec![0u8; cells];
+        let (mut program_us, mut sense_us) = (Vec::new(), Vec::new());
+        let blocks = || (0..CELL_BLOCKS).map(|i| i * CELL_STRIDE % CELL_BLOCKS * cells);
+        for pass in 0..passes {
+            let now = 4096.0 * pass as f64;
+            let t0 = Instant::now();
+            for block in blocks() {
+                let mut base = block;
+                for (&(d, n), s) in layout.iter().zip(&states) {
+                    let mut done = 0;
+                    while done < n {
+                        done += array
+                            .program_range(base + done, d, &s[done..], now)
+                            .programmed;
+                    }
+                    base += n;
+                }
+            }
+            program_us.push(t0.elapsed().as_secs_f64() * 1e6 / CELL_BLOCKS as f64);
+            let t0 = Instant::now();
+            for block in blocks() {
+                let mut base = block;
+                for &(d, n) in layout {
+                    array.sense_range(base, d, now + 1024.0, &mut sensed[base - block..][..n]);
+                    base += n;
+                }
+                black_box(&sensed);
+            }
+            sense_us.push(t0.elapsed().as_secs_f64() * 1e6 / CELL_BLOCKS as f64);
+        }
+        (median(&mut program_us), median(&mut sense_us))
+    };
+    let (program_3lc_us_per_block, sense_3lc_us_per_block) = time(&three);
+    let (program_4lc_us_per_block, sense_4lc_us_per_block) = time(&four);
+    CellsOutcome {
+        sense_3lc_us_per_block,
+        sense_4lc_us_per_block,
+        program_3lc_us_per_block,
+        program_4lc_us_per_block,
+    }
+}
+
 fn main() {
     let args = parse_args();
     println!(
@@ -316,6 +404,14 @@ fn main() {
         bch.speedup,
         bch.identical
     );
+    let cells = bench_cells(args.quick);
+    println!(
+        "  cells: sense 3LC {:.3} us/block | sense 4LC {:.3} us/block | program 3LC {:.3} us/block | program 4LC {:.3} us/block",
+        cells.sense_3lc_us_per_block,
+        cells.sense_4lc_us_per_block,
+        cells.program_3lc_us_per_block,
+        cells.program_4lc_us_per_block
+    );
     let mc = bench_mc(args.quick);
     println!(
         "  mc:  reference {:.0} samples/s | batched {:.0} samples/s | {:.2}x | identical: {}",
@@ -327,7 +423,9 @@ fn main() {
          \"decode_cw_per_sec\":{:.1},\"decode_clean_cw_per_sec\":{:.1},\"sliced_codewords_per_sec\":{:.1},\"speedup\":{:.3},\
          \"decode_speedup\":{:.3},\"identical\":{}}},\n  \
          \"mc\": {{\"reference_samples_per_sec\":{:.1},\"batched_samples_per_sec\":{:.1},\
-         \"speedup\":{:.3},\"identical\":{}}}\n}}\n",
+         \"speedup\":{:.3},\"identical\":{}}},\n  \
+         \"cells\": {{\"sense_3lc_us_per_block\":{:.4},\"sense_4lc_us_per_block\":{:.4},\
+         \"program_3lc_us_per_block\":{:.4},\"program_4lc_us_per_block\":{:.4}}}\n}}\n",
         args.quick,
         bch.scalar_cw_per_sec,
         bch.decode_cw_per_sec,
@@ -339,7 +437,11 @@ fn main() {
         mc.reference_samples_per_sec,
         mc.batched_samples_per_sec,
         mc.speedup,
-        mc.identical
+        mc.identical,
+        cells.sense_3lc_us_per_block,
+        cells.sense_4lc_us_per_block,
+        cells.program_3lc_us_per_block,
+        cells.program_4lc_us_per_block
     );
     std::fs::write(&args.out, &doc).unwrap_or_else(|e| {
         eprintln!("cannot write {}: {e}", args.out);

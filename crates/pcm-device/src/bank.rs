@@ -145,10 +145,11 @@ impl PcmBank {
         endurance: EnduranceModel,
     ) -> Self {
         let cells_per_block = org.cells_per_block();
-        let array = CellArray::new(
+        let array = CellArray::for_designs(
             blocks * cells_per_block,
             endurance,
             stream_seed(device_seed, id as u64),
+            org.has_drift_switch(),
         );
         let blocks = (0..blocks)
             .map(|b| AnyBlock::for_org(org, b * cells_per_block))

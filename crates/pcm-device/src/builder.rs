@@ -66,6 +66,14 @@ impl CellOrganization {
             } => GenericBlock::new(design.clone(), *code, 0, *spare_groups, *tec_strength).cells(),
         }
     }
+
+    /// Whether the organization's data design has a §5.3 rate switch.
+    pub(crate) fn has_drift_switch(&self) -> bool {
+        let (CellOrganization::ThreeLevel(design)
+        | CellOrganization::FourLevel { design, .. }
+        | CellOrganization::Generic { design, .. }) = self;
+        design.drift_switch.is_some()
+    }
 }
 
 /// A rejected device configuration.
