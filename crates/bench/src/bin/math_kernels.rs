@@ -1,24 +1,25 @@
 //! `math_kernels` — perf baseline and equivalence gate for the hot
-//! math paths: bit-sliced BCH batch decode and the batched Monte-Carlo
-//! CER sampler, plus per-block timings of the device cell array.
+//! math paths: the BCH decoder every block read runs and the batched
+//! Monte-Carlo CER sampler, plus per-block timings of the device cell
+//! array.
 //!
-//! For BCH it decodes the same 64-codeword batches three ways: the
-//! whole-word scalar oracle (`Bch::decode_reference` per lane), the
-//! remainder-first scalar decoder (`Bch::decode` per lane), and the
-//! sliced path (`Bch::decode_batch`), requiring all three to give
-//! **byte-identical** corrected data, parity, and per-lane results before
-//! any timing is reported. It also times `Bch::decode` on error-free
-//! words, the remainder-only branch most device reads take, which must
-//! return `Ok(0)` as `decode_reference` does. For MC it runs `estimate`
-//! (batched) and `estimate_reference` (pre-batching oracle) on the same
-//! `(samples, seed)` and requires identical hit counts. Any divergence
-//! exits nonzero — this binary is a CI gate first and a benchmark second.
+//! For BCH it decodes the same 64-codeword batches two ways: the
+//! whole-word oracle (`Bch::decode_reference` per lane) and the
+//! remainder-first decoder the device runs (`Bch::decode` per lane),
+//! requiring both to give **byte-identical** corrected data, parity, and
+//! per-lane results before any timing is reported. It also times
+//! `Bch::decode` on error-free words, the remainder-only branch most
+//! device reads take, which must return `Ok(0)` as `decode_reference`
+//! does. For MC it runs `estimate` (batched) and `estimate_reference`
+//! (pre-batching oracle) on the same `(samples, seed)` and requires
+//! identical hit counts. Any divergence exits nonzero — this binary is a
+//! CI gate first and a benchmark second.
 //!
-//! Writes `BENCH_math.json`: codewords/sec for the three decode paths
-//! and for `decode` on error-free words, the sliced speedup over the
-//! reference (which CI thresholds on) and the scalar `decode` speedup
-//! over it — each the median of the ratios of 24 repetitions that time
-//! the three paths back to back — samples/sec for both MC paths, the verification verdicts, and µs per
+//! Writes `BENCH_math.json`: codewords/sec for both decode paths and
+//! for `decode` on error-free words, `decode`'s speedup over the
+//! reference (which CI thresholds on) — the median of the ratios of 24
+//! repetitions that time the two paths back to back — samples/sec for
+//! both MC paths, the verification verdicts, and µs per
 //! block of `CellArray::program_range` and `sense_range` on 3LC and 4LC
 //! blocks swept across an array larger than L2.
 //!
@@ -26,7 +27,7 @@
 //! math_kernels [--quick] [--out BENCH_math.json] [--inject-divergence]
 //! ```
 //!
-//! `--inject-divergence` corrupts one sliced-decode lane after
+//! `--inject-divergence` corrupts one `decode` lane after
 //! verification starts, to prove the gate actually fails the run (the
 //! negative CI test drives this).
 
@@ -122,12 +123,10 @@ fn make_batch(bch: &Bch, data_bits: usize, batch_seed: u64) -> (Vec<BitVec>, Vec
 }
 
 struct BchOutcome {
-    scalar_cw_per_sec: f64,
+    reference_cw_per_sec: f64,
     decode_cw_per_sec: f64,
-    sliced_cw_per_sec: f64,
     decode_clean_cw_per_sec: f64,
     speedup: f64,
-    decode_speedup: f64,
     identical: bool,
 }
 
@@ -148,51 +147,36 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
         .map(|b| make_batch(&bch, data_bits, b))
         .collect();
 
-    // One rep runs the reference, scalar and sliced passes back to back
-    // on fresh copies of the same input, so host noise (frequency
-    // changes, a neighbour's burst) lands on all three alike; the
-    // speedups are medians of the per-rep ratios, and 24 reps outvote a
-    // burst that would skew the median of a few.
-    let scalar_pass =
-        |decode: fn(&Bch, &mut BitVec, &mut BitVec) -> Result<usize, pcm_ecc::BchError>,
-         out: &mut Vec<DecodedBatch>| {
-            out.clear();
-            let t0 = Instant::now();
-            for (d, p) in &inputs {
-                let (mut d, mut p) = (d.clone(), p.clone());
-                let res: Vec<_> = d
-                    .iter_mut()
-                    .zip(p.iter_mut())
-                    .map(|(d, p)| decode(&bch, d, p))
-                    .collect();
-                out.push((d, p, res));
-            }
-            t0.elapsed().as_secs_f64()
-        };
-    let sliced_pass = |out: &mut Vec<DecodedBatch>| {
+    // One rep runs the reference and `decode` passes back to back on
+    // fresh copies of the same input, so host noise (frequency changes,
+    // a neighbour's burst) lands on both alike; the speedup is the median
+    // of the per-rep ratios, and 24 reps outvote a burst that would skew
+    // the median of a few.
+    let pass = |decode: fn(&Bch, &mut BitVec, &mut BitVec) -> Result<usize, pcm_ecc::BchError>,
+                out: &mut Vec<DecodedBatch>| {
         out.clear();
         let t0 = Instant::now();
         for (d, p) in &inputs {
             let (mut d, mut p) = (d.clone(), p.clone());
-            let res = bch.decode_batch(&mut d, &mut p);
+            let res: Vec<_> = d
+                .iter_mut()
+                .zip(p.iter_mut())
+                .map(|(d, p)| decode(&bch, d, p))
+                .collect();
             out.push((d, p, res));
         }
         t0.elapsed().as_secs_f64()
     };
-    let mut scalar_out: Vec<DecodedBatch> = Vec::with_capacity(inputs.len());
+    let mut reference_out: Vec<DecodedBatch> = Vec::with_capacity(inputs.len());
     let mut decode_out: Vec<DecodedBatch> = Vec::with_capacity(inputs.len());
-    let mut sliced_out: Vec<DecodedBatch> = Vec::with_capacity(inputs.len());
-    let (mut scalar_secs, mut decode_secs, mut sliced_secs) = (0.0, 0.0, 0.0);
-    let (mut speedups, mut decode_speedups) = (Vec::new(), Vec::new());
+    let (mut reference_secs, mut decode_secs) = (0.0, 0.0);
+    let mut speedups = Vec::new();
     for _ in 0..reps {
-        let scalar = scalar_pass(Bch::decode_reference, &mut scalar_out);
-        let decode = scalar_pass(Bch::decode, &mut decode_out);
-        let sliced = sliced_pass(&mut sliced_out);
-        scalar_secs += scalar;
+        let reference = pass(Bch::decode_reference, &mut reference_out);
+        let decode = pass(Bch::decode, &mut decode_out);
+        reference_secs += reference;
         decode_secs += decode;
-        sliced_secs += sliced;
-        speedups.push(scalar / sliced);
-        decode_speedups.push(scalar / decode);
+        speedups.push(reference / decode);
     }
 
     // Error-free words: `decode` runs one LFSR pass and returns `Ok(0)`,
@@ -221,33 +205,29 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
     }
 
     if inject {
-        // Prove the gate gates: flip one corrected bit in the sliced
+        // Prove the gate gates: flip one corrected bit in the `decode`
         // output so the comparison below must fail.
-        sliced_out[0].0[0].toggle(0);
+        decode_out[0].0[0].toggle(0);
     }
 
     let mut identical = clean_ok;
-    for (name, out) in [("decode", &decode_out), ("sliced", &sliced_out)] {
-        for (b, (s, f)) in scalar_out.iter().zip(out).enumerate() {
-            for l in 0..64 {
-                if s.0[l] != f.0[l] || s.1[l] != f.1[l] || s.2[l] != f.2[l] {
-                    eprintln!(
-                        "BCH DIVERGENCE: batch {b} lane {l}: decode_reference and {name} disagree"
-                    );
-                    identical = false;
-                }
+    for (b, (r, f)) in reference_out.iter().zip(&decode_out).enumerate() {
+        for l in 0..64 {
+            if r.0[l] != f.0[l] || r.1[l] != f.1[l] || r.2[l] != f.2[l] {
+                eprintln!(
+                    "BCH DIVERGENCE: batch {b} lane {l}: decode_reference and decode disagree"
+                );
+                identical = false;
             }
         }
     }
 
     let codewords = (batches * 64 * reps as u64) as f64;
     BchOutcome {
-        scalar_cw_per_sec: codewords / scalar_secs,
+        reference_cw_per_sec: codewords / reference_secs,
         decode_cw_per_sec: codewords / decode_secs,
-        sliced_cw_per_sec: codewords / sliced_secs,
         decode_clean_cw_per_sec: codewords / clean_secs,
         speedup: median(&mut speedups),
-        decode_speedup: median(&mut decode_speedups),
         identical,
     }
 }
@@ -389,19 +369,17 @@ fn bench_cells(quick: bool) -> CellsOutcome {
 fn main() {
     let args = parse_args();
     println!(
-        "math_kernels: BCH-10/512 batch decode + MC CER sampler ({} mode)",
+        "math_kernels: BCH-10/512 decode + MC CER sampler ({} mode)",
         if args.quick { "quick" } else { "full" }
     );
 
     let bch = bench_bch(args.quick, args.inject_divergence);
     println!(
-        "  bch: reference {:.0} cw/s | decode {:.0} cw/s ({:.2}x) | clean decode {:.0} cw/s | sliced {:.0} cw/s ({:.2}x) | identical: {}",
-        bch.scalar_cw_per_sec,
+        "  bch: reference {:.0} cw/s | decode {:.0} cw/s ({:.2}x) | clean decode {:.0} cw/s | identical: {}",
+        bch.reference_cw_per_sec,
         bch.decode_cw_per_sec,
-        bch.decode_speedup,
-        bch.decode_clean_cw_per_sec,
-        bch.sliced_cw_per_sec,
         bch.speedup,
+        bch.decode_clean_cw_per_sec,
         bch.identical
     );
     let cells = bench_cells(args.quick);
@@ -420,19 +398,17 @@ fn main() {
 
     let doc = format!(
         "{{\n  \"bench\": \"math_kernels\",\n  \"quick\": {},\n  \"bch\": {{\"scalar_codewords_per_sec\":{:.1},\
-         \"decode_cw_per_sec\":{:.1},\"decode_clean_cw_per_sec\":{:.1},\"sliced_codewords_per_sec\":{:.1},\"speedup\":{:.3},\
-         \"decode_speedup\":{:.3},\"identical\":{}}},\n  \
+         \"decode_cw_per_sec\":{:.1},\"decode_clean_cw_per_sec\":{:.1},\"speedup\":{:.3},\
+         \"identical\":{}}},\n  \
          \"mc\": {{\"reference_samples_per_sec\":{:.1},\"batched_samples_per_sec\":{:.1},\
          \"speedup\":{:.3},\"identical\":{}}},\n  \
          \"cells\": {{\"sense_3lc_us_per_block\":{:.4},\"sense_4lc_us_per_block\":{:.4},\
          \"program_3lc_us_per_block\":{:.4},\"program_4lc_us_per_block\":{:.4}}}\n}}\n",
         args.quick,
-        bch.scalar_cw_per_sec,
+        bch.reference_cw_per_sec,
         bch.decode_cw_per_sec,
         bch.decode_clean_cw_per_sec,
-        bch.sliced_cw_per_sec,
         bch.speedup,
-        bch.decode_speedup,
         bch.identical,
         mc.reference_samples_per_sec,
         mc.batched_samples_per_sec,

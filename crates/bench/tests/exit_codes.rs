@@ -27,7 +27,7 @@ fn clean_run_exits_zero_and_writes_artifact() {
         "artifact records the verdict:\n{doc}"
     );
     assert!(
-        doc.contains("sliced_codewords_per_sec"),
+        doc.contains("decode_cw_per_sec"),
         "artifact carries throughput:\n{doc}"
     );
     let _ = std::fs::remove_file(&out);

@@ -46,7 +46,6 @@ use std::sync::{Arc, Mutex, OnceLock};
 use crate::bitvec::BitVec;
 use crate::gf::GfTables;
 use crate::poly::{BinPoly, GfPoly};
-use crate::sliced::{self, SlicedBatch, LANES};
 
 /// Decoding failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,9 +62,8 @@ impl std::fmt::Display for BchError {
 
 impl std::error::Error for BchError {}
 
-/// Per-code immutable tables: the field, the generator polynomial, the
-/// LFSR remainder table, and the constant-multiplication bit matrices
-/// used by the sliced kernels. Built once per `(m, t)` and shared
+/// Per-code immutable tables: the field, the generator polynomial and
+/// the LFSR remainder table. Built once per `(m, t)` and shared
 /// process-wide through [`Bch::new`].
 #[derive(Debug)]
 struct BchTables {
@@ -79,13 +77,6 @@ struct BchTables {
     /// 8-bit polynomial `v` — what one byte shifted past the top of the
     /// register feeds back.
     lfsr: Vec<u64>,
-    /// Chien step matrices: `chien_cols[(k−1)·m + j]` = `α^(n−k) · α^j`,
-    /// the image of basis bit `j` under multiplication by `α^(n−k)`
-    /// (register k's per-position advance), for k = 1..=t.
-    chien_cols: Vec<u32>,
-    /// Frobenius matrix: `sq_cols[b]` = `(α^b)²`, the image of basis bit
-    /// `b` under squaring (derives even syndromes from odd ones).
-    sq_cols: Vec<u32>,
 }
 
 /// A t-error-correcting binary BCH code over GF(2^m).
@@ -170,19 +161,6 @@ impl BchTables {
                 }
             }
         }
-        let chien_cols: Vec<u32> = (1..=t)
-            .flat_map(|k| {
-                let c = gf.alpha_pow((n - k) as u64);
-                (0..m as u64).map(move |j| (c, j))
-            })
-            .map(|(c, j)| gf.mul(c, gf.alpha_pow(j)))
-            .collect();
-        let sq_cols: Vec<u32> = (0..m as u64)
-            .map(|b| {
-                let a = gf.alpha_pow(b);
-                gf.mul(a, a)
-            })
-            .collect();
         Self {
             gf,
             t,
@@ -190,8 +168,6 @@ impl BchTables {
             parity_bits,
             generator,
             lfsr,
-            chien_cols,
-            sq_cols,
         }
     }
 }
@@ -499,7 +475,7 @@ impl Bch {
     }
 
     /// The original whole-word decoder, kept as the oracle for
-    /// [`Bch::decode`] and [`Bch::decode_batch`]: syndromes over every set
+    /// [`Bch::decode`]: syndromes over every set
     /// bit of the received word, Berlekamp–Massey, and a Chien search by
     /// Horner evaluation at all n field points. Tests and the
     /// `math_kernels` gate compare against it; the device never calls it.
@@ -572,205 +548,20 @@ impl Bch {
         Ok(located.len())
     }
 
-    /// Decode a batch of codewords in place, bit-sliced 64 lanes at a time.
-    ///
-    /// Outcome-equivalent to calling [`Bch::decode`] on each
-    /// `(data[i], parity[i])` pair: identical corrected bits and identical
-    /// per-lane `Result`s (tested against [`Bch::decode_reference`]). All
-    /// codewords in one call must share the same data length.
-    ///
-    /// Syndromes and Chien search run on position-major bit planes —
-    /// one word-op covers 64 codewords — while Berlekamp–Massey (tiny,
-    /// syndrome-only) stays scalar per lane that actually has errors.
+    /// Decode a batch of codewords in place: [`Bch::decode`] on each
+    /// `(data[i], parity[i])` pair in turn, so the corrected bits and the
+    /// per-pair `Result`s are exactly `decode`'s. The pairs' data lengths
+    /// need not match.
     pub fn decode_batch(
         &self,
         data: &mut [BitVec],
         parity: &mut [BitVec],
     ) -> Vec<Result<usize, BchError>> {
         assert_eq!(data.len(), parity.len(), "data/parity batch mismatch");
-        let mut out = Vec::with_capacity(data.len());
-        for (d, p) in data.chunks_mut(LANES).zip(parity.chunks_mut(LANES)) {
-            self.decode_chunk(d, p, &mut out);
-        }
-        out
-    }
-
-    /// Decode one ≤64-lane chunk, appending per-lane results to `out`.
-    fn decode_chunk(
-        &self,
-        data: &mut [BitVec],
-        parity: &mut [BitVec],
-        out: &mut Vec<Result<usize, BchError>>,
-    ) {
-        let tb = &*self.tables;
-        let gf = &*tb.gf;
-        let m = gf.m() as usize;
-        let lanes = data.len();
-        let data_bits = data.first().map_or(0, BitVec::len);
-        // pcm-lint: allow(no-panic-lib) — decode contract: block layouts fix the message length at construction
-        assert!(
-            data_bits <= self.max_data_bits(),
-            "message of {data_bits} bits exceeds k = {}",
-            self.max_data_bits()
-        );
-        for (d, p) in data.iter().zip(parity.iter()) {
-            assert_eq!(d.len(), data_bits, "data length mismatch within batch");
-            assert_eq!(p.len(), tb.parity_bits, "parity length mismatch");
-        }
-        let used_len = tb.parity_bits + data_bits;
-
-        // Transpose parity‖data codewords into position-major planes.
-        let codewords: Vec<BitVec> = parity
-            .iter()
-            .zip(data.iter())
-            .map(|(p, d)| p.concat(d))
-            .collect();
-        let mut batch = SlicedBatch::from_lanes(&codewords);
-
-        let synd = sliced::syndromes_sliced(gf, tb.t, &tb.sq_cols, batch.planes(), used_len);
-
-        // Lanes with any nonzero syndrome need locating; the rest are clean.
-        let dirty: u64 = synd.iter().fold(0, |acc, &p| acc | p);
-        let lane_mask = if lanes == 64 {
-            !0u64
-        } else {
-            (1u64 << lanes) - 1
-        };
-        let mut results: Vec<Result<usize, BchError>> = vec![Ok(0); lanes];
-        if dirty & lane_mask == 0 {
-            out.extend_from_slice(&results);
-            return;
-        }
-
-        // Berlekamp–Massey per dirty lane (scalar: the input is 2t field
-        // elements, not the codeword). Lanes whose σ is degenerate fail
-        // immediately and drop out of the Chien sweep.
-        let mut sigmas: Vec<Option<GfPoly>> = vec![None; lanes];
-        let mut alive = 0u64;
-        let mut t_max = 0usize;
-        for l in 0..lanes {
-            if dirty >> l & 1 == 0 {
-                continue;
-            }
-            let s = sliced::extract_lane_syndromes(&synd, m, 2 * tb.t, l);
-            let sigma = self.berlekamp_massey(&s);
-            let deg = sigma.degree();
-            if deg == 0 || deg > tb.t {
-                results[l] = Err(BchError::Uncorrectable);
-            } else {
-                t_max = t_max.max(deg);
-                alive |= 1 << l;
-                sigmas[l] = Some(sigma);
-            }
-        }
-
-        // Sliced Chien sweep over the used positions. Register k holds
-        // σ_k · α^(k(n−e)) for every lane as m bit planes; at each position
-        // the locator value is the XOR of all registers, and a lane has a
-        // root exactly where every plane of that sum is zero. Advancing a
-        // register multiplies all its lanes by the constant α^(n−k) — a
-        // precomputed m×m bit matrix (`chien_cols`). Positions ≥ used_len
-        // are never swept: a lane that has not collected deg(σ) roots by
-        // then is Uncorrectable whether its remaining roots lie in the
-        // shortened region (scalar rejects them) or nowhere (count check).
-        let mut terms = vec![0u64; (t_max + 1) * m];
-        for (l, slot) in sigmas.iter().enumerate().take(lanes) {
-            let Some(sigma) = slot else { continue };
-            for (k, &c) in sigma.coeffs.iter().enumerate() {
-                for b in 0..m {
-                    if c >> b & 1 == 1 {
-                        terms[k * m + b] |= 1 << l;
-                    }
-                }
-            }
-        }
-        let mut located: Vec<Vec<usize>> = vec![Vec::new(); lanes];
-        let mut scratch = [0u64; sliced::MAX_M];
-        for e in 0..used_len {
-            // Locator value = Σ_k term_k, per lane.
-            let sum = &mut scratch[..m];
-            sum.copy_from_slice(&terms[..m]);
-            for k in 1..=t_max {
-                for (b, s) in sum.iter_mut().enumerate() {
-                    *s ^= terms[k * m + b];
-                }
-            }
-            let nonzero = sum.iter().fold(0u64, |acc, &p| acc | p);
-            let mut roots = !nonzero & alive;
-            while roots != 0 {
-                let l = roots.trailing_zeros() as usize;
-                roots &= roots - 1;
-                located[l].push(e);
-                // σ has at most deg roots in the whole field: once a lane
-                // has them all, nothing more can appear — retire it.
-                if located[l].len() == sigmas[l].as_ref().map_or(0, GfPoly::degree) {
-                    alive &= !(1u64 << l);
-                }
-            }
-            if alive == 0 && e + 1 < used_len {
-                break;
-            }
-            // Advance every register by its constant matrix.
-            for k in 1..=t_max {
-                let reg = &terms[k * m..(k + 1) * m];
-                let cols = &tb.chien_cols[(k - 1) * m..k * m];
-                let mut next = [0u64; sliced::MAX_M];
-                for (j, &col) in cols.iter().enumerate() {
-                    let p = reg[j];
-                    if p != 0 {
-                        let mut v = col;
-                        while v != 0 {
-                            let b = v.trailing_zeros() as usize;
-                            next[b] ^= p;
-                            v &= v - 1;
-                        }
-                    }
-                }
-                terms[k * m..(k + 1) * m].copy_from_slice(&next[..m]);
-            }
-        }
-
-        // Apply corrections for lanes whose root count matches deg(σ).
-        let mut corrected = 0u64;
-        for l in 0..lanes {
-            let Some(sigma) = &sigmas[l] else { continue };
-            if located[l].len() != sigma.degree() {
-                results[l] = Err(BchError::Uncorrectable);
-                continue;
-            }
-            for &e in &located[l] {
-                batch.toggle(e, l);
-            }
-            corrected |= 1 << l;
-        }
-
-        // Residual check over the whole chunk at once: every corrected
-        // lane must now be a codeword; roll back the ones that are not.
-        if corrected != 0 {
-            let resid = sliced::syndromes_sliced(gf, tb.t, &tb.sq_cols, batch.planes(), used_len);
-            let bad: u64 = resid.iter().fold(0, |acc, &p| acc | p) & corrected;
-            let mut b = bad;
-            while b != 0 {
-                let l = b.trailing_zeros() as usize;
-                b &= b - 1;
-                for &e in &located[l] {
-                    batch.toggle(e, l);
-                }
-                results[l] = Err(BchError::Uncorrectable);
-                corrected &= !(1u64 << l);
-            }
-            // Slice corrected lanes back into the caller's buffers.
-            let fixed = batch.to_lanes();
-            let mut c = corrected;
-            while c != 0 {
-                let l = c.trailing_zeros() as usize;
-                c &= c - 1;
-                results[l] = Ok(located[l].len());
-                parity[l].copy_range(0, &fixed[l], 0, tb.parity_bits);
-                data[l].copy_range(0, &fixed[l], tb.parity_bits, data_bits);
-            }
-        }
-        out.extend_from_slice(&results);
+        data.iter_mut()
+            .zip(parity.iter_mut())
+            .map(|(d, p)| self.decode(d, p))
+            .collect()
     }
 
     /// Syndromes S_1..S_2t of the whole received word (reference path).
@@ -1054,35 +845,26 @@ mod tests {
         }
     }
 
-    /// Drive `decode_batch` and scalar `decode` over the same noisy lanes
-    /// and demand identical results AND identical corrected bits.
-    fn assert_batch_matches_scalar(bch: &Bch, data_bits: usize, lanes: Vec<Vec<usize>>, tag: &str) {
-        let clean: Vec<BitVec> = (0..lanes.len())
-            .map(|l| pseudo_data(data_bits, (l as u64 + 1) * 7919))
-            .collect();
-        let clean_parity: Vec<BitVec> = clean.iter().map(|d| bch.encode(d)).collect();
-        let mut batch_d: Vec<BitVec> = Vec::new();
-        let mut batch_p: Vec<BitVec> = Vec::new();
-        let mut scalar_d: Vec<BitVec> = Vec::new();
-        let mut scalar_p: Vec<BitVec> = Vec::new();
+    /// Run `decode` and `decode_reference` on each noisy lane and demand
+    /// identical results AND identical corrected bits.
+    fn assert_decode_matches_reference(
+        bch: &Bch,
+        data_bits: usize,
+        lanes: Vec<Vec<usize>>,
+        tag: &str,
+    ) {
         for (l, flips) in lanes.iter().enumerate() {
-            let (d, p) = noisy(&clean[l], &clean_parity[l], flips);
-            batch_d.push(d.clone());
-            batch_p.push(p.clone());
-            scalar_d.push(d);
-            scalar_p.push(p);
-        }
-        let got = bch.decode_batch(&mut batch_d, &mut batch_p);
-        for l in 0..lanes.len() {
-            let (mut ref_d, mut ref_p) = (scalar_d[l].clone(), scalar_p[l].clone());
+            let data = pseudo_data(data_bits, (l as u64 + 1) * 7919);
+            let (mut d, mut p) = noisy(&data, &bch.encode(&data), flips);
+            let (mut ref_d, mut ref_p) = (d.clone(), p.clone());
             let want = bch.decode_reference(&mut ref_d, &mut ref_p);
-            let scalar = bch.decode(&mut scalar_d[l], &mut scalar_p[l]);
-            assert_eq!(scalar, want, "{tag}: lane {l} scalar result diverged");
-            assert_eq!(scalar_d[l], ref_d, "{tag}: lane {l} scalar data diverged");
-            assert_eq!(scalar_p[l], ref_p, "{tag}: lane {l} scalar parity diverged");
-            assert_eq!(got[l], want, "{tag}: lane {l} result diverged");
-            assert_eq!(batch_d[l], ref_d, "{tag}: lane {l} data diverged");
-            assert_eq!(batch_p[l], ref_p, "{tag}: lane {l} parity diverged");
+            assert_eq!(
+                bch.decode(&mut d, &mut p),
+                want,
+                "{tag}: lane {l} result diverged"
+            );
+            assert_eq!(d, ref_d, "{tag}: lane {l} data diverged");
+            assert_eq!(p, ref_p, "{tag}: lane {l} parity diverged");
         }
     }
 
@@ -1179,7 +961,6 @@ mod tests {
             d.set(e - pb, true);
             bch.encode(&d)
         };
-        let mut lanes = Vec::new();
         for (i, shortened) in [vec![used], vec![900, 1000], vec![used + 5, 1022]]
             .iter()
             .enumerate()
@@ -1199,18 +980,9 @@ mod tests {
                 );
                 let (mut sd, mut sp) = (d.clone(), p.clone());
                 assert_eq!(bch.decode(&mut sd, &mut sp), Err(BchError::Uncorrectable));
-                assert_eq!(
-                    (sd, sp),
-                    (d.clone(), p.clone()),
-                    "rejected word is untouched"
-                );
-                lanes.push((d, p));
+                assert_eq!((sd, sp), (d, p), "rejected word is untouched");
             }
         }
-        let (mut bd, mut bp): (Vec<BitVec>, Vec<BitVec>) = lanes.iter().cloned().unzip();
-        let got = bch.decode_batch(&mut bd, &mut bp);
-        assert!(got.iter().all(|r| *r == Err(BchError::Uncorrectable)));
-        assert_eq!(bd.into_iter().zip(bp).collect::<Vec<_>>(), lanes);
     }
 
     #[test]
@@ -1279,10 +1051,10 @@ mod tests {
     }
 
     #[test]
-    fn batch_matches_scalar_at_every_weight_up_to_capacity() {
-        // 64 lanes, error weights 0..=t per lane (cycling), positions
+    fn decode_matches_reference_at_every_weight_up_to_capacity() {
+        // 64 words, error weights 0..=t per word (cycling), positions
         // spread across parity, data, and the boundary — for the paper's
-        // BCH-10 code and a smaller t=4 code.
+        // BCH-10 code and smaller t=4 and t=3 codes.
         for (m, t, bits) in [(10u32, 10usize, 512usize), (10, 4, 512), (8, 3, 120)] {
             let bch = Bch::new(m, t);
             let used = bch.parity_bits() + bits;
@@ -1299,14 +1071,14 @@ mod tests {
                     v
                 })
                 .collect();
-            assert_batch_matches_scalar(&bch, bits, lanes, &format!("m={m} t={t}"));
+            assert_decode_matches_reference(&bch, bits, lanes, &format!("m={m} t={t}"));
         }
     }
 
     #[test]
-    fn batch_matches_scalar_beyond_capacity() {
-        // Lanes carrying t+1 .. 2t+3 errors: the batch decoder must agree
-        // with scalar on every failure (and on any lucky miscorrection).
+    fn decode_matches_reference_beyond_capacity() {
+        // Words carrying t+1 .. 2t+3 errors: `decode` must agree with the
+        // reference on every failure (and on any lucky miscorrection).
         let bch = Bch::new(10, 4);
         let used = bch.parity_bits() + 512;
         let lanes: Vec<Vec<usize>> = (0..64)
@@ -1318,29 +1090,7 @@ mod tests {
                 v
             })
             .collect();
-        assert_batch_matches_scalar(&bch, 512, lanes, "overweight");
-    }
-
-    #[test]
-    fn batch_handles_partial_and_multi_chunk_batches() {
-        let bch = Bch::new(8, 2);
-        let used = bch.parity_bits() + 120;
-        // 1, 3, 64, and 67 lanes (the last spans two 64-lane chunks).
-        for lanes_n in [1usize, 3, 64, 67] {
-            let lanes: Vec<Vec<usize>> = (0..lanes_n)
-                .map(|l| match l % 3 {
-                    0 => vec![],
-                    1 => vec![l % used],
-                    _ => vec![l % used, (l * 31 + 40) % used],
-                })
-                .map(|mut v| {
-                    v.sort_unstable();
-                    v.dedup();
-                    v
-                })
-                .collect();
-            assert_batch_matches_scalar(&bch, 120, lanes, &format!("lanes={lanes_n}"));
-        }
+        assert_decode_matches_reference(&bch, 512, lanes, "overweight");
     }
 
     #[test]

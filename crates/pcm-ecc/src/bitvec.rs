@@ -192,39 +192,6 @@ impl BitVec {
             lo | self.words.get(wi + 1).copied().unwrap_or(0) << (64 - off)
         }
     }
-
-    /// Copy `bits` from `other[src..src+bits]` into `self[dst..dst+bits]`.
-    /// Word-wise (one destination word per step), so unaligned copies —
-    /// parity-offset codeword assembly, batch lane splits — stay cheap.
-    pub fn copy_range(&mut self, dst: usize, other: &BitVec, src: usize, bits: usize) {
-        // pcm-lint: allow(no-panic-lib) — bounds contract, the same failure mode as slice indexing
-        assert!(dst + bits <= self.len && src + bits <= other.len);
-        let mut done = 0;
-        while done < bits {
-            let d = dst + done;
-            let (wi, off) = (d / 64, d % 64);
-            let n = (64 - off).min(bits - done);
-            let mask = if n == 64 { !0 } else { (1u64 << n) - 1 };
-            let v = other.read_word(src + done) & mask;
-            self.words[wi] = (self.words[wi] & !(mask << off)) | (v << off);
-            done += n;
-        }
-    }
-
-    /// Concatenate two bit vectors.
-    pub fn concat(&self, other: &BitVec) -> BitVec {
-        let mut out = BitVec::zeros(self.len + other.len);
-        out.copy_range(0, self, 0, self.len);
-        out.copy_range(self.len, other, 0, other.len);
-        out
-    }
-
-    /// A slice `[start, start+len)` as a new vector.
-    pub fn slice(&self, start: usize, len: usize) -> BitVec {
-        let mut out = BitVec::zeros(len);
-        out.copy_range(0, self, start, len);
-        out
-    }
 }
 
 struct BitIter {
@@ -373,43 +340,6 @@ mod tests {
         assert_eq!(a.hamming_distance(&b), 2);
         a.xor_assign(&b);
         assert_eq!(a.ones().collect::<Vec<_>>(), vec![3, 99]);
-    }
-
-    #[test]
-    fn concat_and_slice_invert() {
-        let a = BitVec::from_bools(&[true, false, true, true]);
-        let b = BitVec::from_bools(&[false, false, true]);
-        let c = a.concat(&b);
-        assert_eq!(c.len(), 7);
-        assert_eq!(c.slice(0, 4), a);
-        assert_eq!(c.slice(4, 3), b);
-    }
-
-    #[test]
-    fn copy_range_matches_bitwise_reference() {
-        // The word-wise copy must agree with a bit-at-a-time reference at
-        // every (dst, src, bits) misalignment combination around word
-        // boundaries.
-        let src_v = {
-            let mut v = BitVec::zeros(200);
-            for i in (0..200).step_by(3) {
-                v.set(i, true);
-            }
-            v
-        };
-        for &dst in &[0usize, 1, 63, 64, 65, 100] {
-            for &src in &[0usize, 1, 62, 64, 67] {
-                for &bits in &[0usize, 1, 63, 64, 65, 100] {
-                    let mut fast = BitVec::from_bools(&vec![true; 220]);
-                    let mut slow = fast.clone();
-                    fast.copy_range(dst, &src_v, src, bits);
-                    for i in 0..bits {
-                        slow.set(dst + i, src_v.get(src + i));
-                    }
-                    assert_eq!(fast, slow, "dst={dst} src={src} bits={bits}");
-                }
-            }
-        }
     }
 
     #[test]

@@ -14,11 +14,6 @@
 //!   since `g(α^j) = 0` gives `S_j = r(α^j)` — Berlekamp–Massey and an
 //!   early-stopping Chien search. BCH-10 protects the 4LC block (§6.6);
 //!   BCH-1 protects the 3LC 3-ON-2 codeword (§6.3).
-//! * [`sliced`] — bit-sliced (64-lane) batch kernels behind
-//!   [`Bch::decode_batch`](bch::Bch::decode_batch): position-major planes,
-//!   constant-matrix Chien stepping, Frobenius syndrome folding.
-//! * [`hamming`] — Hamming SEC / SEC-DED, the paper's interchangeable
-//!   alternative for the single-error 3LC code.
 //! * [`latency`] — the FO4 encoder/decoder latency model behind Table 3
 //!   (18/569 FO4 for BCH-10 vs 18/68 for BCH-1).
 //!
@@ -39,12 +34,9 @@
 pub mod bch;
 pub mod bitvec;
 pub mod gf;
-pub mod hamming;
 pub mod latency;
 pub mod poly;
-pub mod sliced;
 
 pub use bch::{Bch, BchError};
 pub use bitvec::BitVec;
 pub use gf::GfTables;
-pub use hamming::{Hamming, HammingOutcome};

@@ -111,20 +111,6 @@ impl GfPoly {
         }
         acc
     }
-
-    /// Formal derivative. In characteristic 2 even-power terms vanish:
-    /// d/dx Σ cᵢ xⁱ = Σ_{i odd} cᵢ x^{i−1}.
-    pub fn derivative(&self) -> GfPoly {
-        if self.coeffs.len() <= 1 {
-            return GfPoly::zero();
-        }
-        let out: Vec<u32> = self.coeffs[1..]
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| if i % 2 == 0 { c } else { 0 })
-            .collect();
-        GfPoly::from_coeffs(out)
-    }
 }
 
 /// Polynomial over GF(2), bit-packed; bit `i` of the word array is the
@@ -261,14 +247,6 @@ mod tests {
         let x = 7u32;
         let expect = 3 ^ gf.mul(5, x) ^ gf.pow(x, 3);
         assert_eq!(p.eval(x, &gf), expect);
-    }
-
-    #[test]
-    fn gfpoly_derivative_char2() {
-        // d/dx (c0 + c1 x + c2 x² + c3 x³) = c1 + c3 x² in char 2.
-        let p = GfPoly::from_coeffs(vec![9, 7, 5, 3]);
-        assert_eq!(p.derivative().coeffs, vec![7, 0, 3]);
-        assert_eq!(GfPoly::one().derivative(), GfPoly::zero());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   because nobody reads a counter to synchronize. A whole module
 //!   opts in with a `// pcm-lint: atomic-module(counters)` comment.
 //! * **job claims** — `fetch_add` tickets handing out disjoint work
-//!   (the parallel sim's job index, the trace ring's sequence ticket).
+//!   (the trace ring's sequence ticket).
 //!   `Relaxed` is correct because a join/scope barrier publishes the
 //!   results. Annotated per site: `// pcm-lint: atomic(job-claim)` or
 //!   `// pcm-lint: atomic(counter)`.

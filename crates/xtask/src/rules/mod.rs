@@ -66,9 +66,9 @@ pub const LIB_CRATES: &[&str] = &[
 ];
 
 /// The crates whose results must be a pure function of the seed.
-/// `pcm-ecc` joined when the bit-sliced batch kernels landed: decode
-/// results feed the determinism gates, so its table registry and batch
-/// paths must stay free of ambient entropy and clocks too.
+/// `pcm-ecc` is in because decode results feed the determinism gates:
+/// its table registries and decoders must stay free of ambient entropy
+/// and clocks too.
 /// `pcm-telemetry` joined with the time-series layer: its sample ticks
 /// and risk estimators feed a byte-identical CI oracle, so they must be
 /// a pure function of the observation sequence.

@@ -13,7 +13,7 @@
 //! | crate | contents |
 //! |-------|----------|
 //! | [`core`] | drift law, level designs, Monte-Carlo/analytic cell error rates, mapping optimizer, BLER/retention analysis |
-//! | [`ecc`] | GF(2^m), BCH encode/decode, Hamming, FO4 latency model |
+//! | [`ecc`] | GF(2^m), BCH encode/decode, FO4 latency model |
 //! | [`codec`] | 3-ON-2, Gray/TEC mappings, smart encoding, permutation coding, enumerative codes |
 //! | [`wearout`] | endurance/stuck-at faults, mark-and-spare, ECP, prefix-OR networks, capacity accounting |
 //! | [`device`] | cell arrays, full 3LC/4LC block datapaths, the banked device engine, scrub |

@@ -8,7 +8,7 @@ use mlc_pcm::codec::{enumerative::EnumerativeCode, gray, permutation, three_on_t
 use mlc_pcm::core::drift::DriftTrajectory;
 use mlc_pcm::core::level::LevelDesign;
 use mlc_pcm::core::math::special as sf;
-use mlc_pcm::ecc::{bch::Bch, bitvec::BitVec, Hamming, HammingOutcome};
+use mlc_pcm::ecc::{bch::Bch, bitvec::BitVec};
 use mlc_pcm::wearout::mark_spare::MarkSpareCodec;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -183,24 +183,6 @@ proptest! {
     }
 
     #[test]
-    fn sliced_transpose_roundtrips_batches(
-        rows in vec(vec(any::<bool>(), 120), 1..=64),
-    ) {
-        // Position-major transpose must invert exactly for any lane count
-        // up to 64 at a non-word-aligned width, and the planes must agree
-        // bit-for-bit with the lane-major originals.
-        use mlc_pcm::ecc::sliced::SlicedBatch;
-        let lanes: Vec<BitVec> = rows.iter().map(|r| BitVec::from_bools(r)).collect();
-        let batch = SlicedBatch::from_lanes(&lanes);
-        prop_assert_eq!(batch.to_lanes(), lanes.clone());
-        for (l, lane) in lanes.iter().enumerate() {
-            for e in 0..lane.len() {
-                prop_assert_eq!(batch.planes()[e] >> l & 1 == 1, lane.get(e));
-            }
-        }
-    }
-
-    #[test]
     fn bch_decode_matches_reference_and_batch(
         seed in any::<u64>(),
         weights in vec(0usize..=23, 6),
@@ -222,60 +204,22 @@ proptest! {
     }
 
     #[test]
-    fn sliced_decode_matches_scalar_at_any_grouping(
-        data in vec(bitvec_strategy(128), 8),
-        flips in vec(proptest::collection::btree_set(0usize..168, 0..=6), 8),
-    ) {
-        // decode_batch == scalar decode — results AND corrected bits —
-        // no matter how the 8 lanes are grouped into batch calls
-        // (1, 2, or 8 lanes per call). Error weights 0..=6 straddle the
-        // t = 4 capacity, so both success and failure paths are compared.
-        let bch = Bch::new(10, 4);
-        let pb = bch.parity_bits(); // 40
-        let mut noisy_d = Vec::new();
-        let mut noisy_p = Vec::new();
-        for (d, f) in data.iter().zip(&flips) {
-            let mut dd = d.clone();
-            let mut pp = bch.encode(d);
-            for &e in f {
-                if e < pb { pp.toggle(e); } else { dd.toggle(e - pb); }
-            }
-            noisy_d.push(dd);
-            noisy_p.push(pp);
-        }
-        // Scalar oracle.
-        let mut want_d = noisy_d.clone();
-        let mut want_p = noisy_p.clone();
-        let want: Vec<_> = want_d
-            .iter_mut()
-            .zip(want_p.iter_mut())
-            .map(|(d, p)| bch.decode(d, p))
-            .collect();
-        for group in [1usize, 2, 8] {
-            let mut got_d = noisy_d.clone();
-            let mut got_p = noisy_p.clone();
-            let mut got = Vec::new();
-            for (dc, pc) in got_d.chunks_mut(group).zip(got_p.chunks_mut(group)) {
-                got.extend(bch.decode_batch(dc, pc));
-            }
-            prop_assert_eq!(&got, &want, "results at group={}", group);
-            prop_assert_eq!(&got_d, &want_d, "data at group={}", group);
-            prop_assert_eq!(&got_p, &want_p, "parity at group={}", group);
-        }
-    }
-
-    #[test]
-    fn hamming_corrects_any_single_error(
+    fn bch1_corrects_any_single_error(
         data in bitvec_strategy(708),
         flip in 0usize..718,
     ) {
-        let h = Hamming::new(708);
-        let checks = h.encode(&data);
+        // The 3LC block's SEC code (§6.3): BCH-1 over the 708-bit
+        // message, 10 parity bits. A flip anywhere in the 718-bit word,
+        // parity (0..10) or data (10..718), corrects back to the data.
+        let bch = Bch::new(10, 1);
+        let parity = bch.encode(&data);
+        let pb = bch.parity_bits();
         let mut d = data.clone();
-        let mut c = checks.clone();
-        if flip < 708 { d.toggle(flip); } else { c.toggle(flip - 708); }
-        prop_assert_eq!(h.decode(&mut d, &mut c), HammingOutcome::Corrected);
+        let mut p = parity.clone();
+        if flip < pb { p.toggle(flip); } else { d.toggle(flip - pb); }
+        prop_assert_eq!(bch.decode(&mut d, &mut p), Ok(1));
         prop_assert_eq!(d, data);
+        prop_assert_eq!(p, parity);
     }
 
     // ---------------- wearout ----------------
