@@ -47,6 +47,7 @@ use pcm_store::workload::{
     run, run_phased, Mix, OpTotals, PhasedConfig, WorkloadConfig, WorkloadReport,
 };
 use pcm_store::{PcmStore, StoreConfig};
+use pcm_trace::json;
 
 struct Args {
     cfg: WorkloadConfig,
@@ -143,18 +144,16 @@ fn fresh_store(
 }
 
 fn ops_json(t: &OpTotals) -> String {
-    format!(
-        "{{\"preload_puts\":{},\"gets\":{},\"puts\":{},\"deletes\":{},\
-         \"hits\":{},\"misses\":{},\"mismatches\":{},\"measured_ops\":{}}}",
-        t.preload_puts,
-        t.gets,
-        t.puts,
-        t.deletes,
-        t.hits,
-        t.misses,
-        t.mismatches,
-        t.measured_ops()
-    )
+    json::object(|o| {
+        o.num("preload_puts", t.preload_puts)
+            .num("gets", t.gets)
+            .num("puts", t.puts)
+            .num("deletes", t.deletes)
+            .num("hits", t.hits)
+            .num("misses", t.misses)
+            .num("mismatches", t.mismatches)
+            .num("measured_ops", t.measured_ops());
+    })
 }
 
 /// The phased-replay cadence: eight op slices, each followed by a 25 ms
@@ -181,27 +180,32 @@ fn telemetry_json(snap: &TelemetrySnapshot) -> String {
         .max()
         .unwrap_or(0);
     let count = |s: RiskState| snap.per_bank.iter().filter(|b| b.risk == s).count();
-    format!(
-        "{{\"interval_ns\":{},\"banks\":{},\"points\":{},\"dropped\":{},\
-         \"max_ewma_permille\":{},\"risk\":{{\"healthy\":{},\"elevated\":{},\
-         \"critical\":{}}}}}",
-        snap.sample_interval_ns,
-        snap.per_bank.len(),
-        points,
-        dropped,
-        max_ewma,
-        count(RiskState::Healthy),
-        count(RiskState::Elevated),
-        count(RiskState::Critical)
-    )
+    json::object(|o| {
+        o.num("interval_ns", snap.sample_interval_ns)
+            .num("banks", snap.per_bank.len())
+            .num("points", points)
+            .num("dropped", dropped)
+            .num("max_ewma_permille", max_ewma)
+            .object("risk", |o| {
+                o.num("healthy", count(RiskState::Healthy))
+                    .num("elevated", count(RiskState::Elevated))
+                    .num("critical", count(RiskState::Critical));
+            });
+    })
 }
 
 fn run_json(r: &WorkloadReport) -> String {
-    format!(
-        "{{\"threads\":{},\"busy_ns\":{},\"p50_ns\":{},\"p95_ns\":{},\
-         \"p99_ns\":{},\"kops_per_model_sec\":{:.3}}}",
-        r.threads, r.busy_ns, r.p50_ns, r.p95_ns, r.p99_ns, r.kops_per_model_sec
-    )
+    json::object(|o| {
+        o.num("threads", r.threads)
+            .num("busy_ns", r.busy_ns)
+            .num("p50_ns", r.p50_ns)
+            .num("p95_ns", r.p95_ns)
+            .num("p99_ns", r.p99_ns)
+            .num(
+                "kops_per_model_sec",
+                format_args!("{:.3}", r.kops_per_model_sec),
+            );
+    })
 }
 
 fn main() {
@@ -353,18 +357,20 @@ fn main() {
     }
 
     let runs: Vec<String> = reports.iter().map(run_json).collect();
+    let config = json::object(|o| {
+        o.num("seed", cfg.seed)
+            .num("actors", cfg.actors)
+            .num("keys_per_actor", cfg.keys_per_actor)
+            .num("ops_per_actor", cfg.ops_per_actor)
+            .num("value_bytes", cfg.value_bytes)
+            .num("read_pct", cfg.mix.read_pct)
+            .num("zipf_theta", cfg.zipf_theta);
+    });
+    // The layout (one top-level key per line) is this file's own; every
+    // object in it comes from the shared writer.
     let doc = format!(
-        "{{\n  \"bench\": \"store_throughput\",\n  \"config\": {{\"seed\":{},\"actors\":{},\
-         \"keys_per_actor\":{},\"ops_per_actor\":{},\"value_bytes\":{},\"read_pct\":{},\
-         \"zipf_theta\":{}}},\n  \"ops\": {},\n  \"runs\": [\n    {}\n  ],\n  \
-         \"telemetry\": {}\n}}\n",
-        cfg.seed,
-        cfg.actors,
-        cfg.keys_per_actor,
-        cfg.ops_per_actor,
-        cfg.value_bytes,
-        cfg.mix.read_pct,
-        cfg.zipf_theta,
+        "{{\n  \"bench\": \"store_throughput\",\n  \"config\": {config},\n  \"ops\": {},\n  \
+         \"runs\": [\n    {}\n  ],\n  \"telemetry\": {}\n}}\n",
         ops_json(&baseline),
         runs.join(",\n    "),
         telemetry_json(&snap)

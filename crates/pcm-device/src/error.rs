@@ -11,14 +11,14 @@
 //! * [`Error`] is the crate's single public error hierarchy: every
 //!   fallible surface of pcm-device — construction ([`ConfigError`]),
 //!   operation ([`PcmError`]), and trace decoding
-//!   ([`pcm_trace::TraceDecodeError`], re-exported here since pcm-device
+//!   ([`pcm_trace::DecodeError`], re-exported here since pcm-device
 //!   re-exports the tracing vocabulary) — folds into it via `From`, so
 //!   external consumers such as `pcm-store` propagate one type with `?`.
 //!   The inner types stay reachable as variants, not duplicates.
 
 use crate::block::BlockError;
 use crate::builder::ConfigError;
-use pcm_trace::TraceDecodeError;
+use pcm_trace::DecodeError;
 
 /// Any error a PCM device operation can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,7 +107,7 @@ pub enum Error {
     /// A device operation failure (read/write/refresh/addressing).
     Device(PcmError),
     /// A malformed JSONL trace fed back into the trace parser.
-    Trace(TraceDecodeError),
+    Trace(DecodeError),
 }
 
 impl std::fmt::Display for Error {
@@ -142,8 +142,8 @@ impl From<PcmError> for Error {
     }
 }
 
-impl From<TraceDecodeError> for Error {
-    fn from(e: TraceDecodeError) -> Self {
+impl From<DecodeError> for Error {
+    fn from(e: DecodeError) -> Self {
         Error::Trace(e)
     }
 }
@@ -194,9 +194,9 @@ mod tests {
         let block: super::Error = BlockError::WearoutExhausted.into();
         assert!(matches!(block, super::Error::Device(PcmError::Block(_))));
 
-        let trace: super::Error = TraceDecodeError {
+        let trace: super::Error = DecodeError {
             line: 3,
-            what: "missing field",
+            reason: "missing field".to_string(),
         }
         .into();
         assert!(trace.source().is_some());

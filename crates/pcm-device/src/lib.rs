@@ -83,7 +83,7 @@ pub use scrub::{BankScrubCursor, RefreshReport, ScrubScheduler, ShardedScrubber}
 // the profiling layer shares with `pcm-store`.
 pub use pcm_trace::{
     ctx_base, ctx_class, ctx_is_index, ctx_seq, ctx_stream, jsonl, pack_ctx, CtxClass, CtxCounter,
-    Recorder, TraceConfig, TraceDecodeError, CTX_INDEX_FLAG, NO_CTX,
+    DecodeError, Recorder, TraceConfig, CTX_INDEX_FLAG, NO_CTX,
 };
 pub use wear_level::{GapMove, StartGap, WearLeveledDevice};
 

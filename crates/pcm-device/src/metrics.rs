@@ -24,6 +24,7 @@
 //! simulator's numbers.
 
 use pcm_telemetry::BankCounters;
+use pcm_trace::json;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Modeled bank-busy time of one array read, ns (paper: 200 ns).
@@ -327,13 +328,11 @@ impl MetricsSnapshot {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (bank, snap) in self.per_bank.iter().enumerate() {
-            out.push_str(&format!("{{\"bank\":{},", bank));
-            out.push_str(&snap.to_jsonl()[1..]);
-            out.push('\n');
+            json::line(&mut out, |o| snap.json_fields(o.num("bank", bank)));
         }
-        out.push_str("{\"bank\":\"total\",");
-        out.push_str(&self.total().to_jsonl()[1..]);
-        out.push('\n');
+        json::line(&mut out, |o| {
+            self.total().json_fields(o.str("bank", "total"))
+        });
         out
     }
 }

@@ -29,8 +29,9 @@
 //! function of the input text: reports, folded stacks, and JSONL
 //! exports are byte-stable for a given trace.
 
-use pcm_trace::jsonl::{fail, str_field, u64_field};
-use pcm_trace::{ctx_base, ctx_is_index, jsonl, OpKind, Phase, TraceDecodeError, NO_CTX};
+use crate::trace_report::{kind_index, SpanPairer, SpanRecord};
+use pcm_trace::json::{self, DecodeError};
+use pcm_trace::{ctx_base, ctx_is_index, jsonl, OpKind, Phase, NO_CTX};
 use std::collections::BTreeMap;
 
 /// Where a request's time went, integer ns. Invariant: the six buckets
@@ -60,6 +61,16 @@ impl LatencyBuckets {
             + self.scrub_wait_ns
             + self.queue_wait_ns
             + self.overrun_ns
+    }
+
+    /// Write the six buckets as `*_ns` fields, in canonical order.
+    fn json_fields(&self, o: &mut json::Object<'_>) {
+        o.num("media_ns", self.media_ns)
+            .num("ecc_ns", self.ecc_ns)
+            .num("alloc_index_ns", self.alloc_index_ns)
+            .num("scrub_wait_ns", self.scrub_wait_ns)
+            .num("queue_wait_ns", self.queue_wait_ns)
+            .num("overrun_ns", self.overrun_ns);
     }
 
     /// `(name, value)` pairs in canonical order (folded-stack names).
@@ -132,17 +143,6 @@ pub struct Profile {
     pub unattributed_events: u64,
 }
 
-/// One span reconstructed from a Begin/End pair, ctx attached.
-#[derive(Debug, Clone, Copy)]
-struct CtxSpan {
-    kind: OpKind,
-    bank: u32,
-    block: u32,
-    start_ns: u64,
-    duration_ns: u64,
-    ctx: u64,
-}
-
 /// Root precedence: a group's request span is its highest-ranked
 /// member. KV ops sit above the device ops they issue; a scrub pass
 /// sits above its refreshes; a bare demand op is its own root.
@@ -156,50 +156,21 @@ fn root_rank(kind: OpKind) -> u8 {
 }
 
 /// Build the causal profile of a JSONL trace document.
-pub fn build(doc: &str) -> Result<Profile, TraceDecodeError> {
+pub fn build(doc: &str) -> Result<Profile, DecodeError> {
     let parsed = jsonl::parse(doc)?;
-    let mut spans: Vec<CtxSpan> = Vec::new();
-    let mut orphans = 0u64;
+    let mut spans: Vec<SpanRecord> = Vec::new();
     let mut unattributed = 0u64;
-    // Per-(bank, kind) sets of open Begin events. Both halves of a span
-    // carry the same ctx and block, so an End is matched to the oldest
-    // open Begin with its (ctx, block) — concurrent sessions interleave
-    // freely in model time, which makes blind FIFO pairing swap
-    // durations between requests (totals conserved, attribution wrong).
-    let mut open: Vec<Vec<(u64, u32, u64)>> = vec![Vec::new(); parsed.banks * OpKind::ALL.len()];
+    let mut pairer = SpanPairer::default();
     for ev in &parsed.events {
         if ev.ctx == NO_CTX {
             unattributed += 1;
         }
-        let bank = ev.bank as usize;
-        if bank >= parsed.banks {
+        if ev.bank as usize >= parsed.banks {
             continue;
         }
-        let kind_ix = kind_index(ev.kind);
-        let lane = bank * OpKind::ALL.len() + kind_ix;
         match ev.phase {
-            Phase::Begin => open[lane].push((ev.t_ns, ev.block, ev.ctx)),
-            Phase::End => {
-                let at = open[lane]
-                    .iter()
-                    .position(|&(_, b, c)| b == ev.block && c == ev.ctx);
-                match at {
-                    None => orphans += 1,
-                    Some(i) => {
-                        let (start, block, ctx) = open[lane].remove(i);
-                        spans.push(CtxSpan {
-                            kind: ev.kind,
-                            bank: ev.bank,
-                            block,
-                            start_ns: start,
-                            duration_ns: ev.t_ns.saturating_sub(start),
-                            ctx,
-                        });
-                    }
-                }
-            }
             // Instants join their request as zero-duration children.
-            Phase::Instant => spans.push(CtxSpan {
+            Phase::Instant => spans.push(SpanRecord {
                 kind: ev.kind,
                 bank: ev.bank,
                 block: ev.block,
@@ -207,13 +178,14 @@ pub fn build(doc: &str) -> Result<Profile, TraceDecodeError> {
                 duration_ns: 0,
                 ctx: ev.ctx,
             }),
+            _ => spans.extend(pairer.push(ev)),
         }
     }
-    orphans += open.iter().map(|s| s.len() as u64).sum::<u64>();
+    let mut orphans = pairer.unmatched();
 
     // Group attributed spans by base id. BTreeMap gives the canonical
     // (class, stream, seq) request order for free.
-    let mut groups: BTreeMap<u64, Vec<CtxSpan>> = BTreeMap::new();
+    let mut groups: BTreeMap<u64, Vec<SpanRecord>> = BTreeMap::new();
     for s in spans {
         if s.ctx != NO_CTX {
             groups.entry(ctx_base(s.ctx)).or_default().push(s);
@@ -252,7 +224,7 @@ pub fn build(doc: &str) -> Result<Profile, TraceDecodeError> {
 }
 
 /// Fold one request's children into its latency buckets.
-fn attribute(base: u64, root: CtxSpan, members: Vec<CtxSpan>) -> RequestProfile {
+fn attribute(base: u64, root: SpanRecord, members: Vec<SpanRecord>) -> RequestProfile {
     let mut media = 0u64;
     let mut ecc = 0u64;
     let mut ecc_media = 0u64; // decode time nested in unflagged reads
@@ -330,10 +302,6 @@ fn attribute(base: u64, root: CtxSpan, members: Vec<CtxSpan>) -> RequestProfile 
     }
 }
 
-fn kind_index(kind: OpKind) -> usize {
-    OpKind::ALL.iter().position(|&k| k == kind).unwrap_or(0)
-}
-
 impl Profile {
     /// Collapsed-stack ("folded") export: one `root;bucket weight` line
     /// per nonzero bucket, weights in ns summed over all requests of
@@ -363,34 +331,27 @@ impl Profile {
     /// JSONL export: one meta line, then one line per request in ctx
     /// order, fixed field order — byte-stable for a given trace.
     pub fn to_jsonl(&self) -> String {
-        let mut out = format!(
-            "{{\"type\":\"meta\",\"profile\":1,\"banks\":{},\"requests\":{},\
-             \"orphan_events\":{},\"unattributed_events\":{}}}\n",
-            self.banks,
-            self.requests.len(),
-            self.orphan_events,
-            self.unattributed_events
-        );
+        let mut out = String::new();
+        json::line(&mut out, |o| {
+            o.str("type", "meta")
+                .num("profile", 1)
+                .num("banks", self.banks)
+                .num("requests", self.requests.len())
+                .num("orphan_events", self.orphan_events)
+                .num("unattributed_events", self.unattributed_events);
+        });
         for r in &self.requests {
-            out.push_str(&format!(
-                "{{\"type\":\"request\",\"ctx\":{},\"kind\":\"{}\",\"bank\":{},\"block\":{},\
-                 \"t_ns\":{},\"duration_ns\":{},\"media_ns\":{},\"ecc_ns\":{},\
-                 \"alloc_index_ns\":{},\"scrub_wait_ns\":{},\"queue_wait_ns\":{},\
-                 \"overrun_ns\":{},\"children\":{}}}\n",
-                r.ctx,
-                r.kind.name(),
-                r.bank,
-                r.block,
-                r.start_ns,
-                r.duration_ns,
-                r.buckets.media_ns,
-                r.buckets.ecc_ns,
-                r.buckets.alloc_index_ns,
-                r.buckets.scrub_wait_ns,
-                r.buckets.queue_wait_ns,
-                r.buckets.overrun_ns,
-                r.child_spans,
-            ));
+            json::line(&mut out, |o| {
+                o.str("type", "request")
+                    .num("ctx", r.ctx)
+                    .str("kind", r.kind.name())
+                    .num("bank", r.bank)
+                    .num("block", r.block)
+                    .num("t_ns", r.start_ns)
+                    .num("duration_ns", r.duration_ns);
+                r.buckets.json_fields(o);
+                o.num("children", r.child_spans);
+            });
         }
         out
     }
@@ -400,56 +361,48 @@ impl Profile {
 /// not persisted, so each request's `children` vec comes back empty;
 /// `child_spans` keeps the count). `parse(p.to_jsonl())` reproduces `p`
 /// up to that, and re-exporting is byte-identical.
-pub fn parse(doc: &str) -> Result<Profile, TraceDecodeError> {
+pub fn parse(doc: &str) -> Result<Profile, DecodeError> {
     let mut meta: Option<(usize, u64, u64)> = None;
     let mut requests = Vec::new();
-    for (idx, raw) in doc.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        match str_field(line, "type").ok_or(fail(lineno, "missing \"type\" field"))? {
+    for line in json::lines(doc) {
+        let line = line?;
+        match line.str("type")? {
             "meta" => {
-                if u64_field(line, "profile") != Some(1) {
-                    return Err(fail(lineno, "not a profile:1 document"));
+                if line.u64("profile") != Ok(1) {
+                    return Err(line.error("not a profile:1 document"));
                 }
                 meta = Some((
-                    u64_field(line, "banks").ok_or(fail(lineno, "meta missing banks"))? as usize,
-                    u64_field(line, "orphan_events")
-                        .ok_or(fail(lineno, "meta missing orphan_events"))?,
-                    u64_field(line, "unattributed_events")
-                        .ok_or(fail(lineno, "meta missing unattributed_events"))?,
+                    line.u64("banks")? as usize,
+                    line.u64("orphan_events")?,
+                    line.u64("unattributed_events")?,
                 ));
             }
-            "request" => {
-                let kind = str_field(line, "kind")
-                    .and_then(OpKind::from_name)
-                    .ok_or(fail(lineno, "unknown op kind"))?;
-                let need = |key: &'static str| u64_field(line, key).ok_or(fail(lineno, key));
-                requests.push(RequestProfile {
-                    ctx: need("ctx")?,
-                    kind,
-                    bank: need("bank")? as u32,
-                    block: need("block")? as u32,
-                    start_ns: need("t_ns")?,
-                    duration_ns: need("duration_ns")?,
-                    buckets: LatencyBuckets {
-                        media_ns: need("media_ns")?,
-                        ecc_ns: need("ecc_ns")?,
-                        alloc_index_ns: need("alloc_index_ns")?,
-                        scrub_wait_ns: need("scrub_wait_ns")?,
-                        queue_wait_ns: need("queue_wait_ns")?,
-                        overrun_ns: need("overrun_ns")?,
-                    },
-                    child_spans: need("children")?,
-                    children: Vec::new(),
-                });
-            }
-            _ => return Err(fail(lineno, "unknown record type")),
+            "request" => requests.push(RequestProfile {
+                ctx: line.u64("ctx")?,
+                kind: OpKind::from_name(line.str("kind")?)
+                    .ok_or_else(|| line.error("unknown op kind"))?,
+                bank: line.u32("bank")?,
+                block: line.u32("block")?,
+                start_ns: line.u64("t_ns")?,
+                duration_ns: line.u64("duration_ns")?,
+                buckets: LatencyBuckets {
+                    media_ns: line.u64("media_ns")?,
+                    ecc_ns: line.u64("ecc_ns")?,
+                    alloc_index_ns: line.u64("alloc_index_ns")?,
+                    scrub_wait_ns: line.u64("scrub_wait_ns")?,
+                    queue_wait_ns: line.u64("queue_wait_ns")?,
+                    overrun_ns: line.u64("overrun_ns")?,
+                },
+                child_spans: line.u64("children")?,
+                children: Vec::new(),
+            }),
+            _ => return Err(line.error("unknown record type")),
         }
     }
-    let (banks, orphan_events, unattributed_events) = meta.ok_or(fail(1, "no meta line"))?;
+    let (banks, orphan_events, unattributed_events) = meta.ok_or_else(|| DecodeError {
+        line: 1,
+        reason: "no meta line".to_string(),
+    })?;
     Ok(Profile {
         banks,
         requests,
@@ -603,51 +556,35 @@ impl Profile {
     }
 
     /// The aggregate report as one JSON object with a fixed field order
-    /// (no external dependencies) — what `profile-report --json` emits.
+    /// — what `profile-report --json` emits.
     pub fn to_json(&self) -> String {
-        let kinds: Vec<String> = self
-            .by_kind()
-            .iter()
-            .map(|row| {
-                format!(
-                    "{{\"kind\":\"{}\",\"count\":{},\"duration_ns\":{},\"media_ns\":{},\
-                     \"ecc_ns\":{},\"alloc_index_ns\":{},\"scrub_wait_ns\":{},\
-                     \"queue_wait_ns\":{},\"overrun_ns\":{}}}",
-                    row.kind.name(),
-                    row.count,
-                    row.duration_ns,
-                    row.buckets.media_ns,
-                    row.buckets.ecc_ns,
-                    row.buckets.alloc_index_ns,
-                    row.buckets.scrub_wait_ns,
-                    row.buckets.queue_wait_ns,
-                    row.buckets.overrun_ns
-                )
-            })
-            .collect();
-        let scrub: Vec<String> = self
-            .scrub_interference()
-            .iter()
-            .map(|(bank, n, ns)| {
-                format!("{{\"bank\":{bank},\"stalled_requests\":{n},\"stall_ns\":{ns}}}")
-            })
-            .collect();
         let overruns = self
             .requests
             .iter()
             .filter(|r| r.buckets.overrun_ns > 0)
             .count();
-        format!(
-            "{{\"banks\":{},\"requests\":{},\"orphan_events\":{},\"unattributed_events\":{},\
-             \"overrun_requests\":{},\"kinds\":[{}],\"scrub_interference\":[{}]}}",
-            self.banks,
-            self.requests.len(),
-            self.orphan_events,
-            self.unattributed_events,
-            overruns,
-            kinds.join(","),
-            scrub.join(",")
-        )
+        json::object(|o| {
+            o.num("banks", self.banks)
+                .num("requests", self.requests.len())
+                .num("orphan_events", self.orphan_events)
+                .num("unattributed_events", self.unattributed_events)
+                .num("overrun_requests", overruns)
+                .objects("kinds", self.by_kind(), |o, row| {
+                    o.str("kind", row.kind.name())
+                        .num("count", row.count)
+                        .num("duration_ns", row.duration_ns);
+                    row.buckets.json_fields(o);
+                })
+                .objects(
+                    "scrub_interference",
+                    self.scrub_interference(),
+                    |o, (bank, n, ns)| {
+                        o.num("bank", bank)
+                            .num("stalled_requests", n)
+                            .num("stall_ns", ns);
+                    },
+                );
+        })
     }
 }
 

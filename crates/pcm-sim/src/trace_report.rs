@@ -9,7 +9,8 @@
 //! input text, so reports are byte-stable for a given trace.
 
 use pcm_device::LogHistogram;
-use pcm_trace::{jsonl, OpKind, Phase, TraceDecodeError, TraceEvent};
+use pcm_trace::{json, jsonl, DecodeError, OpKind, Phase, TraceEvent};
+use std::collections::{HashMap, VecDeque};
 
 /// One completed span reconstructed from a Begin/End pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +25,50 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Span duration, ns.
     pub duration_ns: u64,
+    /// Correlation id both halves carry.
+    pub ctx: u64,
+}
+
+/// Pairs span halves into [`SpanRecord`]s. Both halves of a span carry
+/// the same bank, kind, ctx and block, so an End closes the oldest open
+/// Begin with that key. Halves are sorted by `(t_ns, seq)`, so pairing
+/// on (bank, kind) alone would hand two spans that start at the same
+/// model time each other's end.
+#[derive(Debug, Default)]
+pub(crate) struct SpanPairer {
+    open: HashMap<(u32, OpKind, u64, u32), VecDeque<u64>>,
+    orphan_ends: u64,
+}
+
+impl SpanPairer {
+    /// Take one event; an End that closes an open span returns it.
+    pub(crate) fn push(&mut self, ev: &TraceEvent) -> Option<SpanRecord> {
+        let key = (ev.bank, ev.kind, ev.ctx, ev.block);
+        match ev.phase {
+            Phase::Begin => self.open.entry(key).or_default().push_back(ev.t_ns),
+            Phase::End => match self.open.get_mut(&key).and_then(VecDeque::pop_front) {
+                Some(start_ns) => {
+                    return Some(SpanRecord {
+                        kind: ev.kind,
+                        bank: ev.bank,
+                        block: ev.block,
+                        start_ns,
+                        duration_ns: ev.t_ns.saturating_sub(start_ns),
+                        ctx: ev.ctx,
+                    })
+                }
+                None => self.orphan_ends += 1,
+            },
+            Phase::Instant => {}
+        }
+        None
+    }
+
+    /// Span halves without a partner: Ends that closed nothing, and
+    /// Begins still open.
+    pub(crate) fn unmatched(&self) -> u64 {
+        self.orphan_ends + self.open.values().map(|q| q.len() as u64).sum::<u64>()
+    }
 }
 
 /// Per-bank activity summary.
@@ -90,12 +135,12 @@ pub struct TraceReport {
 }
 
 /// Analyze a JSONL trace document with the default top-10 span table.
-pub fn analyze(doc: &str) -> Result<TraceReport, TraceDecodeError> {
+pub fn analyze(doc: &str) -> Result<TraceReport, DecodeError> {
     analyze_top(doc, 10)
 }
 
 /// [`analyze`] with an explicit size for the longest-spans table.
-pub fn analyze_top(doc: &str, top_n: usize) -> Result<TraceReport, TraceDecodeError> {
+pub fn analyze_top(doc: &str, top_n: usize) -> Result<TraceReport, DecodeError> {
     let parsed = jsonl::parse(doc)?;
     let mut per_bank: Vec<BankActivity> = (0..parsed.banks as u32)
         .map(|bank| BankActivity {
@@ -115,47 +160,20 @@ pub fn analyze_top(doc: &str, top_n: usize) -> Result<TraceReport, TraceDecodeEr
     }
 
     let mut spans: Vec<SpanRecord> = Vec::new();
-    let mut unmatched = 0u64;
-    // Per-(bank, kind) FIFO of open Begin events. Events arrive in
-    // canonical per-bank order, and both halves of a span are recorded
-    // back to back, so FIFO matching is exact.
-    let mut open: Vec<Vec<(u64, u32)>> = vec![Vec::new(); parsed.banks * OpKind::ALL.len()];
+    let mut pairer = SpanPairer::default();
     // -1 = unknown, 0 = demand, 1 = scrub; per bank.
     let mut last_class: Vec<i8> = vec![-1; parsed.banks];
 
     for ev in &parsed.events {
-        let bank = ev.bank as usize;
-        if bank >= parsed.banks {
+        if ev.bank as usize >= parsed.banks {
             continue; // defensively skip records for unknown banks
         }
-        let kind_ix = kind_index(ev.kind);
-        match ev.phase {
-            Phase::Begin => {
-                if let Some(stack) = open.get_mut(bank * OpKind::ALL.len() + kind_ix) {
-                    stack.push((ev.t_ns, ev.block));
-                }
-            }
-            Phase::End => {
-                complete(&mut per_bank, &mut last_class, ev, &mut unmatched);
-                if let Some(stack) = open.get_mut(bank * OpKind::ALL.len() + kind_ix) {
-                    if stack.is_empty() {
-                        unmatched += 1;
-                    } else {
-                        let (start, block) = stack.remove(0);
-                        spans.push(SpanRecord {
-                            kind: ev.kind,
-                            bank: ev.bank,
-                            block,
-                            start_ns: start,
-                            duration_ns: ev.t_ns.saturating_sub(start),
-                        });
-                    }
-                }
-            }
-            Phase::Instant => complete(&mut per_bank, &mut last_class, ev, &mut unmatched),
+        if ev.phase != Phase::Begin {
+            complete(&mut per_bank, &mut last_class, ev);
         }
+        spans.extend(pairer.push(ev));
     }
-    unmatched += open.iter().map(|s| s.len() as u64).sum::<u64>();
+    let unmatched = pairer.unmatched();
 
     for slot in per_bank.iter_mut() {
         slot.refresh_overlaps = refresh_overlaps(&spans, slot.bank);
@@ -185,13 +203,13 @@ pub fn analyze_top(doc: &str, top_n: usize) -> Result<TraceReport, TraceDecodeEr
     })
 }
 
-fn kind_index(kind: OpKind) -> usize {
+pub(crate) fn kind_index(kind: OpKind) -> usize {
     OpKind::ALL.iter().position(|&k| k == kind).unwrap_or(0)
 }
 
 /// Count a completed op (span End or instant) and advance the bank's
 /// demand/scrub interleave state machine.
-fn complete(per_bank: &mut [BankActivity], last_class: &mut [i8], ev: &TraceEvent, _u: &mut u64) {
+fn complete(per_bank: &mut [BankActivity], last_class: &mut [i8], ev: &TraceEvent) {
     let bank = ev.bank as usize;
     if let Some(slot) = per_bank.get_mut(bank) {
         slot.counts[kind_index(ev.kind)] += 1;
@@ -351,74 +369,43 @@ impl TraceReport {
         out
     }
 
-    /// The report as one JSON object with a fixed field order (no
-    /// external dependencies).
+    /// The report as one JSON object with a fixed field order.
     pub fn to_json(&self) -> String {
-        let banks: Vec<String> = self
-            .per_bank
-            .iter()
-            .map(|b| {
-                let counts: Vec<String> = OpKind::ALL
-                    .iter()
-                    .map(|&k| format!("\"{}\":{}", k.name(), b.counts[kind_index(k)]))
-                    .collect();
-                format!(
-                    "{{\"bank\":{},\"counts\":{{{}}},\"recorded\":{},\"dropped\":{},\
-                     \"transitions\":{},\"refresh_overlaps\":{}}}",
-                    b.bank,
-                    counts.join(","),
-                    b.recorded,
-                    b.dropped,
-                    b.transitions,
-                    b.refresh_overlaps
-                )
-            })
-            .collect();
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|h| {
-                format!(
-                    "{{\"kind\":\"{}\",\"count\":{},\"p50_ns\":{},\"p95_ns\":{},\
-                     \"p99_ns\":{},\"max_ns\":{}}}",
-                    h.kind.name(),
-                    h.count,
-                    h.p50_ns,
-                    h.p95_ns,
-                    h.p99_ns,
-                    h.max_ns
-                )
-            })
-            .collect();
-        let tops: Vec<String> = self
-            .top_spans
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"kind\":\"{}\",\"bank\":{},\"block\":{},\"start_ns\":{},\
-                     \"duration_ns\":{}}}",
-                    s.kind.name(),
-                    s.bank,
-                    s.block,
-                    s.start_ns,
-                    s.duration_ns
-                )
-            })
-            .collect();
-        format!(
-            "{{\"banks\":{},\"capacity\":{},\"total_events\":{},\"total_recorded\":{},\
-             \"total_dropped\":{},\"unmatched_spans\":{},\"per_bank\":[{}],\
-             \"histograms\":[{}],\"top_spans\":[{}]}}",
-            self.banks,
-            self.capacity,
-            self.total_events,
-            self.total_recorded,
-            self.total_dropped,
-            self.unmatched_spans,
-            banks.join(","),
-            hists.join(","),
-            tops.join(",")
-        )
+        json::object(|o| {
+            o.num("banks", self.banks)
+                .num("capacity", self.capacity)
+                .num("total_events", self.total_events)
+                .num("total_recorded", self.total_recorded)
+                .num("total_dropped", self.total_dropped)
+                .num("unmatched_spans", self.unmatched_spans)
+                .objects("per_bank", &self.per_bank, |o, b| {
+                    o.num("bank", b.bank)
+                        .object("counts", |o| {
+                            for k in OpKind::ALL {
+                                o.num(k.name(), b.counts[kind_index(k)]);
+                            }
+                        })
+                        .num("recorded", b.recorded)
+                        .num("dropped", b.dropped)
+                        .num("transitions", b.transitions)
+                        .num("refresh_overlaps", b.refresh_overlaps);
+                })
+                .objects("histograms", &self.histograms, |o, h| {
+                    o.str("kind", h.kind.name())
+                        .num("count", h.count)
+                        .num("p50_ns", h.p50_ns)
+                        .num("p95_ns", h.p95_ns)
+                        .num("p99_ns", h.p99_ns)
+                        .num("max_ns", h.max_ns);
+                })
+                .objects("top_spans", &self.top_spans, |o, s| {
+                    o.str("kind", s.kind.name())
+                        .num("bank", s.bank)
+                        .num("block", s.block)
+                        .num("start_ns", s.start_ns)
+                        .num("duration_ns", s.duration_ns);
+                });
+        })
     }
 }
 
@@ -504,6 +491,27 @@ mod tests {
         assert_eq!(report.unmatched_spans, 0, "write pair survives intact");
         assert_eq!(report.top_spans.len(), 1);
         assert_eq!(report.top_spans[0].kind, OpKind::Write);
+    }
+
+    #[test]
+    fn spans_that_start_together_keep_their_own_ends() {
+        // Two writes on one bank begin at the same model time; the
+        // canonical (t_ns, seq) order puts both Begins before either
+        // End, and the shorter one ends first.
+        let rec = Recorder::buffered(1, &TraceConfig::new(16));
+        rec.span(OpKind::Write, 0, 2, (1000, 3000), (1, 0));
+        rec.span(OpKind::Write, 0, 1, (1000, 2000), (1, 0));
+        let report = analyze(&jsonl::export(&rec.buffer().unwrap().snapshot())).unwrap();
+        let by_block = |block| {
+            report
+                .top_spans
+                .iter()
+                .find(|s| s.kind == OpKind::Write && s.block == block)
+                .map(|s| (s.start_ns, s.duration_ns))
+        };
+        assert_eq!(by_block(2), Some((1000, 2000)));
+        assert_eq!(by_block(1), Some((1000, 1000)));
+        assert_eq!(report.unmatched_spans, 0);
     }
 
     #[test]

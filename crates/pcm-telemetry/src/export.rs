@@ -1,6 +1,6 @@
 //! Snapshot types and exporters: byte-stable JSONL (the `obs-report`
-//! input and the determinism oracle's comparand), a strict JSONL
-//! parser, and a Prometheus-style text rendering.
+//! input and the determinism oracle's comparand) and its parser, both
+//! through `pcm_trace::json`, and a Prometheus-style text rendering.
 //!
 //! The JSONL schema is line-oriented with a fixed field order:
 //!
@@ -18,6 +18,7 @@
 
 use crate::risk::RiskState;
 use crate::series::SamplePoint;
+use pcm_trace::json::{self, DecodeError, Line};
 
 /// One bank's retained series plus its end-of-run risk summary.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,44 +50,38 @@ impl TelemetrySnapshot {
     /// The snapshot as JSONL (see module docs for the schema).
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"telemetry\":1,\"banks\":{},\"interval_ns\":{},\"capacity\":{}}}\n",
-            self.per_bank.len(),
-            self.sample_interval_ns,
-            self.capacity
-        ));
+        json::line(&mut out, |o| {
+            o.num("telemetry", 1)
+                .num("banks", self.per_bank.len())
+                .num("interval_ns", self.sample_interval_ns)
+                .num("capacity", self.capacity);
+        });
         for bank in &self.per_bank {
-            out.push_str(&format!(
-                "{{\"bank\":{},\"dropped\":{},\"ewma_permille\":{},\"risk\":\"{}\",\
-                 \"points\":{}}}\n",
-                bank.bank,
-                bank.dropped,
-                bank.ewma_permille,
-                bank.risk.name(),
-                bank.points.len()
-            ));
+            json::line(&mut out, |o| {
+                o.num("bank", bank.bank)
+                    .num("dropped", bank.dropped)
+                    .num("ewma_permille", bank.ewma_permille)
+                    .str("risk", bank.risk.name())
+                    .num("points", bank.points.len());
+            });
             for p in &bank.points {
-                out.push_str(&format!(
-                    "{{\"bank\":{},\"tick\":{},\"t_ns\":{},\"reads\":{},\"writes\":{},\
-                     \"scrubs\":{},\"corrected_symbols\":{},\"corrections\":{},\
-                     \"uncorrectables\":{},\"remaps\":{},\"busy_ns\":{},\"p50_ns\":{},\
-                     \"p99_ns\":{},\"ewma_permille\":{},\"risk\":\"{}\"}}\n",
-                    bank.bank,
-                    p.tick,
-                    p.t_ns,
-                    p.reads,
-                    p.writes,
-                    p.scrubs,
-                    p.corrected_symbols,
-                    p.corrections,
-                    p.uncorrectables,
-                    p.remaps,
-                    p.busy_ns,
-                    p.p50_ns,
-                    p.p99_ns,
-                    p.ewma_permille,
-                    p.risk.name()
-                ));
+                json::line(&mut out, |o| {
+                    o.num("bank", bank.bank)
+                        .num("tick", p.tick)
+                        .num("t_ns", p.t_ns)
+                        .num("reads", p.reads)
+                        .num("writes", p.writes)
+                        .num("scrubs", p.scrubs)
+                        .num("corrected_symbols", p.corrected_symbols)
+                        .num("corrections", p.corrections)
+                        .num("uncorrectables", p.uncorrectables)
+                        .num("remaps", p.remaps)
+                        .num("busy_ns", p.busy_ns)
+                        .num("p50_ns", p.p50_ns)
+                        .num("p99_ns", p.p99_ns)
+                        .num("ewma_permille", p.ewma_permille)
+                        .str("risk", p.risk.name());
+                });
             }
         }
         out
@@ -207,173 +202,80 @@ impl TelemetrySnapshot {
     }
 }
 
-/// Why a telemetry JSONL document failed to parse.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TelemetryDecodeError {
-    /// 1-based line the error was detected on.
-    pub line: usize,
-    /// What went wrong.
-    pub reason: String,
-}
-
-impl std::fmt::Display for TelemetryDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.reason)
-    }
-}
-
-impl std::error::Error for TelemetryDecodeError {}
-
-/// A strict cursor over one exported line: fields must appear in the
-/// exact order the exporter writes them.
-struct LineCursor<'a> {
-    rest: &'a str,
-    line: usize,
-}
-
-impl<'a> LineCursor<'a> {
-    fn new(text: &'a str, line: usize) -> Result<Self, TelemetryDecodeError> {
-        let rest = text
-            .strip_prefix('{')
-            .ok_or_else(|| err(line, "expected `{`"))?;
-        Ok(Self { rest, line })
-    }
-
-    fn key(&mut self, key: &str) -> Result<(), TelemetryDecodeError> {
-        let want = format!("\"{key}\":");
-        self.rest = self
-            .rest
-            .strip_prefix(&want)
-            .ok_or_else(|| err(self.line, format!("expected key `{key}`")))?;
-        Ok(())
-    }
-
-    fn u64_field(&mut self, name: &str) -> Result<u64, TelemetryDecodeError> {
-        self.key(name)?;
-        let end = self
-            .rest
-            .find([',', '}'])
-            .ok_or_else(|| err(self.line, "unterminated number"))?;
-        let (num, rest) = self.rest.split_at(end);
-        let value = num
-            .parse::<u64>()
-            .map_err(|_| err(self.line, format!("bad integer for `{name}`: `{num}`")))?;
-        self.rest = rest.trim_start_matches(',');
-        Ok(value)
-    }
-
-    fn str_field(&mut self, name: &str) -> Result<&'a str, TelemetryDecodeError> {
-        self.key(name)?;
-        let body = self
-            .rest
-            .strip_prefix('"')
-            .ok_or_else(|| err(self.line, "expected string"))?;
-        let end = body
-            .find('"')
-            .ok_or_else(|| err(self.line, "unterminated string"))?;
-        let (value, rest) = body.split_at(end);
-        self.rest = rest[1..].trim_start_matches(',');
-        Ok(value)
-    }
-}
-
-fn err(line: usize, reason: impl Into<String>) -> TelemetryDecodeError {
-    TelemetryDecodeError {
-        line,
-        reason: reason.into(),
-    }
+/// The risk state named by the `risk` field of `line`.
+fn risk(line: &Line) -> Result<RiskState, DecodeError> {
+    let name = line.str("risk")?;
+    RiskState::from_name(name).ok_or_else(|| line.error(format!("unknown risk state `{name}`")))
 }
 
 /// Parse a document produced by [`TelemetrySnapshot::to_jsonl`].
-pub fn parse(text: &str) -> Result<TelemetrySnapshot, TelemetryDecodeError> {
-    let mut lines = text.lines().enumerate();
-    let (_, header) = lines.next().ok_or_else(|| err(1, "empty document"))?;
-    let mut c = LineCursor::new(header, 1)?;
-    let version = c.u64_field("telemetry")?;
+pub fn parse(text: &str) -> Result<TelemetrySnapshot, DecodeError> {
+    let mut lines = json::lines(text);
+    let mut last_line = 0;
+    let mut next = |what: &str| -> Result<Line, DecodeError> {
+        let line = lines.next().unwrap_or_else(|| {
+            Err(DecodeError {
+                line: last_line + 1,
+                reason: format!("missing {what}"),
+            })
+        })?;
+        last_line = line.number;
+        Ok(line)
+    };
+    let header = next("header line")?;
+    let version = header.u64("telemetry")?;
     if version != 1 {
-        return Err(err(1, format!("unsupported telemetry version {version}")));
+        return Err(header.error(format!("unsupported telemetry version {version}")));
     }
-    let banks = c.u64_field("banks")?;
-    let interval_ns = c.u64_field("interval_ns")?;
-    let capacity = c.u64_field("capacity")?;
+    let banks = header.u64("banks")?;
     let mut snap = TelemetrySnapshot {
-        sample_interval_ns: interval_ns,
-        capacity: capacity as usize,
-        per_bank: Vec::with_capacity(banks as usize),
+        sample_interval_ns: header.u64("interval_ns")?,
+        capacity: header.u64("capacity")? as usize,
+        per_bank: Vec::new(),
     };
     for want_bank in 0..banks {
-        let (ix, line) = lines
-            .next()
-            .ok_or_else(|| err(0, format!("missing summary line for bank {want_bank}")))?;
-        let mut c = LineCursor::new(line, ix + 1)?;
-        let bank = c.u64_field("bank")?;
-        if bank != want_bank {
-            return Err(err(
-                ix + 1,
-                format!("expected bank {want_bank}, got {bank}"),
-            ));
+        let summary = next("summary line")?;
+        let bank = summary.u32("bank")?;
+        if u64::from(bank) != want_bank {
+            return Err(summary.error(format!("expected bank {want_bank}, got {bank}")));
         }
-        let dropped = c.u64_field("dropped")?;
-        let ewma_permille = c.u64_field("ewma_permille")?;
-        let risk_name = c.str_field("risk")?;
-        let risk = RiskState::from_name(risk_name)
-            .ok_or_else(|| err(ix + 1, format!("unknown risk state `{risk_name}`")))?;
-        let points = c.u64_field("points")?;
         let mut series = BankSeriesSnapshot {
-            bank: bank as u32,
-            dropped,
-            ewma_permille,
-            risk,
-            points: Vec::with_capacity(points as usize),
+            bank,
+            dropped: summary.u64("dropped")?,
+            ewma_permille: summary.u64("ewma_permille")?,
+            risk: risk(&summary)?,
+            points: Vec::new(),
         };
-        for _ in 0..points {
-            let (ix, line) = lines
-                .next()
-                .ok_or_else(|| err(0, format!("missing point line for bank {bank}")))?;
-            let mut c = LineCursor::new(line, ix + 1)?;
-            let point_bank = c.u64_field("bank")?;
-            if point_bank != bank {
-                return Err(err(ix + 1, format!("point bank {point_bank} ≠ {bank}")));
+        for _ in 0..summary.u64("points")? {
+            let p = next("point line")?;
+            let point_bank = p.u64("bank")?;
+            if point_bank != u64::from(bank) {
+                return Err(p.error(format!("point bank {point_bank} ≠ {bank}")));
             }
-            let tick = c.u64_field("tick")?;
-            let t_ns = c.u64_field("t_ns")?;
-            let reads = c.u64_field("reads")?;
-            let writes = c.u64_field("writes")?;
-            let scrubs = c.u64_field("scrubs")?;
-            let corrected_symbols = c.u64_field("corrected_symbols")?;
-            let corrections = c.u64_field("corrections")?;
-            let uncorrectables = c.u64_field("uncorrectables")?;
-            let remaps = c.u64_field("remaps")?;
-            let busy_ns = c.u64_field("busy_ns")?;
-            let p50_ns = c.u64_field("p50_ns")?;
-            let p99_ns = c.u64_field("p99_ns")?;
-            let ewma_permille = c.u64_field("ewma_permille")?;
-            let risk_name = c.str_field("risk")?;
-            let risk = RiskState::from_name(risk_name)
-                .ok_or_else(|| err(ix + 1, format!("unknown risk state `{risk_name}`")))?;
             series.points.push(SamplePoint {
-                tick,
-                t_ns,
-                reads,
-                writes,
-                scrubs,
-                corrected_symbols,
-                corrections,
-                uncorrectables,
-                remaps,
-                busy_ns,
-                p50_ns,
-                p99_ns,
-                ewma_permille,
-                risk,
+                tick: p.u64("tick")?,
+                t_ns: p.u64("t_ns")?,
+                reads: p.u64("reads")?,
+                writes: p.u64("writes")?,
+                scrubs: p.u64("scrubs")?,
+                corrected_symbols: p.u64("corrected_symbols")?,
+                corrections: p.u64("corrections")?,
+                uncorrectables: p.u64("uncorrectables")?,
+                remaps: p.u64("remaps")?,
+                busy_ns: p.u64("busy_ns")?,
+                p50_ns: p.u64("p50_ns")?,
+                p99_ns: p.u64("p99_ns")?,
+                ewma_permille: p.u64("ewma_permille")?,
+                risk: risk(&p)?,
             });
         }
         snap.per_bank.push(series);
     }
-    if let Some((ix, line)) = lines.next() {
-        if !line.trim().is_empty() {
-            return Err(err(ix + 1, "trailing content after last bank"));
-        }
+    if let Some(extra) = lines.next() {
+        return Err(DecodeError {
+            line: extra.map_or_else(|e| e.line, |l| l.number),
+            reason: "trailing content after last bank".to_string(),
+        });
     }
     Ok(snap)
 }
@@ -489,14 +391,8 @@ mod tests {
         // Display carries the line number for report tooling.
         assert!(err.to_string().starts_with("line 1: "));
 
-        // Arbitrary prefixes of a valid document error out cleanly —
-        // the parser must never panic on truncation at any byte.
-        for end in 0..doc.len() {
-            if !doc.is_char_boundary(end) {
-                continue;
-            }
-            let _ = parse(&doc[..end]);
-        }
+        // Every byte prefix of this and the trace and profile exports
+        // is parsed in `tests/export_truncation.rs`.
     }
 
     #[test]

@@ -46,7 +46,7 @@ mod risk;
 mod series;
 
 pub use config::{DriftRiskConfig, TelemetryConfig, EWMA_SCALE};
-pub use export::{parse, BankSeriesSnapshot, TelemetryDecodeError, TelemetrySnapshot};
+pub use export::{parse, BankSeriesSnapshot, TelemetrySnapshot};
 pub use recorder::TelemetryRecorder;
 pub use risk::{decode_transition, transition_payload, DriftRisk, RiskState};
 pub use series::{bucket_floor, quantile_floor_permille, BankCounters, RingSeries, SamplePoint};

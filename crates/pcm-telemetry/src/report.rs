@@ -8,6 +8,7 @@
 
 use crate::export::TelemetrySnapshot;
 use crate::risk::RiskState;
+use pcm_trace::json::{self, DecodeError};
 
 /// Eight-level sparkline alphabet, lowest to highest.
 const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
@@ -254,73 +255,51 @@ impl ObsReport {
         out
     }
 
-    /// The report as one stable-field-order JSON object (one line, no
-    /// external dependencies).
+    /// The report as one stable-field-order JSON object (one line).
     pub fn to_json(&self) -> String {
-        let per_bank: Vec<String> = self
-            .per_bank
-            .iter()
-            .map(|b| {
-                format!(
-                    "{{\"bank\":{},\"samples\":{},\"dropped\":{},\"reads\":{},\
-                     \"writes\":{},\"scrubs\":{},\"corrected_symbols\":{},\
-                     \"uncorrectables\":{},\"peak_utilization_permille\":{},\
-                     \"transitions\":{},\"risk\":\"{}\",\"ewma_permille\":{}}}",
-                    b.bank,
-                    b.samples,
-                    b.dropped,
-                    b.reads,
-                    b.writes,
-                    b.scrubs,
-                    b.corrected_symbols,
-                    b.uncorrectables,
-                    b.peak_utilization_permille,
-                    b.transitions,
-                    b.risk.name(),
-                    b.ewma_permille
-                )
-            })
-            .collect();
-        let top: Vec<String> = self
-            .top_risk
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"bank\":{},\"risk\":\"{}\",\"ewma_permille\":{},\
-                     \"corrected_symbols\":{}}}",
-                    r.bank,
-                    r.risk.name(),
-                    r.ewma_permille,
-                    r.corrected_symbols
-                )
-            })
-            .collect();
         let i = &self.interference;
-        format!(
-            "{{\"banks\":{},\"interval_ns\":{},\"capacity\":{},\"per_bank\":[{}],\
-             \"top_risk\":[{}],\"interference\":{{\"windows\":{},\"demand_intervals\":{},\
-             \"scrub_intervals\":{},\"worst_bank\":{},\"worst_windows\":{}}}}}",
-            self.banks,
-            self.interval_ns,
-            self.capacity,
-            per_bank.join(","),
-            top.join(","),
-            i.windows,
-            i.demand_intervals,
-            i.scrub_intervals,
-            i.worst_bank
-                .map_or_else(|| "null".to_string(), |b| b.to_string()),
-            i.worst_windows
-        )
+        json::object(|o| {
+            o.num("banks", self.banks)
+                .num("interval_ns", self.interval_ns)
+                .num("capacity", self.capacity)
+                .objects("per_bank", &self.per_bank, |o, b| {
+                    o.num("bank", b.bank)
+                        .num("samples", b.samples)
+                        .num("dropped", b.dropped)
+                        .num("reads", b.reads)
+                        .num("writes", b.writes)
+                        .num("scrubs", b.scrubs)
+                        .num("corrected_symbols", b.corrected_symbols)
+                        .num("uncorrectables", b.uncorrectables)
+                        .num("peak_utilization_permille", b.peak_utilization_permille)
+                        .num("transitions", b.transitions)
+                        .str("risk", b.risk.name())
+                        .num("ewma_permille", b.ewma_permille);
+                })
+                .objects("top_risk", &self.top_risk, |o, r| {
+                    o.num("bank", r.bank)
+                        .str("risk", r.risk.name())
+                        .num("ewma_permille", r.ewma_permille)
+                        .num("corrected_symbols", r.corrected_symbols);
+                })
+                .object("interference", |o| {
+                    o.num("windows", i.windows)
+                        .num("demand_intervals", i.demand_intervals)
+                        .num("scrub_intervals", i.scrub_intervals)
+                        .num(
+                            "worst_bank",
+                            i.worst_bank
+                                .map_or_else(|| "null".to_string(), |b| b.to_string()),
+                        )
+                        .num("worst_windows", i.worst_windows);
+                });
+        })
     }
 }
 
 /// Parse a telemetry JSONL document and analyze it in one step — the
 /// `obs-report` CLI entry point.
-pub fn analyze_str(
-    doc: &str,
-    top: usize,
-) -> Result<ObsReport, crate::export::TelemetryDecodeError> {
+pub fn analyze_str(doc: &str, top: usize) -> Result<ObsReport, DecodeError> {
     Ok(analyze(&crate::export::parse(doc)?, top))
 }
 

@@ -7,6 +7,7 @@
 //! compare byte-for-byte.
 
 use crate::risk::RiskState;
+use pcm_trace::json;
 
 /// Cumulative per-bank counters at one instant, as supplied by the
 /// embedding layer (pcm-device's `BankMetrics::snapshot` returns this
@@ -56,26 +57,27 @@ impl BankCounters {
         add_buckets(&mut self.correction_buckets, &other.correction_buckets);
     }
 
-    /// The counters as one JSON object with a fixed field order (no
-    /// external dependencies). Bucket arrays are emitted with trailing
-    /// zero buckets trimmed, which keeps lines compact and is
-    /// deterministic for a given reading.
+    /// The counters as one JSON object with a fixed field order.
+    /// Bucket arrays are emitted with trailing zero buckets trimmed,
+    /// which keeps lines compact and is deterministic for a given
+    /// reading.
     pub fn to_jsonl(&self) -> String {
-        format!(
-            "{{\"reads\":{},\"writes\":{},\"scrubs\":{},\"corrected_symbols\":{},\
-             \"corrections\":{},\"uncorrectables\":{},\"remaps\":{},\"busy_ns\":{},\
-             \"latency_buckets\":[{}],\"correction_buckets\":[{}]}}",
-            self.reads,
-            self.writes,
-            self.scrubs,
-            self.corrected_symbols,
-            self.corrections,
-            self.uncorrectables,
-            self.remaps,
-            self.busy_ns,
-            trimmed_buckets(&self.latency_buckets),
-            trimmed_buckets(&self.correction_buckets)
-        )
+        json::object(|o| self.json_fields(o))
+    }
+
+    /// Write the fields of [`BankCounters::to_jsonl`] into an object
+    /// that may carry others before them.
+    pub fn json_fields(&self, o: &mut json::Object<'_>) {
+        o.num("reads", self.reads)
+            .num("writes", self.writes)
+            .num("scrubs", self.scrubs)
+            .num("corrected_symbols", self.corrected_symbols)
+            .num("corrections", self.corrections)
+            .num("uncorrectables", self.uncorrectables)
+            .num("remaps", self.remaps)
+            .num("busy_ns", self.busy_ns)
+            .nums("latency_buckets", trimmed(&self.latency_buckets))
+            .nums("correction_buckets", trimmed(&self.correction_buckets));
     }
 
     /// Field-wise saturating difference `self - prev` (bucket counts
@@ -110,14 +112,10 @@ fn add_buckets(into: &mut Vec<u64>, from: &[u64]) {
     }
 }
 
-/// Bucket counts as a comma-joined list with trailing zeros trimmed.
-fn trimmed_buckets(buckets: &[u64]) -> String {
+/// Bucket counts without their trailing zeros.
+fn trimmed(buckets: &[u64]) -> &[u64] {
     let last = buckets.iter().rposition(|&c| c != 0).map_or(0, |i| i + 1);
-    buckets[..last]
-        .iter()
-        .map(|c| c.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+    &buckets[..last]
 }
 
 /// Inclusive lower bound of log2 bucket `i` (0 for buckets 0 and 1).

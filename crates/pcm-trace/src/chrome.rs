@@ -10,6 +10,7 @@
 
 use crate::buffer::TraceSnapshot;
 use crate::event::{OpKind, Phase, TraceEvent};
+use crate::json;
 
 /// `t_ns` as a Chrome `ts` value: microseconds with exactly three
 /// decimal places, via integer arithmetic only.
@@ -24,56 +25,58 @@ fn tid(ev: &TraceEvent, banks: usize) -> u64 {
     }
 }
 
-fn push_event(out: &mut Vec<String>, ev: &TraceEvent, banks: usize) {
-    let ph = match ev.phase {
-        Phase::Begin => "B",
-        Phase::End => "E",
-        Phase::Instant => "i",
-    };
-    let scope = if ev.phase == Phase::Instant {
-        ",\"s\":\"t\""
-    } else {
-        ""
-    };
-    out.push(format!(
-        "{{\"name\":\"{}\",\"cat\":\"pcm\",\"ph\":\"{}\"{},\"ts\":{},\"pid\":0,\"tid\":{},\
-         \"args\":{{\"bank\":{},\"block\":{},\"seq\":{},\"ctx\":{},\"payload\":{}}}}}",
-        ev.kind.name(),
-        ph,
-        scope,
-        ts_us(ev.t_ns),
-        tid(ev, banks),
-        ev.bank,
-        ev.block,
-        ev.seq,
-        ev.ctx,
-        ev.payload
-    ));
+fn event_record(ev: &TraceEvent, banks: usize) -> String {
+    json::object(|o| {
+        o.str("name", ev.kind.name())
+            .str("cat", "pcm")
+            .str("ph", ev.phase.name());
+        if ev.phase == Phase::Instant {
+            o.str("s", "t");
+        }
+        o.num("ts", ts_us(ev.t_ns))
+            .num("pid", 0)
+            .num("tid", tid(ev, banks))
+            .object("args", |a| {
+                a.num("bank", ev.bank)
+                    .num("block", ev.block)
+                    .num("seq", ev.seq)
+                    .num("ctx", ev.ctx)
+                    .num("payload", ev.payload);
+            });
+    })
+}
+
+/// A metadata (`"ph":"M"`) record naming the process, or thread `tid`.
+fn metadata_record(name: &str, tid: Option<usize>, label: &str) -> String {
+    json::object(|o| {
+        o.str("name", name).str("ph", "M").num("pid", 0);
+        if let Some(tid) = tid {
+            o.num("tid", tid);
+        }
+        o.object("args", |a| {
+            a.str("name", label);
+        });
+    })
 }
 
 /// Render a snapshot as a Chrome trace-event JSON document.
 pub fn export(snap: &TraceSnapshot) -> String {
     let banks = snap.per_bank.len();
-    let mut records: Vec<String> = Vec::new();
-    records.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"args\":{\"name\":\"pcm-device\"}}"
-            .to_string(),
-    );
+    let mut records = vec![metadata_record("process_name", None, "pcm-device")];
     for b in 0..banks {
-        records.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{b},\
-             \"args\":{{\"name\":\"bank {b}\"}}}}"
+        records.push(metadata_record(
+            "thread_name",
+            Some(b),
+            &format!("bank {b}"),
         ));
-        records.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":{},\
-             \"args\":{{\"name\":\"bank {b} scrub schedule\"}}}}",
-            banks + b
+        records.push(metadata_record(
+            "thread_name",
+            Some(banks + b),
+            &format!("bank {b} scrub schedule"),
         ));
     }
     for lane_events in snap.canonical_per_bank() {
-        for ev in &lane_events {
-            push_event(&mut records, ev, banks);
-        }
+        records.extend(lane_events.iter().map(|ev| event_record(ev, banks)));
     }
     let mut out = String::from("{\"traceEvents\":[\n");
     out.push_str(&records.join(",\n"));

@@ -5,7 +5,7 @@
 //! fixture: a fixed-seed run must produce a byte-identical export
 //! across invocations, so every line is emitted in canonical per-bank
 //! `(t_ns, seq)` order with a fixed field order and no floating-point
-//! formatting anywhere.
+//! formatting anywhere. Both directions go through [`crate::json`].
 //!
 //! Line vocabulary (`type` field):
 //! - `meta` — bank count and ring capacity
@@ -14,35 +14,37 @@
 
 use crate::buffer::TraceSnapshot;
 use crate::event::{OpKind, Phase, TraceEvent};
+use crate::json::{self, DecodeError};
 
 /// Render a snapshot as JSONL (trailing newline included).
 pub fn export(snap: &TraceSnapshot) -> String {
     let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"type\":\"meta\",\"banks\":{},\"capacity\":{}}}\n",
-        snap.per_bank.len(),
-        snap.capacity
-    ));
+    json::line(&mut out, |o| {
+        o.str("type", "meta")
+            .num("banks", snap.per_bank.len())
+            .num("capacity", snap.capacity);
+    });
     for lane in &snap.per_bank {
-        out.push_str(&format!(
-            "{{\"type\":\"bank\",\"bank\":{},\"recorded\":{},\"dropped\":{}}}\n",
-            lane.bank, lane.recorded, lane.dropped
-        ));
+        json::line(&mut out, |o| {
+            o.str("type", "bank")
+                .num("bank", lane.bank)
+                .num("recorded", lane.recorded)
+                .num("dropped", lane.dropped);
+        });
     }
     for lane_events in snap.canonical_per_bank() {
         for ev in lane_events {
-            out.push_str(&format!(
-                "{{\"type\":\"event\",\"bank\":{},\"seq\":{},\"t_ns\":{},\"kind\":\"{}\",\
-                 \"phase\":\"{}\",\"block\":{},\"ctx\":{},\"payload\":{}}}\n",
-                ev.bank,
-                ev.seq,
-                ev.t_ns,
-                ev.kind.name(),
-                ev.phase.name(),
-                ev.block,
-                ev.ctx,
-                ev.payload
-            ));
+            json::line(&mut out, |o| {
+                o.str("type", "event")
+                    .num("bank", ev.bank)
+                    .num("seq", ev.seq)
+                    .num("t_ns", ev.t_ns)
+                    .str("kind", ev.kind.name())
+                    .str("phase", ev.phase.name())
+                    .num("block", ev.block)
+                    .num("ctx", ev.ctx)
+                    .num("payload", ev.payload);
+            });
         }
     }
     out
@@ -72,101 +74,51 @@ pub struct LaneSummary {
     pub dropped: u64,
 }
 
-/// A malformed trace line.
-///
-/// Named `TraceDecodeError` (not `TraceParseError`) because `pcm-sim`
-/// already exports a `TraceParseError` for workload trace files.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceDecodeError {
-    /// 1-based line number.
-    pub line: usize,
-    /// What was wrong.
-    pub what: &'static str,
-}
-
-impl std::fmt::Display for TraceDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "trace line {}: {}", self.line, self.what)
-    }
-}
-
-impl std::error::Error for TraceDecodeError {}
-
-/// A [`TraceDecodeError`] at 1-based `line`; shared by every JSONL
-/// parser in the workspace (trace, profile).
-pub fn fail(line: usize, what: &'static str) -> TraceDecodeError {
-    TraceDecodeError { line, what }
-}
-
-/// Extract an unquoted integer field (`"key":123`) from one JSONL line;
-/// `None` if the key is absent or its value is not a `u64`.
-pub fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let digits = rest.len() - rest.trim_start_matches(|c: char| c.is_ascii_digit()).len();
-    rest.get(..digits)?.parse().ok()
-}
-
-/// Extract a quoted string field (`"key":"value"`) from one JSONL
-/// line; values never contain escapes in this format.
-pub fn str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    rest.find('"').and_then(|end| rest.get(..end))
-}
-
-/// Parse a JSONL export back into structured form.
-pub fn parse(text: &str) -> Result<ParsedTrace, TraceDecodeError> {
+/// Parse a JSONL export back into structured form. The export writes
+/// one `bank` line per bank, so a document with fewer is an error: that
+/// also keeps a corrupt `banks` count from sizing what analyzers
+/// allocate per bank.
+pub fn parse(text: &str) -> Result<ParsedTrace, DecodeError> {
     let mut meta: Option<(usize, usize)> = None;
     let mut lanes = Vec::new();
     let mut events = Vec::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = idx + 1;
-        match str_field(line, "type").ok_or(fail(lineno, "missing \"type\" field"))? {
-            "meta" => {
-                let banks = u64_field(line, "banks").ok_or(fail(lineno, "meta missing banks"))?;
-                let capacity =
-                    u64_field(line, "capacity").ok_or(fail(lineno, "meta missing capacity"))?;
-                meta = Some((banks as usize, capacity as usize));
-            }
+    let mut last_line = 0;
+    for line in json::lines(text) {
+        let line = line?;
+        last_line = line.number;
+        match line.str("type")? {
+            "meta" => meta = Some((line.u64("banks")? as usize, line.u64("capacity")? as usize)),
             "bank" => lanes.push(LaneSummary {
-                bank: u64_field(line, "bank").ok_or(fail(lineno, "bank line missing bank"))?
-                    as usize,
-                recorded: u64_field(line, "recorded")
-                    .ok_or(fail(lineno, "bank line missing recorded"))?,
-                dropped: u64_field(line, "dropped")
-                    .ok_or(fail(lineno, "bank line missing dropped"))?,
+                bank: line.u64("bank")? as usize,
+                recorded: line.u64("recorded")?,
+                dropped: line.u64("dropped")?,
             }),
-            "event" => {
-                let kind = str_field(line, "kind")
-                    .and_then(OpKind::from_name)
-                    .ok_or(fail(lineno, "unknown op kind"))?;
-                let phase = str_field(line, "phase")
-                    .and_then(Phase::from_name)
-                    .ok_or(fail(lineno, "unknown phase"))?;
-                events.push(TraceEvent {
-                    seq: u64_field(line, "seq").ok_or(fail(lineno, "event missing seq"))?,
-                    t_ns: u64_field(line, "t_ns").ok_or(fail(lineno, "event missing t_ns"))?,
-                    bank: u64_field(line, "bank").ok_or(fail(lineno, "event missing bank"))? as u32,
-                    block: u64_field(line, "block").ok_or(fail(lineno, "event missing block"))?
-                        as u32,
-                    kind,
-                    phase,
-                    ctx: u64_field(line, "ctx").ok_or(fail(lineno, "event missing ctx"))?,
-                    payload: u64_field(line, "payload")
-                        .ok_or(fail(lineno, "event missing payload"))?,
-                });
-            }
-            _ => return Err(fail(lineno, "unknown record type")),
+            "event" => events.push(TraceEvent {
+                seq: line.u64("seq")?,
+                t_ns: line.u64("t_ns")?,
+                bank: line.u32("bank")?,
+                block: line.u32("block")?,
+                kind: OpKind::from_name(line.str("kind")?)
+                    .ok_or_else(|| line.error("unknown op kind"))?,
+                phase: Phase::from_name(line.str("phase")?)
+                    .ok_or_else(|| line.error("unknown phase"))?,
+                ctx: line.u64("ctx")?,
+                payload: line.u64("payload")?,
+            }),
+            _ => return Err(line.error("unknown record type")),
         }
     }
-    let (banks, capacity) = meta.ok_or(fail(1, "no meta line"))?;
+    let fail = |reason: String| DecodeError {
+        line: last_line.max(1),
+        reason,
+    };
+    let (banks, capacity) = meta.ok_or_else(|| fail("no meta line".to_string()))?;
+    if lanes.len() != banks {
+        return Err(fail(format!(
+            "meta line names {banks} banks, found {} bank lines",
+            lanes.len()
+        )));
+    }
     Ok(ParsedTrace {
         banks,
         capacity,

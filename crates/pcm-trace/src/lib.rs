@@ -17,6 +17,8 @@
 //! - [`jsonl`] / [`chrome`] — exporters: line-oriented JSONL with a
 //!   stable field order (the `xtask trace-report` input), and Chrome
 //!   trace-event JSON (banks as threads, spans as `B`/`E` pairs).
+//! - [`json`] — the workspace's one JSON writer and reader, which every
+//!   exporter, report and analyzer in the stack goes through.
 //!
 //! # Determinism contract
 //!
@@ -38,6 +40,7 @@ mod buffer;
 pub mod chrome;
 pub mod ctx;
 mod event;
+pub mod json;
 pub mod jsonl;
 mod sink;
 
@@ -47,7 +50,8 @@ pub use ctx::{
     CTX_INDEX_FLAG, NO_CTX,
 };
 pub use event::{OpKind, Phase, TraceEvent, NO_BLOCK};
-pub use jsonl::{LaneSummary, ParsedTrace, TraceDecodeError};
+pub use json::DecodeError;
+pub use jsonl::{LaneSummary, ParsedTrace};
 pub use sink::{NullSink, Recorder, TraceSink};
 
 /// Model seconds to integer nanoseconds, rounded to nearest.

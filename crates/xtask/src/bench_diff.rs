@@ -13,7 +13,7 @@
 //! `store_throughput` bench docs), and op-total equality is already
 //! CI-gated byte-for-byte elsewhere.
 
-use crate::json::{self, Value};
+use pcm_trace::json::{self, Value};
 use std::fmt;
 
 /// Default allowed throughput drop, percent. One part in ten is far

@@ -20,8 +20,6 @@
 //! * [`lexer`] — a hand-rolled, dependency-free Rust lexer (the
 //!   hermetic build cannot fetch `syn`);
 //! * [`source`] — test-region / fn-span / allow-comment structure;
-//! * [`json`] — a minimal JSON reader backing the `--json` schema
-//!   round-trip test.
 //!
 //! Run it as `cargo lint` (alias for `cargo run -p xtask -- lint`).
 //! Suppress a finding with `// pcm-lint: allow(<rule>)` on the same or
@@ -30,7 +28,6 @@
 //! ones, so the allow list can only shrink.
 
 pub mod bench_diff;
-pub mod json;
 pub mod lexer;
 pub mod lock_order;
 pub mod model;
@@ -41,6 +38,7 @@ pub mod source;
 pub mod trace_report;
 
 use model::Workspace;
+use pcm_trace::json;
 use source::SourceFile;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -80,18 +78,18 @@ impl fmt::Display for Diagnostic {
 }
 
 impl Diagnostic {
-    /// Render as a JSON object (hand-rolled; no serde in the hermetic
-    /// build).
+    /// Render as a JSON object.
     pub fn to_json(&self) -> String {
-        format!(
-            r#"{{"rule":{},"file":{},"line":{},"col":{},"message":{},"suggestion":{}}}"#,
-            json_str(self.rule),
-            json_str(&self.file),
-            self.line,
-            self.col,
-            json_str(&self.message),
-            json_str(&self.suggestion)
-        )
+        json::object(|o| self.json_fields(o))
+    }
+
+    fn json_fields(&self, o: &mut json::Object<'_>) {
+        o.str("rule", self.rule)
+            .str("file", &self.file)
+            .num("line", self.line)
+            .num("col", self.col)
+            .str("message", &self.message)
+            .str("suggestion", &self.suggestion);
     }
 }
 
@@ -118,57 +116,35 @@ impl fmt::Display for StaleAllow {
     }
 }
 
-/// Minimal JSON string escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// The stable `--json` lint document (schema in DESIGN.md §15):
 /// `{"schema_version", "tool", "mode": "lint", "count", "diagnostics"}`.
 pub fn json_document(diags: &[Diagnostic]) -> String {
-    let items: Vec<String> = diags.iter().map(Diagnostic::to_json).collect();
-    format!(
-        r#"{{"schema_version":{JSON_SCHEMA_VERSION},"tool":"pcm-lint","mode":"lint","count":{},"diagnostics":[{}]}}"#,
-        diags.len(),
-        items.join(",")
-    )
+    json::object(|o| {
+        o.num("schema_version", JSON_SCHEMA_VERSION)
+            .str("tool", "pcm-lint")
+            .str("mode", "lint")
+            .num("count", diags.len())
+            .objects("diagnostics", diags, |o, d| d.json_fields(o));
+    })
 }
 
 /// The stable `--json` audit document:
 /// `{"schema_version", "tool", "mode": "audit-allows", "allow_count",
 /// "stale_count", "stale"}`.
 pub fn audit_json_document(total_allows: usize, stale: &[StaleAllow]) -> String {
-    let items: Vec<String> = stale
-        .iter()
-        .map(|s| {
-            format!(
-                r#"{{"file":{},"line":{},"rule":{},"reason":{}}}"#,
-                json_str(&s.file),
-                s.line,
-                json_str(&s.rule),
-                json_str(&s.reason)
-            )
-        })
-        .collect();
-    format!(
-        r#"{{"schema_version":{JSON_SCHEMA_VERSION},"tool":"pcm-lint","mode":"audit-allows","allow_count":{total_allows},"stale_count":{},"stale":[{}]}}"#,
-        stale.len(),
-        items.join(",")
-    )
+    json::object(|o| {
+        o.num("schema_version", JSON_SCHEMA_VERSION)
+            .str("tool", "pcm-lint")
+            .str("mode", "audit-allows")
+            .num("allow_count", total_allows)
+            .num("stale_count", stale.len())
+            .objects("stale", stale, |o, s| {
+                o.str("file", &s.file)
+                    .num("line", s.line)
+                    .str("rule", &s.rule)
+                    .str("reason", &s.reason);
+            });
+    })
 }
 
 /// Run every per-file rule on `f` without allow filtering.

@@ -36,10 +36,9 @@ pub fn report_str(doc: &str, opts: &Options) -> Result<String, String> {
     let top = if opts.top == 0 { 10 } else { opts.top };
     // A profile JSONL declares itself on its meta line; anything else
     // is treated as a raw trace and attributed here.
-    let already_built = doc
-        .lines()
+    let already_built = pcm_trace::json::lines(doc)
         .next()
-        .is_some_and(|l| l.contains("\"profile\":"));
+        .is_some_and(|l| l.is_ok_and(|l| l.value.get("profile").is_some()));
     let profile = if already_built {
         pcm_sim::profile::parse(doc)
     } else {

@@ -215,39 +215,42 @@ fn lint_json_document_round_trips_through_the_schema() {
     let src = "fn f(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
     let diags = xtask::lint_source("lib.rs", "pcm-core", src);
     assert_eq!(diags.len(), 1);
-    let doc = xtask::json::parse(&xtask::json_document(&diags)).expect("valid JSON");
+    let doc = pcm_trace::json::parse(&xtask::json_document(&diags)).expect("valid JSON");
     assert_eq!(
         doc.get("schema_version")
-            .and_then(xtask::json::Value::as_u64),
+            .and_then(pcm_trace::json::Value::as_u64),
         Some(u64::from(xtask::JSON_SCHEMA_VERSION))
     );
     assert_eq!(
-        doc.get("tool").and_then(xtask::json::Value::as_str),
+        doc.get("tool").and_then(pcm_trace::json::Value::as_str),
         Some("pcm-lint")
     );
     assert_eq!(
-        doc.get("mode").and_then(xtask::json::Value::as_str),
+        doc.get("mode").and_then(pcm_trace::json::Value::as_str),
         Some("lint")
     );
     assert_eq!(
-        doc.get("count").and_then(xtask::json::Value::as_u64),
+        doc.get("count").and_then(pcm_trace::json::Value::as_u64),
         Some(1)
     );
     let items = doc
         .get("diagnostics")
-        .and_then(xtask::json::Value::as_arr)
+        .and_then(pcm_trace::json::Value::as_arr)
         .expect("diagnostics array");
     assert_eq!(items.len(), 1);
     let d = &items[0];
     assert_eq!(
-        d.get("rule").and_then(xtask::json::Value::as_str),
+        d.get("rule").and_then(pcm_trace::json::Value::as_str),
         Some("no-panic-lib")
     );
     assert_eq!(
-        d.get("file").and_then(xtask::json::Value::as_str),
+        d.get("file").and_then(pcm_trace::json::Value::as_str),
         Some("lib.rs")
     );
-    assert_eq!(d.get("line").and_then(xtask::json::Value::as_u64), Some(2));
+    assert_eq!(
+        d.get("line").and_then(pcm_trace::json::Value::as_u64),
+        Some(2)
+    );
     for key in ["col", "message", "suggestion"] {
         assert!(d.get(key).is_some(), "diagnostic field `{key}` missing");
     }
@@ -259,25 +262,27 @@ fn lint_json_document_round_trips_through_the_schema() {
         rule: "no-float-tick".into(),
         reason: "gone".into(),
     }];
-    let doc = xtask::json::parse(&xtask::audit_json_document(9, &stale)).expect("valid JSON");
+    let doc = pcm_trace::json::parse(&xtask::audit_json_document(9, &stale)).expect("valid JSON");
     assert_eq!(
-        doc.get("mode").and_then(xtask::json::Value::as_str),
+        doc.get("mode").and_then(pcm_trace::json::Value::as_str),
         Some("audit-allows")
     );
     assert_eq!(
-        doc.get("allow_count").and_then(xtask::json::Value::as_u64),
+        doc.get("allow_count")
+            .and_then(pcm_trace::json::Value::as_u64),
         Some(9)
     );
     assert_eq!(
-        doc.get("stale_count").and_then(xtask::json::Value::as_u64),
+        doc.get("stale_count")
+            .and_then(pcm_trace::json::Value::as_u64),
         Some(1)
     );
     let arr = doc
         .get("stale")
-        .and_then(xtask::json::Value::as_arr)
+        .and_then(pcm_trace::json::Value::as_arr)
         .expect("stale array");
     assert_eq!(
-        arr[0].get("rule").and_then(xtask::json::Value::as_str),
+        arr[0].get("rule").and_then(pcm_trace::json::Value::as_str),
         Some("no-float-tick")
     );
 }
