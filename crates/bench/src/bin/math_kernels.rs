@@ -15,13 +15,16 @@
 //! identical hit counts. Any divergence exits nonzero — this binary is a
 //! CI gate first and a benchmark second.
 //!
-//! Writes `BENCH_math.json`: codewords/sec for both decode paths and
-//! for `decode` on error-free words, `decode`'s speedup over the
-//! reference (which CI thresholds on) — the median of the ratios of 24
-//! repetitions that time the two paths back to back — samples/sec for
-//! both MC paths, the verification verdicts, and µs per
-//! block of `CellArray::program_range` and `sense_range` on 3LC and 4LC
-//! blocks swept across an array larger than L2.
+//! Writes `BENCH_math.json` through the shared `pcm_trace::json`
+//! writer: codewords/sec for both decode paths and for `decode` on
+//! error-free words, `decode`'s speedup over the reference (which CI
+//! thresholds on) — the median of the ratios of 24 repetitions that
+//! time the two paths back to back — µs per word of both paths at each
+//! error count 0..=t (`bch.decode_us_by_errors`,
+//! `bch.reference_us_by_errors`), samples/sec for both MC paths, the
+//! verification verdicts, and µs per block of
+//! `CellArray::program_range` and `sense_range` on 3LC and 4LC blocks
+//! swept across an array larger than L2.
 //!
 //! ```text
 //! math_kernels [--quick] [--out BENCH_math.json] [--inject-divergence]
@@ -41,6 +44,7 @@ use pcm_device::block::{FOUR_LEVEL_BLOCK_CELLS, THREE_LEVEL_BLOCK_CELLS};
 use pcm_device::CellArray;
 use pcm_ecc::bch::Bch;
 use pcm_ecc::bitvec::BitVec;
+use pcm_trace::json;
 use pcm_wearout::fault::EnduranceModel;
 
 struct Args {
@@ -128,7 +132,13 @@ struct BchOutcome {
     decode_clean_cw_per_sec: f64,
     speedup: f64,
     identical: bool,
+    /// µs per word at 0..=t errors, `decode` and `decode_reference`.
+    decode_us_by_errors: Vec<f64>,
+    reference_us_by_errors: Vec<f64>,
 }
+
+/// A scalar BCH decoder: `Bch::decode` or `Bch::decode_reference`.
+type DecodeFn = fn(&Bch, &mut BitVec, &mut BitVec) -> Result<usize, pcm_ecc::BchError>;
 
 /// Decoded batch: (data lanes, parity lanes, per-lane results).
 type DecodedBatch = (
@@ -152,8 +162,7 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
     // a neighbour's burst) lands on both alike; the speedup is the median
     // of the per-rep ratios, and 24 reps outvote a burst that would skew
     // the median of a few.
-    let pass = |decode: fn(&Bch, &mut BitVec, &mut BitVec) -> Result<usize, pcm_ecc::BchError>,
-                out: &mut Vec<DecodedBatch>| {
+    let pass = |decode: DecodeFn, out: &mut Vec<DecodedBatch>| {
         out.clear();
         let t0 = Instant::now();
         for (d, p) in &inputs {
@@ -229,7 +238,47 @@ fn bench_bch(quick: bool, inject: bool) -> BchOutcome {
         decode_clean_cw_per_sec: codewords / clean_secs,
         speedup: median(&mut speedups),
         identical,
+        decode_us_by_errors: us_by_errors(&bch, &inputs, reps, Bch::decode),
+        reference_us_by_errors: us_by_errors(&bch, &inputs, reps, Bch::decode_reference),
     }
+}
+
+/// µs per word of `decode` at each error count 0..=t: the batches'
+/// lanes grouped by how many errors `make_batch` put in them, each group
+/// restored from its input (untimed) and decoded `reps` times; a figure
+/// is the median over the reps.
+fn us_by_errors(
+    bch: &Bch,
+    inputs: &[(Vec<BitVec>, Vec<BitVec>)],
+    reps: usize,
+    decode: DecodeFn,
+) -> Vec<f64> {
+    let t = bch.t();
+    (0..=t)
+        .map(|errors| {
+            let group: Vec<(BitVec, BitVec)> = inputs
+                .iter()
+                .flat_map(|(d, p)| d.iter().zip(p).skip(errors).step_by(t + 1))
+                .map(|(d, p)| (d.clone(), p.clone()))
+                .collect();
+            let mut work = group.clone();
+            let mut us = Vec::with_capacity(reps);
+            for _ in 0..reps {
+                work.clone_from(&group);
+                let t0 = Instant::now();
+                for (d, p) in &mut work {
+                    black_box(decode(bch, d, p)).ok();
+                }
+                us.push(t0.elapsed().as_secs_f64() * 1e6 / work.len() as f64);
+            }
+            median(&mut us)
+        })
+        .collect()
+}
+
+/// `x` with `digits` decimals, for a JSON number.
+fn fixed(x: f64, digits: usize) -> String {
+    format!("{x:.digits$}")
 }
 
 /// The median of `xs` (the mean of the middle two for an even count).
@@ -382,6 +431,17 @@ fn main() {
         bch.decode_clean_cw_per_sec,
         bch.identical
     );
+    let list = |us: &[f64]| {
+        us.iter()
+            .map(|&x| fixed(x, 2))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    println!(
+        "  bch us/word at 0..=t errors: decode {} | reference {}",
+        list(&bch.decode_us_by_errors),
+        list(&bch.reference_us_by_errors)
+    );
     let cells = bench_cells(args.quick);
     println!(
         "  cells: sense 3LC {:.3} us/block | sense 4LC {:.3} us/block | program 3LC {:.3} us/block | program 4LC {:.3} us/block",
@@ -396,29 +456,62 @@ fn main() {
         mc.reference_samples_per_sec, mc.batched_samples_per_sec, mc.speedup, mc.identical
     );
 
-    let doc = format!(
-        "{{\n  \"bench\": \"math_kernels\",\n  \"quick\": {},\n  \"bch\": {{\"scalar_codewords_per_sec\":{:.1},\
-         \"decode_cw_per_sec\":{:.1},\"decode_clean_cw_per_sec\":{:.1},\"speedup\":{:.3},\
-         \"identical\":{}}},\n  \
-         \"mc\": {{\"reference_samples_per_sec\":{:.1},\"batched_samples_per_sec\":{:.1},\
-         \"speedup\":{:.3},\"identical\":{}}},\n  \
-         \"cells\": {{\"sense_3lc_us_per_block\":{:.4},\"sense_4lc_us_per_block\":{:.4},\
-         \"program_3lc_us_per_block\":{:.4},\"program_4lc_us_per_block\":{:.4}}}\n}}\n",
-        args.quick,
-        bch.reference_cw_per_sec,
-        bch.decode_cw_per_sec,
-        bch.decode_clean_cw_per_sec,
-        bch.speedup,
-        bch.identical,
-        mc.reference_samples_per_sec,
-        mc.batched_samples_per_sec,
-        mc.speedup,
-        mc.identical,
-        cells.sense_3lc_us_per_block,
-        cells.sense_4lc_us_per_block,
-        cells.program_3lc_us_per_block,
-        cells.program_4lc_us_per_block
-    );
+    let mut doc = json::object(|o| {
+        o.str("bench", "math_kernels")
+            .num("quick", args.quick)
+            .object("bch", |o| {
+                o.num(
+                    "scalar_codewords_per_sec",
+                    fixed(bch.reference_cw_per_sec, 1),
+                )
+                .num("decode_cw_per_sec", fixed(bch.decode_cw_per_sec, 1))
+                .num(
+                    "decode_clean_cw_per_sec",
+                    fixed(bch.decode_clean_cw_per_sec, 1),
+                )
+                .num("speedup", fixed(bch.speedup, 3))
+                .num("identical", bch.identical)
+                .nums(
+                    "decode_us_by_errors",
+                    bch.decode_us_by_errors.iter().map(|&x| fixed(x, 3)),
+                )
+                .nums(
+                    "reference_us_by_errors",
+                    bch.reference_us_by_errors.iter().map(|&x| fixed(x, 3)),
+                );
+            })
+            .object("mc", |o| {
+                o.num(
+                    "reference_samples_per_sec",
+                    fixed(mc.reference_samples_per_sec, 1),
+                )
+                .num(
+                    "batched_samples_per_sec",
+                    fixed(mc.batched_samples_per_sec, 1),
+                )
+                .num("speedup", fixed(mc.speedup, 3))
+                .num("identical", mc.identical);
+            })
+            .object("cells", |o| {
+                o.num(
+                    "sense_3lc_us_per_block",
+                    fixed(cells.sense_3lc_us_per_block, 4),
+                )
+                .num(
+                    "sense_4lc_us_per_block",
+                    fixed(cells.sense_4lc_us_per_block, 4),
+                )
+                .num(
+                    "program_3lc_us_per_block",
+                    fixed(cells.program_3lc_us_per_block, 4),
+                )
+                .num(
+                    "program_4lc_us_per_block",
+                    fixed(cells.program_4lc_us_per_block, 4),
+                );
+            });
+    });
+    doc.push('\n');
     std::fs::write(&args.out, &doc).unwrap_or_else(|e| {
         eprintln!("cannot write {}: {e}", args.out);
         std::process::exit(1);

@@ -10,9 +10,11 @@
 //!   LFSR computes `c(x) mod g(x)`, whose zero is exactly the
 //!   all-zero-syndrome condition (g is the LCM of the minimal
 //!   polynomials of α¹…α^(2t)), so a clean word costs one LFSR pass.
-//!   Only a dirty word pays for syndromes — taken from the remainder,
-//!   since `g(α^j) = 0` gives `S_j = r(α^j)` — Berlekamp–Massey and an
-//!   early-stopping Chien search. BCH-10 protects the 4LC block (§6.6);
+//!   A dirty word takes its syndromes from the remainder, since
+//!   `g(α^j) = 0` gives `S_j = r(α^j)`, and pays by its error count:
+//!   one or two errors are solved in closed form from S1 and S3 and
+//!   verified, more take Berlekamp–Massey and an early-stopping Chien
+//!   search. BCH-10 protects the 4LC block (§6.6);
 //!   BCH-1 protects the 3LC 3-ON-2 codeword (§6.3).
 //! * [`latency`] — the FO4 encoder/decoder latency model behind Table 3
 //!   (18/569 FO4 for BCH-10 vs 18/68 for BCH-1).

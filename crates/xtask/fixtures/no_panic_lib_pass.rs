@@ -19,6 +19,28 @@ pub fn trusted(input: Option<u32>) -> u32 {
     input.unwrap()
 }
 
+/// A parser's own `expect(byte, what)` is a method with two arguments,
+/// not `Option`/`Result::expect`, and returns a typed error.
+pub struct Parser<'a> {
+    bytes: &'a [u8],
+}
+
+impl Parser<'_> {
+    fn expect(&mut self, byte: u8, what: &str) -> Result<(), String> {
+        match self.bytes.split_first() {
+            Some((&b, rest)) if b == byte => {
+                self.bytes = rest;
+                Ok(())
+            }
+            _ => Err(format!("expected {what}")),
+        }
+    }
+
+    pub fn colon(&mut self) -> Result<(), String> {
+        self.expect(b':', "object")
+    }
+}
+
 // A string mentioning unwrap() must not trip the lexer either.
 pub const HINT: &str = "never call unwrap() on user input";
 

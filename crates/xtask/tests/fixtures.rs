@@ -188,6 +188,22 @@ fn injected_out_of_order_acquisition_in_store_is_caught() {
 }
 
 #[test]
+fn no_panic_lib_flags_only_the_option_and_result_signatures() {
+    // `.expect(msg)` and `.unwrap()` are flagged; a method spelled
+    // `expect` that takes two arguments, or `unwrap` that takes one, is not.
+    let src = "\
+        fn f(x: Option<u32>, p: &mut P) -> u32 {\n            x.expect(\"m\");\n            x.unwrap();\n            p.expect(b':', \"x\");\n            p.unwrap(7);\n            0\n        }\n";
+    let lines: Vec<u32> = xtask::lint_source("lib.rs", "pcm-core", src)
+        .into_iter()
+        .map(|d| {
+            assert_eq!(d.rule, "no-panic-lib");
+            d.line
+        })
+        .collect();
+    assert_eq!(lines, vec![2, 3]);
+}
+
+#[test]
 fn stale_allow_is_reported_with_file_and_line() {
     // Unit-level audit check (the workspace-level one is
     // `workspace_allows_are_all_live`): an allow whose rule cannot fire

@@ -204,6 +204,29 @@ proptest! {
     }
 
     #[test]
+    fn bch_decode_matches_reference_at_random_lengths(
+        seed in any::<u64>(),
+        weights in vec(0usize..=13, 6),
+        shortened in vec(0usize..=2, 6),
+        length in any::<u64>(),
+    ) {
+        // decode ≡ decode_reference, results and corrected bits, at
+        // weights 0..=t+3 (the one-error, two-error and general paths,
+        // and words past capacity) and a random shortened data length,
+        // for BCH-10/512, BCH-2, (8,3)/120 and the 3LC word's BCH-1/708.
+        let bch2_max = Bch::new(10, 2).max_data_bits();
+        for (m, t, max_bits) in [(10u32, 10usize, 512usize), (10, 2, bch2_max), (8, 3, 120), (10, 1, 708)] {
+            let bits = (length % (max_bits as u64 + 1)) as usize;
+            let lanes: Vec<(usize, usize)> = weights
+                .iter()
+                .zip(&shortened)
+                .map(|(&w, &s)| (w % (t + 4), s))
+                .collect();
+            assert_decoders_agree(m, t, bits, seed ^ (m as u64) << 32 ^ t as u64, &lanes);
+        }
+    }
+
+    #[test]
     fn bch1_corrects_any_single_error(
         data in bitvec_strategy(708),
         flip in 0usize..718,
