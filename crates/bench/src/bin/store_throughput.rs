@@ -40,9 +40,7 @@
 //! Exit status is nonzero if any run fails or if two thread counts
 //! disagree on totals, so CI can gate on it directly.
 
-use pcm_device::{
-    jsonl, DeviceBuilder, RiskState, TelemetryConfig, TelemetrySnapshot, TraceConfig,
-};
+use pcm_device::{jsonl, DeviceBuilder, TelemetryConfig, TelemetrySnapshot, TraceConfig};
 use pcm_store::workload::{
     run, run_phased, Mix, OpTotals, PhasedConfig, WorkloadConfig, WorkloadReport,
 };
@@ -173,24 +171,11 @@ const PROFILE_TRACE_CAPACITY: usize = 1 << 16;
 fn telemetry_json(snap: &TelemetrySnapshot) -> String {
     let points: usize = snap.per_bank.iter().map(|b| b.points.len()).sum();
     let dropped: u64 = snap.per_bank.iter().map(|b| b.dropped).sum();
-    let max_ewma = snap
-        .per_bank
-        .iter()
-        .map(|b| b.ewma_permille)
-        .max()
-        .unwrap_or(0);
-    let count = |s: RiskState| snap.per_bank.iter().filter(|b| b.risk == s).count();
     json::object(|o| {
         o.num("interval_ns", snap.sample_interval_ns)
             .num("banks", snap.per_bank.len())
             .num("points", points)
-            .num("dropped", dropped)
-            .num("max_ewma_permille", max_ewma)
-            .object("risk", |o| {
-                o.num("healthy", count(RiskState::Healthy))
-                    .num("elevated", count(RiskState::Elevated))
-                    .num("critical", count(RiskState::Critical));
-            });
+            .num("dropped", dropped);
     })
 }
 
@@ -297,14 +282,9 @@ fn main() {
         .expect("telemetry enabled on this store")
         .snapshot();
     println!(
-        "  telemetry: {} banks x {} points | max drift EWMA {} permille",
+        "  telemetry: {} banks x {} points",
         snap.per_bank.len(),
-        snap.per_bank.first().map_or(0, |b| b.points.len()),
-        snap.per_bank
-            .iter()
-            .map(|b| b.ewma_permille)
-            .max()
-            .unwrap_or(0)
+        snap.per_bank.first().map_or(0, |b| b.points.len())
     );
     if let Some(path) = &args.telemetry_out {
         std::fs::write(path, snap.to_jsonl()).unwrap_or_else(|e| {

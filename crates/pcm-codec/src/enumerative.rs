@@ -8,9 +8,13 @@
 //! codewords (values ≥ 2^k) play the same role as 3-ON-2's INV state —
 //! free marker states for wearout tolerance.
 //!
-//! 3-ON-2 itself is `EnumerativeCode::new(3, 2)` (3 bits in 2 trits);
-//! the §8 candidates are `new(5, 3)` (6 bits in 3 cells, 2.0 bits/cell)
-//! and `new(6, 5)` (12 bits in 5 cells, 2.4 bits/cell).
+//! `EnumerativeCode::new(3, 2)` has 3-ON-2's shape (3 bits in 2 trits,
+//! one spare codeword) but not its cell order:
+//! [`EnumerativeCode::encode_group`] writes the least significant digit
+//! first, while Table 2's [`crate::three_on_two::encode_pair`] writes
+//! `value / 3` first, so the two codes store each pair with its cells
+//! swapped. The §8 candidates are `new(5, 3)` (6 bits in 3 cells, 2.0
+//! bits/cell) and `new(6, 5)` (12 bits in 5 cells, 2.4 bits/cell).
 
 use pcm_ecc::bitvec::BitVec;
 
@@ -161,6 +165,21 @@ mod tests {
         assert_eq!(c.bits_per_cell(), 1.5);
         assert_eq!(c.spare_codewords(), 1, "the INV state");
         assert_eq!(c.cells_per_512_bits(), 342, "§6.2's 342 data cells");
+    }
+
+    #[test]
+    fn three_on_two_writes_each_pair_in_the_opposite_cell_order() {
+        use crate::three_on_two::{encode_pair, inv_pair};
+        let c = EnumerativeCode::new(3, 2);
+        for v in 0..8u8 {
+            let (first, second) = encode_pair(v);
+            let digits = c.encode_group(u64::from(v));
+            assert_eq!(digits, [second.index() as u8, first.index() as u8], "{v}");
+        }
+        // The spare codeword reads the same in either order: INV.
+        let (first, second) = inv_pair();
+        assert_eq!((first.index(), second.index()), (2, 2));
+        assert_eq!(c.decode_group(&[2, 2]), None);
     }
 
     #[test]

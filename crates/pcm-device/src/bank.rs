@@ -216,7 +216,7 @@ impl PcmBank {
 
     /// Refresh (scrub) bank-local block `block`: read, correct,
     /// rewrite. Returns the bits the scrub read corrected — the
-    /// steady-state signal the drift-risk estimator watches.
+    /// steady-state signal of drift.
     pub fn refresh(&mut self, block: usize, now: f64) -> Result<u64, BlockError> {
         let rep = self.blocks[block].read(&self.array, now)?;
         let corrected = rep.corrected_bits as u64;

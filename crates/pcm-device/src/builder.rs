@@ -196,10 +196,9 @@ impl DeviceBuilder {
     }
 
     /// Enable deterministic model-time telemetry: `advance_time` claims
-    /// integer sample ticks and records per-bank counter deltas plus a
-    /// drift-risk estimate into ring-buffered series reachable via
-    /// `telemetry()`. Without this, telemetry costs one `Option` check
-    /// per clock advance.
+    /// integer sample ticks and records per-bank counter deltas into
+    /// ring-buffered series reachable via `telemetry()`. Without this,
+    /// telemetry costs one `Option` check per clock advance.
     pub fn telemetry(mut self, config: TelemetryConfig) -> Self {
         self.telemetry = Some(config);
         self

@@ -187,7 +187,7 @@ impl ShardedPcmDevice {
             // Gather the counters only when a tick will be claimed.
             let now_ns = secs_to_ns(self.now());
             if tel.due_before(now_ns) {
-                tel.sample_up_to(now_ns, &self.metrics.snapshot().per_bank, &self.trace);
+                tel.sample_up_to(now_ns, &self.metrics.snapshot().per_bank);
             }
         }
     }
@@ -799,6 +799,29 @@ mod tests {
         let p = points(&dev);
         assert_eq!(p.len(), 2, "2.5 µs: ticks 1 and 2 claimed");
         assert_eq!((p[0].writes, p[1].writes), (1, 0));
+    }
+
+    #[test]
+    fn a_ten_year_advance_with_default_telemetry_claims_its_ticks_at_once() {
+        // 3.2e11 due ticks at the default 1 ms cadence: only the ring's
+        // last `capacity` points are built, the rest are counted dropped.
+        let config = pcm_telemetry::TelemetryConfig::default();
+        let dev = builder().telemetry(config.clone()).build_sharded().unwrap();
+        dev.write_block(0, &[1; 64]).unwrap();
+        dev.advance_time(pcm_core::params::TEN_YEARS_SECS);
+        let ticks = secs_to_ns(dev.now()) / config.interval_ns();
+        let bank = dev.telemetry().unwrap().snapshot().per_bank[0].clone();
+        assert_eq!(bank.points.len(), config.ring_capacity());
+        assert_eq!(bank.dropped, ticks - config.ring_capacity() as u64);
+        assert_eq!(bank.points.last().map(|p| p.tick), Some(ticks));
+        // Past ~584 years the ns clock saturates; the advance still ends.
+        dev.advance_time(1e12);
+        assert_eq!(secs_to_ns(dev.now()), u64::MAX);
+        let bank = dev.telemetry().unwrap().snapshot().per_bank[0].clone();
+        assert_eq!(
+            bank.points.last().map(|p| p.tick),
+            Some(u64::MAX / config.interval_ns())
+        );
     }
 
     #[test]

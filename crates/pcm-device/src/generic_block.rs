@@ -18,8 +18,11 @@
 //!   left to the BCH; a write they would leave more wrong bits in than
 //!   it corrects fails as [`BlockError::WearoutExhausted`].
 //!
-//! `ThreeLevelBlock` is the (K=3, m=2, BCH-1) instance of this datapath;
-//! the dedicated implementation is kept because it matches the paper's
+//! `ThreeLevelBlock` has this datapath's (K=3, m=2, BCH-1) shape and
+//! cell count, but it is not its instance cell for cell: the generic
+//! block writes each group's least significant digit first, while
+//! 3-ON-2 writes `value / 3` first, so the two store every pair with
+//! its cells swapped. The dedicated implementation matches the paper's
 //! §6 description cell for cell.
 
 use crate::array::CellArray;

@@ -89,6 +89,4 @@ pub use wear_level::{GapMove, StartGap, WearLeveledDevice};
 
 // Telemetry vocabulary, so embedders rarely need a direct
 // `pcm-telemetry` dependency (mirrors the `pcm-trace` re-export above).
-pub use pcm_telemetry::{
-    DriftRiskConfig, RiskState, TelemetryConfig, TelemetryRecorder, TelemetrySnapshot,
-};
+pub use pcm_telemetry::{TelemetryConfig, TelemetryRecorder, TelemetrySnapshot};

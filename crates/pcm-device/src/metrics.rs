@@ -177,8 +177,8 @@ pub struct BankMetrics {
     /// Symbols corrected by transient-error ECC across all reads.
     pub corrected_symbols: AtomicU64,
     /// Decodes that corrected at least one symbol (correction *events*,
-    /// as opposed to the symbol total above — drift-risk estimation
-    /// needs both frequency and severity).
+    /// as opposed to the symbol total above: drift shows in both
+    /// frequency and severity).
     pub corrections: AtomicU64,
     /// Operations that failed (uncorrectable reads, unverifiable or
     /// wearout-exhausted writes, failed scrubs).
@@ -222,8 +222,7 @@ impl BankMetrics {
 
     /// Record a completed scrub. Scrub reads feed the same correction
     /// accounting as demand reads: drift corrections mostly surface
-    /// during scrub, and the telemetry drift-risk estimator must see
-    /// them.
+    /// during scrub, and the telemetry series must see them.
     pub fn record_scrub(&self, corrected_symbols: u64, busy_ns: u64) {
         Self::add(&self.scrubs, 1);
         Self::add(&self.corrected_symbols, corrected_symbols);

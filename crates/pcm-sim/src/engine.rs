@@ -101,18 +101,13 @@ pub fn simulate(
 /// Poll the telemetry recorder at engine time `now_ns` (monotone within
 /// a run). Gated on `due_before` so the counter gather only happens
 /// when a sample tick will actually be claimed.
-fn poll_telemetry(
-    telemetry: Option<&TelemetryRecorder>,
-    now_ns: f64,
-    metrics: &DeviceMetrics,
-    recorder: &Recorder,
-) {
+fn poll_telemetry(telemetry: Option<&TelemetryRecorder>, now_ns: f64, metrics: &DeviceMetrics) {
     let Some(tel) = telemetry else {
         return;
     };
     let t = round_ns(now_ns);
     if tel.due_before(t) {
-        tel.sample_up_to(t, &metrics.snapshot().per_bank, recorder);
+        tel.sample_up_to(t, &metrics.snapshot().per_bank);
     }
 }
 
@@ -127,10 +122,9 @@ fn poll_telemetry(
 /// model) are not traced. `telemetry`, when given, claims its due sample
 /// ticks as engine core time advances (and once more at the end of the
 /// run), turning the engine's per-bank counters into the same
-/// ring-buffered series the functional device exports; risk transitions
-/// emit into `recorder`. Neither observer alters the returned
-/// [`SimResult`]: with `Recorder::disabled()` and `None` this is the
-/// plain simulation.
+/// ring-buffered series the functional device exports. Neither
+/// observer alters the returned [`SimResult`]: with
+/// `Recorder::disabled()` and `None` this is the plain simulation.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_ops(
     params: &SimParams,
@@ -220,7 +214,7 @@ pub fn simulate_ops(
         // Claim telemetry samples that came due as core time advanced
         // (after the refresh catch-up, so boundary scrubs land in the
         // sample that covers them).
-        poll_telemetry(telemetry, core_time, &metrics, recorder);
+        poll_telemetry(telemetry, core_time, &metrics);
 
         // Retire completed outstanding operations.
         while outstanding_reads.front().is_some_and(|&f| f <= core_time) {
@@ -308,7 +302,7 @@ pub fn simulate_ops(
     }
     exec = exec.max(core_time);
     // Final poll: series cover the whole run through the drain point.
-    poll_telemetry(telemetry, exec, &metrics, recorder);
+    poll_telemetry(telemetry, exec, &metrics);
 
     SimResult {
         design,

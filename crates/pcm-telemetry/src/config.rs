@@ -1,62 +1,8 @@
-//! Telemetry configuration: the sampling cadence, series capacity, and
-//! the drift-risk estimator's budget and thresholds.
+//! Telemetry configuration: the sampling cadence and series capacity.
 //!
-//! Everything here is integers. The cadence is a fixed number of model
-//! nanoseconds between samples; the risk estimator's smoothing factor
-//! is a right-shift (`alpha = 1 / 2^ewma_shift`) so the EWMA update is
-//! exact integer arithmetic and the `no-float-tick` lint holds by
+//! Everything here is integers: the cadence is a fixed number of model
+//! nanoseconds between samples, so the `no-float-tick` lint holds by
 //! construction.
-
-/// Scale factor of the fixed-point EWMA kept by the risk estimator:
-/// `ewma_scaled / EWMA_SCALE` is the smoothed corrected-symbols-per-
-/// interval estimate.
-pub const EWMA_SCALE: u64 = 1024;
-
-/// Drift-risk estimator parameters.
-///
-/// Per sample interval the estimator folds the bank's corrected-symbol
-/// delta into a fixed-point EWMA and compares it against
-/// `budget_per_interval`, expressed in permille: at or above
-/// `elevated_permille` of budget the bank is
-/// [`RiskState::Elevated`](crate::RiskState::Elevated), at or above
-/// `critical_permille` it is
-/// [`RiskState::Critical`](crate::RiskState::Critical).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DriftRiskConfig {
-    /// Corrected symbols per interval that count as 100% (1000‰) of
-    /// budget. Clamped to at least 1 when used.
-    pub budget_per_interval: u64,
-    /// EWMA smoothing shift: the update keeps `1 - 1/2^shift` of the
-    /// old estimate. Clamped to `1..=16` when used.
-    pub ewma_shift: u32,
-    /// Permille-of-budget at which a bank becomes Elevated.
-    pub elevated_permille: u64,
-    /// Permille-of-budget at which a bank becomes Critical.
-    pub critical_permille: u64,
-}
-
-impl Default for DriftRiskConfig {
-    fn default() -> Self {
-        Self {
-            budget_per_interval: 64,
-            ewma_shift: 3,
-            elevated_permille: 500,
-            critical_permille: 900,
-        }
-    }
-}
-
-impl DriftRiskConfig {
-    /// The budget with the at-least-1 clamp applied.
-    pub fn budget(&self) -> u64 {
-        self.budget_per_interval.max(1)
-    }
-
-    /// The smoothing shift with the `1..=16` clamp applied.
-    pub fn shift(&self) -> u32 {
-        self.ewma_shift.clamp(1, 16)
-    }
-}
 
 /// Telemetry layer configuration, handed to
 /// `DeviceBuilder::telemetry` (pcm-device) or used directly with
@@ -69,8 +15,6 @@ pub struct TelemetryConfig {
     /// Ring capacity of each per-bank series: once full, the oldest
     /// sample is overwritten and the bank's dropped counter advances.
     pub capacity: usize,
-    /// Drift-risk estimator parameters.
-    pub risk: DriftRiskConfig,
 }
 
 impl Default for TelemetryConfig {
@@ -78,7 +22,6 @@ impl Default for TelemetryConfig {
         Self {
             sample_interval_ns: 1_000_000,
             capacity: 1024,
-            risk: DriftRiskConfig::default(),
         }
     }
 }
@@ -96,12 +39,6 @@ impl TelemetryConfig {
     /// Builder-style capacity override.
     pub fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
-        self
-    }
-
-    /// Builder-style risk-config override.
-    pub fn with_risk(mut self, risk: DriftRiskConfig) -> Self {
-        self.risk = risk;
         self
     }
 
@@ -125,8 +62,6 @@ mod tests {
         let c = TelemetryConfig::default();
         assert_eq!(c.interval_ns(), 1_000_000);
         assert_eq!(c.ring_capacity(), 1024);
-        assert_eq!(c.risk.budget(), 64);
-        assert!(c.risk.elevated_permille < c.risk.critical_permille);
     }
 
     #[test]
@@ -134,30 +69,12 @@ mod tests {
         let c = TelemetryConfig::new(0).with_capacity(0);
         assert_eq!(c.interval_ns(), 1);
         assert_eq!(c.ring_capacity(), 1);
-        let r = DriftRiskConfig {
-            budget_per_interval: 0,
-            ewma_shift: 0,
-            ..Default::default()
-        };
-        assert_eq!(r.budget(), 1);
-        assert_eq!(r.shift(), 1);
-        let r = DriftRiskConfig {
-            ewma_shift: 40,
-            ..Default::default()
-        };
-        assert_eq!(r.shift(), 16);
     }
 
     #[test]
     fn builder_style_overrides_compose() {
-        let c = TelemetryConfig::new(500)
-            .with_capacity(8)
-            .with_risk(DriftRiskConfig {
-                budget_per_interval: 10,
-                ..Default::default()
-            });
+        let c = TelemetryConfig::new(500).with_capacity(8);
         assert_eq!(c.sample_interval_ns, 500);
         assert_eq!(c.capacity, 8);
-        assert_eq!(c.risk.budget_per_interval, 10);
     }
 }

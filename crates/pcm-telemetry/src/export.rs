@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! {"telemetry":1,"banks":B,"interval_ns":I,"capacity":C}
-//! {"bank":0,"dropped":D,"ewma_permille":E,"risk":"healthy","points":K}
-//! {"bank":0,"tick":1,"t_ns":…,"reads":…,…,"risk":"healthy"}   × K
+//! {"bank":0,"dropped":D,"points":K}
+//! {"bank":0,"tick":1,"t_ns":…,"reads":…,…,"p99_ns":…}   × K
 //! …one summary + K point lines per bank, in bank order…
 //! ```
 //!
@@ -16,21 +16,16 @@
 //! `tests/telemetry_determinism.rs` compares across engines and thread
 //! counts.
 
-use crate::risk::RiskState;
 use crate::series::SamplePoint;
 use pcm_trace::json::{self, DecodeError, Line};
 
-/// One bank's retained series plus its end-of-run risk summary.
+/// One bank's retained series and its ring-wrap loss.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BankSeriesSnapshot {
     /// Bank id.
     pub bank: u32,
     /// Samples lost to ring wrap.
     pub dropped: u64,
-    /// Final EWMA, permille of budget.
-    pub ewma_permille: u64,
-    /// Final risk classification.
-    pub risk: RiskState,
     /// Retained points, oldest first.
     pub points: Vec<SamplePoint>,
 }
@@ -60,8 +55,6 @@ impl TelemetrySnapshot {
             json::line(&mut out, |o| {
                 o.num("bank", bank.bank)
                     .num("dropped", bank.dropped)
-                    .num("ewma_permille", bank.ewma_permille)
-                    .str("risk", bank.risk.name())
                     .num("points", bank.points.len());
             });
             for p in &bank.points {
@@ -78,9 +71,7 @@ impl TelemetrySnapshot {
                         .num("remaps", p.remaps)
                         .num("busy_ns", p.busy_ns)
                         .num("p50_ns", p.p50_ns)
-                        .num("p99_ns", p.p99_ns)
-                        .num("ewma_permille", p.ewma_permille)
-                        .str("risk", p.risk.name());
+                        .num("p99_ns", p.p99_ns);
                 });
             }
         }
@@ -164,29 +155,6 @@ impl TelemetrySnapshot {
                 b.bank
             ));
         }
-        gauge(
-            &mut out,
-            "pcm_bank_drift_ewma_permille",
-            "Drift-risk EWMA, permille of correction budget",
-        );
-        for b in &self.per_bank {
-            out.push_str(&format!(
-                "pcm_bank_drift_ewma_permille{{bank=\"{}\"}} {}\n",
-                b.bank, b.ewma_permille
-            ));
-        }
-        gauge(
-            &mut out,
-            "pcm_bank_risk_state",
-            "Risk classification (0 healthy, 1 elevated, 2 critical)",
-        );
-        for b in &self.per_bank {
-            out.push_str(&format!(
-                "pcm_bank_risk_state{{bank=\"{}\"}} {}\n",
-                b.bank,
-                b.risk.code()
-            ));
-        }
         counter(
             &mut out,
             "pcm_bank_samples_dropped_total",
@@ -200,12 +168,6 @@ impl TelemetrySnapshot {
         }
         out
     }
-}
-
-/// The risk state named by the `risk` field of `line`.
-fn risk(line: &Line) -> Result<RiskState, DecodeError> {
-    let name = line.str("risk")?;
-    RiskState::from_name(name).ok_or_else(|| line.error(format!("unknown risk state `{name}`")))
 }
 
 /// Parse a document produced by [`TelemetrySnapshot::to_jsonl`].
@@ -242,8 +204,6 @@ pub fn parse(text: &str) -> Result<TelemetrySnapshot, DecodeError> {
         let mut series = BankSeriesSnapshot {
             bank,
             dropped: summary.u64("dropped")?,
-            ewma_permille: summary.u64("ewma_permille")?,
-            risk: risk(&summary)?,
             points: Vec::new(),
         };
         for _ in 0..summary.u64("points")? {
@@ -265,8 +225,6 @@ pub fn parse(text: &str) -> Result<TelemetrySnapshot, DecodeError> {
                 busy_ns: p.u64("busy_ns")?,
                 p50_ns: p.u64("p50_ns")?,
                 p99_ns: p.u64("p99_ns")?,
-                ewma_permille: p.u64("ewma_permille")?,
-                risk: risk(&p)?,
             });
         }
         snap.per_bank.push(series);
@@ -292,8 +250,6 @@ mod tests {
                 BankSeriesSnapshot {
                     bank: 0,
                     dropped: 2,
-                    ewma_permille: 640,
-                    risk: RiskState::Elevated,
                     points: vec![
                         SamplePoint {
                             tick: 3,
@@ -305,16 +261,12 @@ mod tests {
                             busy_ns: 2200,
                             p50_ns: 128,
                             p99_ns: 1024,
-                            ewma_permille: 512,
-                            risk: RiskState::Elevated,
                             ..Default::default()
                         },
                         SamplePoint {
                             tick: 4,
                             t_ns: 4000,
                             scrubs: 2,
-                            ewma_permille: 640,
-                            risk: RiskState::Elevated,
                             ..Default::default()
                         },
                     ],
@@ -322,8 +274,6 @@ mod tests {
                 BankSeriesSnapshot {
                     bank: 1,
                     dropped: 0,
-                    ewma_permille: 0,
-                    risk: RiskState::Healthy,
                     points: vec![],
                 },
             ],
@@ -357,7 +307,7 @@ mod tests {
         let doc = sample_snapshot().to_jsonl();
         let truncated: String = doc.lines().take(2).collect::<Vec<_>>().join("\n");
         assert!(parse(&truncated).is_err(), "missing point lines");
-        let garbled = doc.replace("\"risk\":\"elevated\"", "\"risk\":\"sideways\"");
+        let garbled = doc.replace("\"scrubs\":2", "\"scrubs\":\"two\"");
         assert!(parse(&garbled).is_err());
     }
 
@@ -399,10 +349,8 @@ mod tests {
     fn prometheus_text_is_deterministic_and_labelled() {
         let snap = sample_snapshot();
         let text = snap.to_prometheus();
-        assert!(text.contains("# TYPE pcm_bank_risk_state gauge"));
-        assert!(text.contains("pcm_bank_risk_state{bank=\"0\"} 1"));
-        assert!(text.contains("pcm_bank_risk_state{bank=\"1\"} 0"));
-        assert!(text.contains("pcm_bank_drift_ewma_permille{bank=\"0\"} 640"));
+        assert!(text.contains("# TYPE pcm_bank_p99_latency_ns gauge"));
+        assert!(text.contains("pcm_bank_p99_latency_ns{bank=\"1\"} 0"));
         // Monotonic metrics are counters with the `_total` suffix, never
         // gauges — Prometheus rate() needs the counter contract.
         assert!(text.contains("# TYPE pcm_bank_samples_dropped_total counter"));

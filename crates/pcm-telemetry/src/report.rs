@@ -1,13 +1,12 @@
 //! The `obs-report` analysis: digest a [`TelemetrySnapshot`] into
-//! per-bank sparkline tables, a top-N risk ranking, and scrub/demand
-//! interference windows.
+//! per-bank tables, sparklines of demand ops and corrected symbols per
+//! interval, and scrub/demand interference windows.
 //!
 //! All analysis lives here (not in xtask) so library users and the
 //! `telemetry_explorer` example get exactly the same numbers as the
 //! CLI — the same split `trace-report` uses.
 
 use crate::export::TelemetrySnapshot;
-use crate::risk::RiskState;
 use pcm_trace::json::{self, DecodeError};
 
 /// Eight-level sparkline alphabet, lowest to highest.
@@ -51,29 +50,10 @@ pub struct BankReport {
     pub uncorrectables: u64,
     /// Peak per-interval utilization, permille.
     pub peak_utilization_permille: u64,
-    /// Risk-state changes within the retained series.
-    pub transitions: u64,
-    /// Final risk classification.
-    pub risk: RiskState,
-    /// Final EWMA, permille of budget.
-    pub ewma_permille: u64,
     /// Sparkline of demand ops (reads + writes) per interval.
     pub ops_spark: String,
     /// Sparkline of corrected symbols per interval.
     pub corrected_spark: String,
-}
-
-/// One row of the top-risk ranking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RiskRow {
-    /// Bank id.
-    pub bank: u32,
-    /// Final risk classification.
-    pub risk: RiskState,
-    /// Final EWMA, permille of budget.
-    pub ewma_permille: u64,
-    /// Corrected symbols over the retained series.
-    pub corrected_symbols: u64,
 }
 
 /// Scrub/demand interference over the retained series.
@@ -102,29 +82,19 @@ pub struct ObsReport {
     pub capacity: usize,
     /// Per-bank digests, bank order.
     pub per_bank: Vec<BankReport>,
-    /// Banks ranked by final EWMA (descending, ties by bank id), at
-    /// most the requested top-N.
-    pub top_risk: Vec<RiskRow>,
     /// Scrub/demand interference summary.
     pub interference: Interference,
 }
 
-/// Analyze a snapshot, keeping the `top` highest-risk banks in the
-/// ranking table.
-pub fn analyze(snap: &TelemetrySnapshot, top: usize) -> ObsReport {
+/// Analyze a snapshot.
+pub fn analyze(snap: &TelemetrySnapshot) -> ObsReport {
     let mut per_bank = Vec::with_capacity(snap.per_bank.len());
     let mut interference = Interference::default();
     for b in &snap.per_bank {
         let ops: Vec<u64> = b.points.iter().map(|p| p.reads + p.writes).collect();
         let corrected: Vec<u64> = b.points.iter().map(|p| p.corrected_symbols).collect();
-        let mut transitions = 0u64;
         let mut windows = 0u64;
-        let mut prev_risk: Option<RiskState> = None;
         for p in &b.points {
-            if prev_risk.is_some_and(|r| r != p.risk) {
-                transitions += 1;
-            }
-            prev_risk = Some(p.risk);
             let demand = p.reads + p.writes > 0;
             if demand {
                 interference.demand_intervals += 1;
@@ -156,34 +126,15 @@ pub fn analyze(snap: &TelemetrySnapshot, top: usize) -> ObsReport {
                 .map(|p| p.utilization_permille(snap.sample_interval_ns))
                 .max()
                 .unwrap_or(0),
-            transitions,
-            risk: b.risk,
-            ewma_permille: b.ewma_permille,
             ops_spark: sparkline(&ops),
             corrected_spark: sparkline(&corrected),
         });
     }
-    let mut ranked: Vec<RiskRow> = per_bank
-        .iter()
-        .map(|b| RiskRow {
-            bank: b.bank,
-            risk: b.risk,
-            ewma_permille: b.ewma_permille,
-            corrected_symbols: b.corrected_symbols,
-        })
-        .collect();
-    ranked.sort_by(|a, b| {
-        b.ewma_permille
-            .cmp(&a.ewma_permille)
-            .then(a.bank.cmp(&b.bank))
-    });
-    ranked.truncate(top.max(1));
     ObsReport {
         banks: snap.per_bank.len(),
         interval_ns: snap.sample_interval_ns,
         capacity: snap.capacity,
         per_bank,
-        top_risk: ranked,
         interference,
     }
 }
@@ -196,12 +147,10 @@ impl ObsReport {
             "obs-report: {} banks, {} ns/sample, ring capacity {}\n\n",
             self.banks, self.interval_ns, self.capacity
         ));
-        out.push_str(
-            "bank  samples  reads  writes  scrubs  corrected  uncorr  util‰  risk      ewma‰\n",
-        );
+        out.push_str("bank  samples  reads  writes  scrubs  corrected  uncorr  util‰\n");
         for b in &self.per_bank {
             out.push_str(&format!(
-                "{:>4}  {:>7}  {:>5}  {:>6}  {:>6}  {:>9}  {:>6}  {:>5}  {:<8}  {:>5}\n",
+                "{:>4}  {:>7}  {:>5}  {:>6}  {:>6}  {:>9}  {:>6}  {:>5}\n",
                 b.bank,
                 b.samples,
                 b.reads,
@@ -209,9 +158,7 @@ impl ObsReport {
                 b.scrubs,
                 b.corrected_symbols,
                 b.uncorrectables,
-                b.peak_utilization_permille,
-                b.risk.name(),
-                b.ewma_permille
+                b.peak_utilization_permille
             ));
         }
         out.push_str("\nper-bank activity (ops | corrected symbols per interval):\n");
@@ -226,17 +173,6 @@ impl ObsReport {
                 } else {
                     String::new()
                 }
-            ));
-        }
-        out.push_str("\ntop risk banks (by drift EWMA):\n");
-        for (rank, r) in self.top_risk.iter().enumerate() {
-            out.push_str(&format!(
-                "  {:>2}. bank {:<3} {:<8}  ewma {:>4}‰  corrected {}\n",
-                rank + 1,
-                r.bank,
-                r.risk.name(),
-                r.ewma_permille,
-                r.corrected_symbols
             ));
         }
         let i = &self.interference;
@@ -271,16 +207,7 @@ impl ObsReport {
                         .num("scrubs", b.scrubs)
                         .num("corrected_symbols", b.corrected_symbols)
                         .num("uncorrectables", b.uncorrectables)
-                        .num("peak_utilization_permille", b.peak_utilization_permille)
-                        .num("transitions", b.transitions)
-                        .str("risk", b.risk.name())
-                        .num("ewma_permille", b.ewma_permille);
-                })
-                .objects("top_risk", &self.top_risk, |o, r| {
-                    o.num("bank", r.bank)
-                        .str("risk", r.risk.name())
-                        .num("ewma_permille", r.ewma_permille)
-                        .num("corrected_symbols", r.corrected_symbols);
+                        .num("peak_utilization_permille", b.peak_utilization_permille);
                 })
                 .object("interference", |o| {
                     o.num("windows", i.windows)
@@ -299,8 +226,8 @@ impl ObsReport {
 
 /// Parse a telemetry JSONL document and analyze it in one step — the
 /// `obs-report` CLI entry point.
-pub fn analyze_str(doc: &str, top: usize) -> Result<ObsReport, DecodeError> {
-    Ok(analyze(&crate::export::parse(doc)?, top))
+pub fn analyze_str(doc: &str) -> Result<ObsReport, DecodeError> {
+    Ok(analyze(&crate::export::parse(doc)?))
 }
 
 #[cfg(test)]
@@ -310,15 +237,13 @@ mod tests {
     use crate::series::SamplePoint;
 
     fn snap() -> TelemetrySnapshot {
-        let p = |tick: u64, reads: u64, scrubs: u64, corrected: u64, risk: RiskState| SamplePoint {
+        let p = |tick: u64, reads: u64, scrubs: u64, corrected: u64| SamplePoint {
             tick,
             t_ns: tick * 1000,
             reads,
             scrubs,
             corrected_symbols: corrected,
             busy_ns: reads * 200 + scrubs * 1200,
-            risk,
-            ewma_permille: corrected * 100,
             ..Default::default()
         };
         TelemetrySnapshot {
@@ -328,23 +253,12 @@ mod tests {
                 BankSeriesSnapshot {
                     bank: 0,
                     dropped: 0,
-                    ewma_permille: 700,
-                    risk: RiskState::Elevated,
-                    points: vec![
-                        p(1, 4, 0, 2, RiskState::Healthy),
-                        p(2, 3, 1, 6, RiskState::Elevated),
-                        p(3, 0, 2, 7, RiskState::Elevated),
-                    ],
+                    points: vec![p(1, 4, 0, 2), p(2, 3, 1, 6), p(3, 0, 2, 7)],
                 },
                 BankSeriesSnapshot {
                     bank: 1,
                     dropped: 1,
-                    ewma_permille: 50,
-                    risk: RiskState::Healthy,
-                    points: vec![
-                        p(1, 1, 0, 0, RiskState::Healthy),
-                        p(2, 0, 0, 0, RiskState::Healthy),
-                    ],
+                    points: vec![p(1, 1, 0, 0), p(2, 0, 0, 0)],
                 },
             ],
         }
@@ -361,38 +275,32 @@ mod tests {
     }
 
     #[test]
-    fn analyze_digests_banks_and_ranks_risk() {
-        let report = analyze(&snap(), 10);
+    fn analyze_digests_banks_and_interference() {
+        let report = analyze(&snap());
         assert_eq!(report.banks, 2);
         let b0 = &report.per_bank[0];
         assert_eq!(b0.reads, 7);
         assert_eq!(b0.scrubs, 3);
         assert_eq!(b0.corrected_symbols, 15);
-        assert_eq!(b0.transitions, 1, "healthy→elevated once");
-        assert_eq!(b0.risk, RiskState::Elevated);
-        // Top ranking: bank 0 first (ewma 700 > 50).
-        assert_eq!(report.top_risk[0].bank, 0);
-        assert_eq!(report.top_risk[1].bank, 1);
+        assert_eq!(b0.corrected_spark.chars().count(), 3);
         // Interference: bank 0 tick 2 has both scrub and demand.
         assert_eq!(report.interference.windows, 1);
         assert_eq!(report.interference.worst_bank, Some(0));
         assert_eq!(report.interference.scrub_intervals, 2);
-        // top = 1 truncates the ranking.
-        assert_eq!(analyze(&snap(), 1).top_risk.len(), 1);
     }
 
     #[test]
     fn text_and_json_render_stably() {
-        let report = analyze(&snap(), 5);
+        let report = analyze(&snap());
         let text = report.render_text();
         assert!(text.contains("obs-report: 2 banks"));
-        assert!(text.contains("top risk banks"));
+        assert!(text.contains("corrected symbols per interval"));
         assert!(text.contains("bank 0"));
         assert!(text.contains("(1 samples dropped)"));
         assert_eq!(text, report.render_text());
         let json = report.to_json();
         assert!(json.starts_with("{\"banks\":2,\"interval_ns\":1000,"));
-        assert!(json.contains("\"top_risk\":[{\"bank\":0,"));
+        assert!(json.contains("\"per_bank\":[{\"bank\":0,"));
         assert!(json.contains("\"worst_bank\":0"));
         assert!(json.ends_with('}'));
         assert_eq!(json, report.to_json());
@@ -401,8 +309,8 @@ mod tests {
     #[test]
     fn analyze_str_parses_then_analyzes() {
         let doc = snap().to_jsonl();
-        let report = analyze_str(&doc, 3).expect("parse");
+        let report = analyze_str(&doc).expect("parse");
         assert_eq!(report.banks, 2);
-        assert!(analyze_str("garbage\n", 3).is_err());
+        assert!(analyze_str("garbage\n").is_err());
     }
 }

@@ -6,7 +6,6 @@
 //! histogram — all integers, so series from any engine and thread count
 //! compare byte-for-byte.
 
-use crate::risk::RiskState;
 use pcm_trace::json;
 
 /// Cumulative per-bank counters at one instant, as supplied by the
@@ -150,8 +149,8 @@ pub fn quantile_floor_permille(buckets: &[u64], permille: u64) -> u64 {
     bucket_floor(buckets.len().saturating_sub(1))
 }
 
-/// One sampled interval of one bank: counter deltas, latency quantile
-/// floors, and the risk estimate at the sample deadline.
+/// One sampled interval of one bank: counter deltas and latency
+/// quantile floors at the sample deadline.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SamplePoint {
     /// 1-based sample index (`t_ns = tick * sample_interval_ns`).
@@ -178,10 +177,6 @@ pub struct SamplePoint {
     pub p50_ns: u64,
     /// p99 latency floor (ns) of the cumulative latency histogram.
     pub p99_ns: u64,
-    /// Risk EWMA as permille of budget, after folding this interval in.
-    pub ewma_permille: u64,
-    /// Risk classification after this interval.
-    pub risk: RiskState,
 }
 
 impl SamplePoint {
@@ -227,6 +222,27 @@ impl RingSeries {
             *slot = point;
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
+        }
+    }
+
+    /// Append `n` points, the `i`-th being `point(i)`, with the same
+    /// result as `n` calls to [`RingSeries::push`] but building only the
+    /// last `min(n, capacity)` of them.
+    pub(crate) fn extend_with(&mut self, n: u64, point: impl Fn(u64) -> SamplePoint) {
+        let skip = n.saturating_sub(self.capacity as u64);
+        if skip > 0 {
+            // The last `capacity` pushes overwrite every slot, so of the
+            // earlier ones (and of the current contents) only their drop
+            // count survives.
+            self.dropped = self
+                .dropped
+                .saturating_add(self.points.len() as u64)
+                .saturating_add(skip);
+            self.points.clear();
+            self.head = 0;
+        }
+        for i in skip..n {
+            self.push(point(i));
         }
     }
 

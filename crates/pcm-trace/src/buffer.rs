@@ -15,7 +15,6 @@
 //! atomic word) and simply skips slots whose version word is torn.
 
 use crate::event::{OpKind, Phase, TraceEvent};
-use crate::sink::TraceSink;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Configuration for a [`TraceBuffer`].
@@ -171,12 +170,6 @@ impl TraceBuffer {
             capacity: self.capacity,
             per_bank,
         }
-    }
-}
-
-impl TraceSink for TraceBuffer {
-    fn record(&self, ev: TraceEvent) {
-        TraceBuffer::record(self, ev);
     }
 }
 

@@ -48,10 +48,6 @@ pub enum OpKind {
     /// device writes it issued; begin payload = key hash, end payload =
     /// pages freed).
     KvDelete,
-    /// A telemetry drift-risk state change on one bank (instant at the
-    /// sample deadline; payload packs `(ewma_permille << 16) |
-    /// (from_code << 8) | to_code`, see `pcm-telemetry`).
-    RiskTransition,
     /// Model time a demand op spent draining accumulated scrub debt on
     /// its bank before its own busy window (span; payload = drained ns).
     ScrubStall,
@@ -59,7 +55,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every kind, in wire-code order.
-    pub const ALL: [OpKind; 12] = [
+    pub const ALL: [OpKind; 11] = [
         OpKind::Read,
         OpKind::Write,
         OpKind::Refresh,
@@ -70,7 +66,6 @@ impl OpKind {
         OpKind::KvGet,
         OpKind::KvPut,
         OpKind::KvDelete,
-        OpKind::RiskTransition,
         OpKind::ScrubStall,
     ];
 
@@ -87,7 +82,6 @@ impl OpKind {
             OpKind::KvGet => "kv_get",
             OpKind::KvPut => "kv_put",
             OpKind::KvDelete => "kv_delete",
-            OpKind::RiskTransition => "risk_transition",
             OpKind::ScrubStall => "scrub_stall",
         }
     }
@@ -110,8 +104,7 @@ impl OpKind {
             OpKind::KvGet => 7,
             OpKind::KvPut => 8,
             OpKind::KvDelete => 9,
-            OpKind::RiskTransition => 10,
-            OpKind::ScrubStall => 11,
+            OpKind::ScrubStall => 10,
         }
     }
 

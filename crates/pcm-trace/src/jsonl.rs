@@ -208,29 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn risk_transition_round_trips() {
-        // The telemetry layer's Healthy→Elevated→Critical instants ride
-        // the same stream; their kind name and packed payload must
-        // survive export → parse exactly.
-        let buf = TraceBuffer::new(1, &TraceConfig::new(4));
-        let ev = TraceEvent {
-            seq: 0,
-            t_ns: 2_000,
-            bank: 0,
-            block: 0,
-            kind: OpKind::RiskTransition,
-            phase: Phase::Instant,
-            ctx: 0,
-            payload: (640 << 8) | 1,
-        };
-        buf.record(ev);
-        let text = export(&buf.snapshot());
-        assert!(text.contains("\"kind\":\"risk_transition\""), "{text}");
-        let parsed = parse(&text).expect("round trip");
-        assert_eq!(parsed.events, vec![ev]);
-    }
-
-    #[test]
     fn event_lines_carry_ctx() {
         let text = export(&sample_buffer().snapshot());
         assert!(text.contains("\"ctx\":77"), "{text}");

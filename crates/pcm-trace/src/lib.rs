@@ -12,8 +12,8 @@
 //! - [`TraceBuffer`] — per-bank ring buffers; recording is a
 //!   `fetch_add` plus five atomic stores (never blocks, never
 //!   allocates), overwriting the oldest event with a dropped counter.
-//! - [`Recorder`] / [`TraceSink`] / [`NullSink`] — the handle the
-//!   device engines carry; disabled tracing costs one branch.
+//! - [`Recorder`] — the handle the device engines carry: an optional
+//!   shared [`TraceBuffer`], so disabled tracing costs one branch.
 //! - [`jsonl`] / [`chrome`] — exporters: line-oriented JSONL with a
 //!   stable field order (the `xtask trace-report` input), and Chrome
 //!   trace-event JSON (banks as threads, spans as `B`/`E` pairs).
@@ -42,7 +42,7 @@ pub mod ctx;
 mod event;
 pub mod json;
 pub mod jsonl;
-mod sink;
+mod recorder;
 
 pub use buffer::{BankTrace, TraceBuffer, TraceConfig, TraceSnapshot};
 pub use ctx::{
@@ -52,7 +52,7 @@ pub use ctx::{
 pub use event::{OpKind, Phase, TraceEvent, NO_BLOCK};
 pub use json::DecodeError;
 pub use jsonl::{LaneSummary, ParsedTrace};
-pub use sink::{NullSink, Recorder, TraceSink};
+pub use recorder::Recorder;
 
 /// Model seconds to integer nanoseconds, rounded to nearest.
 ///

@@ -1,86 +1,44 @@
-//! The recording interface: [`TraceSink`], the no-op [`NullSink`], and
-//! the cloneable [`Recorder`] handle the device stack threads through
+//! The cloneable [`Recorder`] handle the device stack threads through
 //! its engines the same way `DeviceMetrics` travels.
 //!
 //! Disabled tracing must cost one predictable branch: a disabled
-//! [`Recorder`] holds no sink at all, so `record` is a `None` check and
-//! an immediate return — no virtual call, no allocation, no event
-//! construction on the caller side beyond building the argument struct.
+//! [`Recorder`] holds no buffer at all, so `record` is a `None` check and
+//! an immediate return — no allocation, no event construction on the
+//! caller side beyond building the argument struct. An enabled one
+//! writes straight into its [`TraceBuffer`].
 
 use crate::buffer::{TraceBuffer, TraceConfig};
 use crate::ctx::NO_CTX;
 use crate::event::{OpKind, Phase, TraceEvent};
 use std::sync::Arc;
 
-/// Anything that can accept trace events.
-///
-/// Implementations must be cheap and non-blocking: sinks are invoked on
-/// device hot paths, sometimes while a bank lock is held. The `seq`
-/// field of the incoming event is unassigned (zero); order-preserving
-/// sinks such as [`TraceBuffer`] assign their own sequence numbers.
-pub trait TraceSink: Send + Sync {
-    /// Accept one event.
-    fn record(&self, ev: TraceEvent);
-}
-
-/// A sink that discards everything.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    fn record(&self, _ev: TraceEvent) {}
-}
-
 /// The handle device engines carry: either disabled (the default — one
-/// branch per would-be event) or backed by a shared sink.
+/// branch per would-be event) or backed by a shared ring buffer.
 ///
-/// `Recorder` is `Clone`; clones share the same sink, so everything
+/// `Recorder` is `Clone`; clones share the same buffer, so everything
 /// holding a clone (a device and anything it hands the recorder to)
 /// records into one buffer.
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Recorder {
-    sink: Option<Arc<dyn TraceSink>>,
     buffer: Option<Arc<TraceBuffer>>,
-}
-
-impl std::fmt::Debug for Recorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Recorder")
-            .field("enabled", &self.is_enabled())
-            .field("buffer", &self.buffer)
-            .finish()
-    }
 }
 
 impl Recorder {
     /// The disabled recorder: every `record` is a single branch.
     pub fn disabled() -> Recorder {
-        Recorder {
-            sink: None,
-            buffer: None,
-        }
+        Recorder { buffer: None }
     }
 
     /// A recorder backed by a fresh per-bank ring buffer.
     pub fn buffered(banks: usize, config: &TraceConfig) -> Recorder {
-        let buffer = Arc::new(TraceBuffer::new(banks, config));
         Recorder {
-            sink: Some(buffer.clone()),
-            buffer: Some(buffer),
+            buffer: Some(Arc::new(TraceBuffer::new(banks, config))),
         }
     }
 
-    /// A recorder draining into an arbitrary sink (no snapshot support).
-    pub fn with_sink(sink: Arc<dyn TraceSink>) -> Recorder {
-        Recorder {
-            sink: Some(sink),
-            buffer: None,
-        }
-    }
-
-    /// Is any sink attached?
+    /// Is a buffer attached?
     pub fn is_enabled(&self) -> bool {
-        self.sink.is_some()
+        self.buffer.is_some()
     }
 
     /// The ring buffer behind this recorder, when built with
@@ -89,10 +47,10 @@ impl Recorder {
         self.buffer.as_ref()
     }
 
-    /// Record a raw event (`seq` is assigned by the sink).
+    /// Record a raw event (`seq` is assigned by the buffer).
     pub fn record(&self, ev: TraceEvent) {
-        if let Some(sink) = &self.sink {
-            sink.record(ev);
+        if let Some(buffer) = &self.buffer {
+            buffer.record(ev);
         }
     }
 
@@ -120,8 +78,8 @@ impl Recorder {
         payloads: (u64, u64),
         ctx: u64,
     ) {
-        if let Some(sink) = &self.sink {
-            sink.record(TraceEvent {
+        if let Some(buffer) = &self.buffer {
+            buffer.record(TraceEvent {
                 seq: 0,
                 t_ns: range_ns.0,
                 bank,
@@ -131,7 +89,7 @@ impl Recorder {
                 ctx,
                 payload: payloads.0,
             });
-            sink.record(TraceEvent {
+            buffer.record(TraceEvent {
                 seq: 0,
                 t_ns: range_ns.1,
                 bank,
@@ -159,18 +117,16 @@ impl Recorder {
         payload: u64,
         ctx: u64,
     ) {
-        if let Some(sink) = &self.sink {
-            sink.record(TraceEvent {
-                seq: 0,
-                t_ns,
-                bank,
-                block,
-                kind,
-                phase: Phase::Instant,
-                ctx,
-                payload,
-            });
-        }
+        self.record(TraceEvent {
+            seq: 0,
+            t_ns,
+            bank,
+            block,
+            kind,
+            phase: Phase::Instant,
+            ctx,
+            payload,
+        });
     }
 }
 
@@ -206,13 +162,5 @@ mod tests {
         assert_eq!(span.map(|e| e[0].phase), Some(Phase::Begin));
         assert_eq!(span.map(|e| e[1].phase), Some(Phase::End));
         assert_eq!(span.map(|e| e[1].t_ns), Some(300));
-    }
-
-    #[test]
-    fn null_sink_recorder_is_enabled_but_bufferless() {
-        let rec = Recorder::with_sink(Arc::new(NullSink));
-        assert!(rec.is_enabled());
-        assert!(rec.buffer().is_none());
-        rec.instant(OpKind::Failure, 0, 0, 5, 1);
     }
 }

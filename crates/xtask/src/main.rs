@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p xtask -- lint [--json] [--audit-allows] [FILE…]
 //! cargo run -p xtask -- trace-report [--json] [--top N] [--strict] <file.jsonl>
-//! cargo run -p xtask -- obs-report [--json] [--top N] [--strict] <telemetry.jsonl>
+//! cargo run -p xtask -- obs-report [--json] [--strict] <telemetry.jsonl>
 //! cargo run -p xtask -- profile-report [--json] [--top N] [--folded] <file.jsonl>
 //! cargo run -p xtask -- bench-diff [--max-drop-pct F] <old.json> <new.json>
 //! ```
@@ -16,9 +16,10 @@
 //! `trace-report` summarizes a `pcm-trace` JSONL file: per-bank op
 //! counts, span-duration histograms, scrub/demand interleaving, and
 //! the longest spans. `obs-report` summarizes a `pcm-telemetry` JSONL
-//! export: per-bank sample tables with activity sparklines, the top
-//! drift-risk banks, and scrub/demand interference windows; on both,
-//! `--strict` fails the run when the source ring dropped anything.
+//! export: per-bank sample tables, sparklines of demand ops and
+//! corrected symbols per interval, and scrub/demand interference
+//! windows; on both, `--strict` fails the run when the source ring
+//! dropped anything.
 //! `profile-report` reconstructs causal per-request latency
 //! attribution from correlation ids in a trace (DESIGN.md §17);
 //! `--folded` emits collapsed flamegraph stacks instead.
@@ -55,9 +56,7 @@ fn usage() {
     eprintln!(
         "       cargo run -p xtask -- trace-report [--json] [--top N] [--strict] <file.jsonl>"
     );
-    eprintln!(
-        "       cargo run -p xtask -- obs-report [--json] [--top N] [--strict] <telemetry.jsonl>"
-    );
+    eprintln!("       cargo run -p xtask -- obs-report [--json] [--strict] <telemetry.jsonl>");
     eprintln!(
         "       cargo run -p xtask -- profile-report [--json] [--top N] [--folded] <file.jsonl>"
     );
@@ -132,18 +131,10 @@ fn trace_report(args: &[String]) -> ExitCode {
 fn obs_report(args: &[String]) -> ExitCode {
     let mut opts = xtask::obs_report::Options::default();
     let mut file: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
+    for a in args {
         match a.as_str() {
             "--json" => opts.json = true,
             "--strict" => opts.strict = true,
-            "--top" => match it.next().and_then(|n| n.parse::<usize>().ok()) {
-                Some(n) if n > 0 => opts.top = n,
-                _ => {
-                    eprintln!("obs-report: --top needs a positive integer");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
                 usage();
                 return ExitCode::SUCCESS;

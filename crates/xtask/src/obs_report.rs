@@ -11,8 +11,6 @@
 pub struct Options {
     /// Emit the report as one JSON object instead of tables.
     pub json: bool,
-    /// Rows in the top-risk-banks table.
-    pub top: usize,
     /// Fail (nonzero exit) when any bank dropped samples to ring wrap
     /// — a dropped sample means the summaries undercount.
     pub strict: bool,
@@ -27,8 +25,7 @@ pub fn report_file(path: &str, opts: &Options) -> Result<String, String> {
 
 /// [`report_file`] over an in-memory document (testable without I/O).
 pub fn report_str(doc: &str, opts: &Options) -> Result<String, String> {
-    let top = if opts.top == 0 { 10 } else { opts.top };
-    let report = pcm_telemetry::report::analyze_str(doc, top).map_err(|e| e.to_string())?;
+    let report = pcm_telemetry::report::analyze_str(doc).map_err(|e| e.to_string())?;
     let total_dropped: u64 = report.per_bank.iter().map(|b| b.dropped).sum();
     if opts.strict && total_dropped > 0 {
         return Err(format!(
@@ -51,9 +48,7 @@ mod tests {
 
     fn sample_doc() -> String {
         use pcm_telemetry::{BankCounters, TelemetryConfig, TelemetryRecorder};
-        use pcm_trace::Recorder;
         let rec = TelemetryRecorder::new(2, TelemetryConfig::new(1000).with_capacity(16));
-        let tracer = Recorder::disabled();
         let mut c0 = BankCounters::default();
         let mut c1 = BankCounters::default();
         for step in 1..=8u64 {
@@ -62,7 +57,7 @@ mod tests {
             c1.scrubs += 1;
             c1.busy_ns += 1200;
             c1.corrected_symbols += step * 30;
-            rec.sample_up_to(step * 1000, &[c0.clone(), c1.clone()], &tracer);
+            rec.sample_up_to(step * 1000, &[c0.clone(), c1.clone()]);
         }
         rec.snapshot().to_jsonl()
     }
@@ -71,20 +66,19 @@ mod tests {
     fn text_report_renders_tables() {
         let out = report_str(&sample_doc(), &Options::default()).unwrap();
         assert!(out.contains("2 banks"), "{out}");
-        assert!(out.contains("top risk banks"), "{out}");
+        assert!(out.contains("interference:"), "{out}");
     }
 
     #[test]
     fn json_report_has_fixed_shape() {
         let opts = Options {
             json: true,
-            top: 5,
             strict: false,
         };
         let out = report_str(&sample_doc(), &opts).unwrap();
         assert!(out.starts_with("{\"banks\":2,"), "{out}");
         assert!(out.contains("\"per_bank\":["), "{out}");
-        assert!(out.contains("\"top_risk\":["), "{out}");
+        assert!(out.contains("\"interference\":{"), "{out}");
         assert!(out.ends_with("}\n"), "{out}");
         // Byte-stable across invocations.
         assert_eq!(out, report_str(&sample_doc(), &opts).unwrap());
@@ -99,15 +93,13 @@ mod tests {
     #[test]
     fn strict_fails_on_dropped_samples() {
         use pcm_telemetry::{BankCounters, TelemetryConfig, TelemetryRecorder};
-        use pcm_trace::Recorder;
         // A 2-point ring receiving 8 samples must drop 6 per bank.
         let rec = TelemetryRecorder::new(1, TelemetryConfig::new(1000).with_capacity(2));
-        let tracer = Recorder::disabled();
         let mut c = BankCounters::default();
         for step in 1..=8u64 {
             c.reads += 1;
             c.busy_ns += 200;
-            rec.sample_up_to(step * 1000, &[c.clone()], &tracer);
+            rec.sample_up_to(step * 1000, &[c.clone()]);
         }
         let doc = rec.snapshot().to_jsonl();
         let strict = Options {

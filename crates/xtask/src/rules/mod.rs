@@ -70,8 +70,8 @@ pub const LIB_CRATES: &[&str] = &[
 /// its table registries and decoders must stay free of ambient entropy
 /// and clocks too.
 /// `pcm-telemetry` joined with the time-series layer: its sample ticks
-/// and risk estimators feed a byte-identical CI oracle, so they must be
-/// a pure function of the observation sequence.
+/// and series feed a byte-identical CI oracle, so they must be a pure
+/// function of the observation sequence.
 pub const DETERMINISM_CRATES: &[&str] = &[
     "pcm-core",
     "pcm-device",

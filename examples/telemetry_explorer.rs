@@ -1,7 +1,8 @@
 //! Model-time telemetry end to end: run a skewed YCSB-B workload with
 //! background scrub on a drift-prone 4LC store, phase by phase so model
-//! time accrues between op slices, then print each bank's risk timeline
-//! and the same summary `cargo run -p xtask -- obs-report` would.
+//! time accrues between op slices, then print each bank's timeline of
+//! corrected symbols per interval and the same summary
+//! `cargo run -p xtask -- obs-report` would.
 //!
 //! The exported JSONL under `target/telemetry/` feeds `obs-report` (and
 //! any line-oriented tooling); the Prometheus text file shows the same
@@ -10,7 +11,7 @@
 //! Run with: `cargo run --release --example telemetry_explorer`
 
 use mlc_pcm::core::params::REFRESH_17MIN_SECS;
-use mlc_pcm::device::{CellOrganization, DeviceBuilder, DriftRiskConfig, TelemetryConfig};
+use mlc_pcm::device::{CellOrganization, DeviceBuilder, TelemetryConfig};
 use mlc_pcm::store::workload::{run_phased, Mix, PhasedConfig, WorkloadConfig};
 use mlc_pcm::store::{PcmStore, StoreConfig};
 use mlc_pcm::telemetry::report;
@@ -20,8 +21,8 @@ const PHASES: usize = 6;
 
 fn main() {
     // A zipf-skewed YCSB-B mix (95% reads) over a 4LC store: the
-    // organization the paper shows *needs* scrub, so the drift-risk
-    // estimator has something real to watch.
+    // organization the paper shows *needs* scrub, so drift shows up as
+    // corrected symbols in every interval.
     let cfg = WorkloadConfig {
         seed: 7,
         actors: 4,
@@ -37,16 +38,9 @@ fn main() {
     };
     let blocks = cfg.required_blocks(&store_cfg).div_ceil(BANKS) * BANKS;
 
-    // One telemetry sample per phase boundary; a correction budget in
-    // the range scrub actually corrects per interval here, so the run
-    // walks the whole Healthy → Elevated → Critical state machine.
+    // One telemetry sample per phase boundary.
     let interval_ns = (REFRESH_17MIN_SECS * 1e9) as u64;
-    let telemetry = TelemetryConfig::new(interval_ns).with_risk(DriftRiskConfig {
-        budget_per_interval: 64,
-        ewma_shift: 1,
-        elevated_permille: 500,
-        critical_permille: 900,
-    });
+    let telemetry = TelemetryConfig::new(interval_ns);
     let dev = DeviceBuilder::new()
         .organization(CellOrganization::FourLevel {
             design: mlc_pcm::core::optimize::four_level_optimal().clone(),
@@ -67,7 +61,9 @@ fn main() {
         advance_secs: REFRESH_17MIN_SECS,
         scrub_interval_secs: Some(REFRESH_17MIN_SECS),
     };
-    let rep = run_phased(&store, &cfg, &phased, 2).expect("workload");
+    // One worker thread: at more, per-bank op order follows how the
+    // actors interleave, and the export would differ from run to run.
+    let rep = run_phased(&store, &cfg, &phased, 1).expect("workload");
     println!(
         "{} measured ops across {PHASES} phases | {} model-seconds | {} mismatches",
         rep.totals.measured_ops(),
@@ -76,20 +72,20 @@ fn main() {
     );
     println!();
 
-    // The per-bank risk timeline: one sampled point per phase boundary,
-    // with the drift EWMA (permille of the correction budget) and the
-    // risk classification the adaptive-scrub controller will consume.
+    // The per-bank drift timeline: one sampled point per phase boundary,
+    // with the symbols ECC corrected in that interval (demand reads and
+    // scrub alike) and the scrubs that ran in it.
     let snap = store
         .device()
         .telemetry()
         .expect("telemetry was enabled")
         .snapshot();
-    println!("per-bank risk timeline (tick: ewma-permille state):");
+    println!("per-bank corrected-symbols timeline (tick: corrected symbols / scrubs):");
     for bank in &snap.per_bank {
         let timeline: Vec<String> = bank
             .points
             .iter()
-            .map(|p| format!("t{}: {}\u{2030} {}", p.tick, p.ewma_permille, p.risk.name()))
+            .map(|p| format!("t{}: {} / {}", p.tick, p.corrected_symbols, p.scrubs))
             .collect();
         println!("  bank {}  {}", bank.bank, timeline.join(" | "));
     }
@@ -110,6 +106,6 @@ fn main() {
     println!();
 
     // The same summary `cargo run -p xtask -- obs-report <file>` prints.
-    let obs = report::analyze_str(&doc, BANKS).expect("well-formed export");
+    let obs = report::analyze_str(&doc).expect("well-formed export");
     print!("{}", obs.render_text());
 }

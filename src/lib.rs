@@ -19,7 +19,7 @@
 //! | [`device`] | cell arrays, full 3LC/4LC block datapaths, the banked device engine, scrub |
 //! | [`sim`] | trace-driven performance & energy simulation (Figure 16) |
 //! | [`trace`] | deterministic model-time event tracing (ring buffers, JSONL/Chrome exporters) |
-//! | [`telemetry`] | model-time series sampling, per-bank drift-risk estimators, `obs-report` analyzer |
+//! | [`telemetry`] | model-time per-bank series sampling (JSONL/Prometheus exporters), `obs-report` analyzer |
 //! | [`store`] | KV serving layer: CRC-checked pages, reachability-defined free space, hash directory, deterministic YCSB-style workloads |
 //!
 //! ## Quickstart

@@ -8,7 +8,7 @@
 //! inside a line must be an error, and the whole document must
 //! round-trip.
 
-use mlc_pcm::sim::profile;
+use mlc_pcm::sim::{profile, trace_report};
 use mlc_pcm::telemetry::{self, BankCounters, TelemetryConfig, TelemetryRecorder};
 use mlc_pcm::trace::{
     jsonl, pack_ctx, CtxClass, OpKind, Recorder, TraceConfig, TraceEvent, CTX_INDEX_FLAG,
@@ -80,8 +80,53 @@ fn a_telemetry_series_cut_inside_a_line_is_an_error() {
         counters[0].busy_ns += 800;
         counters[1].scrubs += 1;
         counters[1].corrected_symbols += step * 30;
-        rec.sample_up_to(step * 1000, &counters, &Recorder::disabled());
+        rec.sample_up_to(step * 1000, &counters);
     }
     let doc = rec.snapshot().to_jsonl();
     assert_eq!(parse_every_prefix(&doc, telemetry::parse).to_jsonl(), doc);
+}
+
+/// Parse every prefix of `doc` and the whole: each must be `Ok` or a
+/// typed error naming a line within the document, never a panic.
+fn reads_or_fails_typed<T>(
+    doc: &str,
+    parse: impl Fn(&str) -> Result<T, mlc_pcm::trace::DecodeError>,
+) {
+    let lines = doc.lines().count() + 1;
+    for end in (0..=doc.len()).filter(|&e| doc.is_char_boundary(e)) {
+        if let Err(e) = parse(&doc[..end]) {
+            assert!((1..=lines).contains(&e.line), "{e} after {end} bytes");
+        }
+    }
+}
+
+#[test]
+fn an_export_with_drift_risk_fields_reads_or_fails_typed() {
+    // Exports written while the stack still had a drift-risk estimator
+    // carry a `risk_transition` trace kind and `ewma_permille`/`risk`
+    // telemetry fields. Reading one back must not panic.
+    let trace = "{\"type\":\"meta\",\"banks\":1,\"capacity\":4}\n\
+                 {\"type\":\"bank\",\"bank\":0,\"recorded\":2,\"dropped\":0}\n\
+                 {\"type\":\"event\",\"bank\":0,\"seq\":0,\"t_ns\":1000,\"kind\":\"read\",\
+                 \"phase\":\"i\",\"block\":3,\"ctx\":0,\"payload\":0}\n\
+                 {\"type\":\"event\",\"bank\":0,\"seq\":1,\"t_ns\":2000,\
+                 \"kind\":\"risk_transition\",\"phase\":\"i\",\"block\":4294967295,\
+                 \"ctx\":0,\"payload\":41943041}\n";
+    let err = jsonl::parse(trace).expect_err("the kind is gone");
+    assert!(err.reason.contains("unknown op kind"), "{err}");
+    reads_or_fails_typed(trace, jsonl::parse);
+    reads_or_fails_typed(trace, trace_report::analyze);
+    reads_or_fails_typed(trace, profile::build);
+
+    let series = "{\"telemetry\":1,\"banks\":1,\"interval_ns\":1000,\"capacity\":4}\n\
+                  {\"bank\":0,\"dropped\":0,\"ewma_permille\":640,\"risk\":\"elevated\",\"points\":1}\n\
+                  {\"bank\":0,\"tick\":1,\"t_ns\":1000,\"reads\":4,\"writes\":0,\"scrubs\":0,\
+                  \"corrected_symbols\":3,\"corrections\":1,\"uncorrectables\":0,\"remaps\":0,\
+                  \"busy_ns\":800,\"p50_ns\":0,\"p99_ns\":0,\"ewma_permille\":640,\"risk\":\"elevated\"}\n";
+    reads_or_fails_typed(series, telemetry::parse);
+    reads_or_fails_typed(series, telemetry::report::analyze_str);
+    // The extra fields are ignored: every counter still reads back.
+    let snap = telemetry::parse(series).expect("the series fields are all present");
+    assert_eq!(snap.per_bank[0].points[0].corrected_symbols, 3);
+    assert_eq!(snap.per_bank[0].points[0].busy_ns, 800);
 }
